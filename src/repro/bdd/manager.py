@@ -43,7 +43,7 @@ _OP_NAMES = {_OP_AND: "and", _OP_OR: "or", _OP_XOR: "xor", _OP_DIFF: "diff"}
 
 _TERMINAL_VAR = 1 << 30  # sentinel "variable" for terminals; orders last
 
-#: Entries allowed in each memo cache (apply / ite / not) before a
+#: Entries allowed in each memo cache (apply / ite / not / relation) before a
 #: size-triggered :meth:`BDDManager.clear_caches`.  The memo caches are
 #: pure accelerators -- unlike the unique table they carry no canonicity
 #: obligation -- but they referenced every operand pair ever combined, so
@@ -70,7 +70,7 @@ class BDDManager:
             raise ValueError(f"cache_limit must be positive, got {cache_limit}")
         self.num_vars = num_vars
         #: Per-memo-cache entry budget; crossing it on a top-level
-        #: operation clears all three memo caches (see ``clear_caches``).
+        #: operation clears all the memo caches (see ``clear_caches``).
         self.cache_limit = cache_limit
         #: Optional :class:`repro.obs.Recorder`.  ``None`` (the default)
         #: keeps every hot path on its uninstrumented branch; the off
@@ -89,6 +89,7 @@ class BDDManager:
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._not_cache: dict[int, int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
+        self._relation_cache: dict[tuple[int, int], int] = {}
         # Single-variable nodes are requested constantly; precompute them.
         self._var_nodes = [self._mk(i, FALSE, TRUE) for i in range(num_vars)]
         self._nvar_nodes = [self._mk(i, TRUE, FALSE) for i in range(num_vars)]
@@ -333,9 +334,67 @@ class BDDManager:
             return self._low[node], self._high[node]
         return node, node
 
+    def relation(self, u: int, v: int) -> int:
+        """How ``u`` sits relative to ``v``, as two bits, building nothing.
+
+        Bit 0 is set iff ``u AND v`` is satisfiable, bit 1 iff
+        ``u AND NOT v`` is: ``0`` only for ``u = FALSE``, ``1`` = ``u``
+        inside ``v``, ``2`` = disjoint, ``3`` = ``v`` cuts ``u``.  One
+        memoized product traversal answers both questions and stops as
+        soon as both bits are set; unlike ``apply_and``/``apply_diff`` it
+        never calls :meth:`_mk`, so a test leaves the node table alone.
+        """
+        if len(self._relation_cache) >= self.cache_limit:
+            self.clear_caches()
+        rec = self.recorder
+        if rec is None or not rec.time_bdd_ops:
+            return self._relation(u, v)
+        started = _perf_counter()
+        result = self._relation(u, v)
+        rec.bdd.record_op("relation", _perf_counter() - started)
+        return result
+
+    def _relation(self, u: int, v: int) -> int:
+        # A reduced BDD other than FALSE is satisfiable, so every case
+        # with a terminal operand (or u == v) is decided on the spot.
+        if u == FALSE:
+            return 0
+        if v == FALSE:
+            return 2
+        if v == TRUE or u == v:
+            return 1
+        if u == TRUE:
+            return 3
+        key = (u, v)
+        cached = self._relation_cache.get(key)
+        rec = self.recorder
+        if cached is not None:
+            if rec is not None:
+                rec.bdd.apply_hits += 1
+            return cached
+        if rec is not None:
+            rec.bdd.apply_misses += 1
+
+        var_u = self._var[u]
+        var_v = self._var[v]
+        if var_u == var_v:
+            result = self._relation(self._low[u], self._low[v])
+            if result != 3:
+                result |= self._relation(self._high[u], self._high[v])
+        elif var_u < var_v:
+            result = self._relation(self._low[u], v)
+            if result != 3:
+                result |= self._relation(self._high[u], v)
+        else:
+            result = self._relation(u, self._low[v])
+            if result != 3:
+                result |= self._relation(u, self._high[v])
+        self._relation_cache[key] = result
+        return result
+
     def implies(self, u: int, v: int) -> bool:
         """True iff the function of ``u`` implies that of ``v``."""
-        return self.apply_diff(u, v) == FALSE
+        return not self.relation(u, v) & 2
 
     # ------------------------------------------------------------------
     # Cube and cofactor helpers
@@ -664,17 +723,19 @@ class BDDManager:
             "apply_cache": len(self._apply_cache),
             "not_cache": len(self._not_cache),
             "ite_cache": len(self._ite_cache),
+            "relation_cache": len(self._relation_cache),
             "cache_entries": (
                 len(self._apply_cache)
                 + len(self._not_cache)
                 + len(self._ite_cache)
+                + len(self._relation_cache)
             ),
             "cache_limit": self.cache_limit,
             "cache_clears": self._cache_clears,
         }
 
     def clear_caches(self) -> None:
-        """Drop the apply/ite/not memo caches.
+        """Drop the apply/ite/not/relation memo caches.
 
         The *unique table* is untouched -- node ids are immortal and every
         previously returned id stays canonical -- so clearing costs only
@@ -686,6 +747,7 @@ class BDDManager:
         self._apply_cache.clear()
         self._not_cache.clear()
         self._ite_cache.clear()
+        self._relation_cache.clear()
         self._cache_clears += 1
         rec = self.recorder
         if rec is not None:

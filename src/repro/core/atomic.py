@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..bdd import BDDManager, Function
+from ..bdd import TRUE, BDDManager, Function
 from ..network.dataplane import LabeledPredicate
 
 __all__ = ["AtomMerge", "AtomicUniverse", "LeafSplit"]
@@ -61,6 +61,21 @@ class AtomMerge:
     parts: tuple[int, ...]
 
 
+class _Region:
+    """A node of the refinement history tree ``AtomicUniverse.compute``
+    builds: a live atom, or a split one whose BDD spans the atoms below."""
+
+    __slots__ = ("atom_id", "node", "inside", "children")
+
+    def __init__(self, atom_id: int, node: int, *inside: int) -> None:
+        self.atom_id = atom_id
+        self.node = node
+        #: pids the whole subtree is inside (lazy: not yet in any ``R``).
+        self.inside = list(inside)
+        #: ``(a & p, a & ~p)`` once split by ``p``; empty for a leaf.
+        self.children: tuple[_Region, ...] = ()
+
+
 class AtomicUniverse:
     """The live atoms, the live predicates, and the ``R`` mapping."""
 
@@ -85,41 +100,58 @@ class AtomicUniverse:
     ) -> "AtomicUniverse":
         """Full refinement over a predicate snapshot.
 
-        Starts from the single class TRUE and splits every class by every
-        predicate in turn, tracking which side each class lands on so the
-        ``R`` sets come out of the same pass.
+        Each predicate ``p`` touches only the classes it cuts.  An atom
+        split by ``p`` stays behind as an internal tree node over ``a & p``
+        and ``a & ~p``, its BDD now the region of that subtree.  A new
+        predicate descends from the root with the non-constructing
+        :meth:`BDDManager.relation`: a subtree disjoint from ``p`` is
+        pruned, a subtree inside ``p`` gets one lazy pid tag, and only the
+        leaves ``p`` cuts pay ``apply_and`` / ``apply_diff`` -- in
+        ascending atom id, the order a flat scan of the live atoms meets
+        them, so atom and BDD node ids do not depend on the tree's shape.
         """
         universe = cls(manager)
-        root = universe._mint_atom(Function.true(manager))
-        # Each working atom carries the set of pids that contain it so far.
-        memberships: dict[int, set[int]] = {root: set()}
+        relation = manager.relation
+        root = _Region(universe._mint_atom(Function.true(manager)), TRUE)
         for labeled in predicates:
-            universe._register_predicate(labeled.pid, labeled.fn)
-            replacements: dict[int, tuple[tuple[int, set[int]], ...]] = {}
-            for atom_id, inside_pids in memberships.items():
+            pid, fn = labeled.pid, labeled.fn
+            universe._register_predicate(pid, fn)
+            p = fn.node
+            cut: list[tuple[int, _Region]] = []
+            stack = [root]
+            while stack:
+                region = stack.pop()
+                rel = relation(region.node, p)
+                if rel == 1:  # inside p
+                    region.inside.append(pid)
+                elif rel == 3:  # cut by p; 2 (disjoint) is pruned
+                    if region.children:
+                        stack.extend(region.children)
+                    else:
+                        cut.append((region.atom_id, region))
+            for atom_id, region in sorted(cut):
                 atom = universe._atoms[atom_id]
-                inside = atom & labeled.fn
-                if inside.is_false:
-                    continue  # atom entirely outside p: membership unchanged
-                outside = atom - labeled.fn
-                if outside.is_false:
-                    inside_pids.add(labeled.pid)
-                    continue  # atom entirely inside p
-                in_id = universe._mint_atom(inside)
-                out_id = universe._mint_atom(outside)
+                inside, outside = atom & fn, atom - fn
                 universe._drop_atom(atom_id)
-                replacements[atom_id] = (
-                    (in_id, inside_pids | {labeled.pid}),
-                    (out_id, set(inside_pids)),
+                region.children = (
+                    _Region(universe._mint_atom(inside), inside.node, pid),
+                    _Region(universe._mint_atom(outside), outside.node),
                 )
-            for old_id, children in replacements.items():
-                del memberships[old_id]
-                for child_id, pids in children:
-                    memberships[child_id] = pids
-        for atom_id, inside_pids in memberships.items():
-            for pid in inside_pids:
-                universe._r[pid].add(atom_id)
-                universe._containing[atom_id].add(pid)
+        # Push the tags down into R: a leaf is inside exactly the pids
+        # tagged on its root path.
+        leaves = []
+        walk: list[tuple[_Region, tuple[int, ...]]] = [(root, ())]
+        while walk:
+            region, inherited = walk.pop()
+            inherited += tuple(region.inside)
+            if region.children:
+                walk.extend((child, inherited) for child in region.children)
+            else:
+                leaves.append((region.atom_id, inherited))
+        for atom_id, inside_pids in sorted(leaves):
+            universe._containing[atom_id].update(inside_pids)
+            for member_pid in inside_pids:
+                universe._r[member_pid].add(atom_id)
         return universe
 
     @classmethod
@@ -231,6 +263,8 @@ class AtomicUniverse:
     def _register_predicate(self, pid: int, fn: Function) -> None:
         if pid in self._pred_fns:
             raise ValueError(f"predicate pid {pid} already registered")
+        if fn.manager is not self.manager:
+            raise ValueError("predicate lives in a different BDD manager")
         self._pred_fns[pid] = fn
         self._r[pid] = set()
 
@@ -326,29 +360,31 @@ class AtomicUniverse:
     def add_predicate(self, pid: int, fn: Function) -> list[LeafSplit]:
         """Refine the universe by one new predicate.
 
-        For every live atom ``a`` computes ``a & p`` and ``a & ~p``; atoms
-        cut by ``p`` are replaced by two fresh atoms (inheriting all their
-        ``R`` memberships), others keep their id.  Returns one
-        :class:`LeafSplit` per atom so the AP Tree can mirror the change on
-        its leaves.
+        Every live atom ``a`` is classified against ``p`` by one
+        :meth:`BDDManager.relation` test, which builds nothing; only the
+        atoms ``p`` cuts pay for ``a & p`` and ``a & ~p`` and are replaced
+        by two fresh atoms (inheriting all their ``R`` memberships), the
+        others keep their id.  Returns one :class:`LeafSplit` per atom so
+        the AP Tree can mirror the change on its leaves.
         """
         self._register_predicate(pid, fn)
+        relation = self.manager.relation
+        p = fn.node
         splits: list[LeafSplit] = []
         r_set = self._r[pid]
         for atom_id in list(self._atoms):
             atom = self._atoms[atom_id]
-            inside = atom & fn
-            if inside.is_false:
+            rel = relation(atom.node, p)
+            if rel == 2:  # disjoint from p
                 splits.append(LeafSplit(atom_id, None, atom_id))
                 continue
-            outside = atom - fn
-            if outside.is_false:
+            if rel == 1:  # inside p
                 r_set.add(atom_id)
                 self._containing[atom_id].add(pid)
                 splits.append(LeafSplit(atom_id, atom_id, None))
                 continue
-            in_id = self._mint_atom(inside)
-            out_id = self._mint_atom(outside)
+            in_id = self._mint_atom(atom & fn)
+            out_id = self._mint_atom(atom - fn)
             # Children inherit every membership of the parent.
             parent_pids = self._containing[atom_id]
             for member_pid in parent_pids:
