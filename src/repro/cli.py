@@ -394,8 +394,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
       (changed classes, sat-count volumes, witnesses) prints as strict
       JSON;
     * ``--before``/``--after`` -- bare network snapshot JSONs; both are
-      built fresh on one manager and the human-readable delta list of
-      :func:`repro.core.delta.behavior_delta` prints instead.
+      built fresh on one manager and the same sweep prints as a
+      human-readable list of changed classes instead.
 
     Exit code 1 when any class changed behavior, 0 when none did.
     """
@@ -435,7 +435,7 @@ def _diff_generation_files(args: argparse.Namespace) -> int:
 
 
 def _diff_snapshots(args: argparse.Namespace) -> int:
-    from .core.delta import behavior_delta
+    from .diff import diff_generations
     from .network.dataplane import DataPlane
 
     before_net = _load_snapshot(args.before)
@@ -443,13 +443,13 @@ def _diff_snapshots(args: argparse.Namespace) -> int:
     if before_net.layout != after_net.layout:
         raise CLIError("snapshots use different header layouts")
     before = APClassifier.build(before_net, strategy=args.strategy)
-    # Share the manager so the delta sweep is exact.
+    # Share the manager: the sweep then needs no atom transfer.
     after = APClassifier.from_dataplane(
         DataPlane(after_net, before.dataplane.manager), strategy=args.strategy
     )
     if args.ingress not in before_net.boxes or args.ingress not in after_net.boxes:
         raise CLIError(f"unknown ingress box {args.ingress!r}")
-    deltas = behavior_delta(before, after, args.ingress)
+    deltas = diff_generations(before, after, args.ingress).entries
     if not deltas:
         print(f"no behavior changes from {args.ingress}")
         return 0

@@ -3,8 +3,7 @@ two-stage AP Classifier, with real-time updates and reconstruction."""
 
 from .aptree import APTree, APTreeNode, build_ap_tree
 from .atomic import AtomicUniverse, LeafSplit
-from .concurrent import ConcurrentClassifier
-from .delta import BehaviorDelta, behavior_delta, diff_behaviors, first_divergence
+from .delta import diff_behaviors, first_divergence
 from .propagation import AtomPropagation, PropagationResult
 from .verifier import NetworkVerifier, WaypointViolation
 from .behavior import Behavior, BehaviorComputer, TraceEdge, TraceNode
@@ -51,7 +50,7 @@ from .reconstruction import (
     UpdateEvent,
     poisson_update_schedule,
 )
-from .snapshots import SnapshotMismatch, load_classifier, save_classifier
+from .snapshots import SnapshotMismatch
 from .transactions import UpdateTransaction, VerificationFailed
 from .update import UpdateEngine, UpdateResult
 from .weights import VisitCounter
@@ -63,13 +62,10 @@ __all__ = [
     "available_backends",
     "default_backend",
     "ClassifierStats",
-    "ConcurrentClassifier",
     "NetworkVerifier",
     "WaypointViolation",
     "AtomPropagation",
     "PropagationResult",
-    "BehaviorDelta",
-    "behavior_delta",
     "diff_behaviors",
     "first_divergence",
     "APTree",
@@ -98,8 +94,6 @@ __all__ = [
     "UpdateResult",
     "UpdateTransaction",
     "VerificationFailed",
-    "save_classifier",
-    "load_classifier",
     "SnapshotMismatch",
     "VisitCounter",
     "DynamicSimulation",

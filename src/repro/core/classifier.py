@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..bdd import BDDManager
 from ..headerspace.header import Packet
@@ -468,23 +469,33 @@ class APClassifier:
         report = build_tree(universe, strategy=self.strategy)
         self.install_rebuild(universe, report.tree)
 
-    def install_rebuild(self, universe: AtomicUniverse, tree: APTree) -> None:
+    def install_rebuild(
+        self,
+        universe: AtomicUniverse,
+        tree: APTree,
+        journal: Sequence[PredicateChange] = (),
+    ) -> int:
         """Adopt an externally built ``(universe, tree)`` pair.
 
         The swap half of the Section VI-B split for callers that run the
-        rebuild elsewhere -- a background thread or process (see
-        :class:`repro.serve.QueryService` and
-        :class:`repro.parallel.ReconstructionProcess`).  The pair must
-        describe this classifier's data plane (same ``BDDManager``); any
-        updates that arrived after the rebuild's predicate snapshot must
-        already have been replayed onto it.  Counts as a reconstruction
-        in the observability metrics; the compiled artifact is dropped,
-        so queries take the interpreted path until :meth:`compile`.
+        rebuild elsewhere -- an executor thread or a worker process (see
+        :mod:`repro.parallel.recon`).  The pair must describe this
+        classifier's data plane (same ``BDDManager``).  ``journal``
+        holds the changes applied to the live structures after the
+        rebuild's predicate snapshot was taken; they are replayed onto
+        the pair (:meth:`UpdateEngine.replay`) by an engine of this
+        classifier's own ``maintenance`` mode, so the adopted structures
+        carry no other mode's history.  Callers serialize this against
+        queries, as for any update.  Counts as a reconstruction in
+        the observability metrics; the compiled artifact is dropped, so
+        queries take the interpreted path until :meth:`compile`.
+        Returns the number of journal entries the replay applied.
         """
         rec = self.recorder
         if rec is not None:
             rec.updates.reconstructs += 1
         self._swap_tree(universe, tree)
+        return self._engine.replay(journal)
 
     def _swap_tree(self, universe: AtomicUniverse, tree: APTree) -> None:
         if universe is not self.universe:

@@ -1,46 +1,19 @@
-"""Behavior deltas: what changed between two data plane states.
+"""Behavior comparison: did a packet class change, and where?
 
 Section I's fault localization and attack detection both reduce to the
 same primitive: compare the behavior of every packet class before and
-after some event, and pinpoint where the forwarding trees diverge. This
-module implements that primitive on top of the atom sweep.
-
-Because the two snapshots generally have *different* atom universes (any
-rule change re-partitions the header space), deltas are computed over the
-intersection refinement: for each atom of the "after" universe, a witness
-packet is sampled and both classifiers are queried with it -- concrete
-packets are the common currency of the two universes.
+after some event, and pinpoint where the forwarding trees diverge.  This
+module holds the per-class half (:func:`diff_behaviors`,
+:func:`first_divergence`); the sweep over all classes of two generations
+-- exact within and across managers -- is
+:func:`repro.diff.diff_generations`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 from .behavior import Behavior
 
-__all__ = ["BehaviorDelta", "diff_behaviors", "behavior_delta", "first_divergence"]
-
-
-@dataclass(frozen=True)
-class BehaviorDelta:
-    """One packet class whose behavior changed."""
-
-    witness_header: int
-    before: Behavior
-    after: Behavior
-    #: First box at which the traces diverge (None if only the endpoints
-    #: changed, e.g. a host went unreachable with the path prefix intact).
-    diverges_at: str | None
-
-    def describe(self) -> str:
-        before_paths = [" -> ".join(p) for p in self.before.paths()]
-        after_paths = [" -> ".join(p) for p in self.after.paths()]
-        where = self.diverges_at if self.diverges_at is not None else "endpoint"
-        return (
-            f"witness {self.witness_header:#x} diverges at {where}: "
-            f"{before_paths} != {after_paths}"
-        )
+__all__ = ["diff_behaviors", "first_divergence"]
 
 
 def diff_behaviors(before: Behavior, after: Behavior) -> bool:
@@ -74,122 +47,3 @@ def first_divergence(before: Behavior, after: Behavior) -> str | None:
         # empty, which cannot happen for a computed behavior -- but guard.
         return before_boxes[0] if before_boxes else None
     return before_boxes[divergence_index - 1]
-
-
-def behavior_delta(
-    classifier_before,
-    classifier_after,
-    ingress_box: str,
-    rng: random.Random | None = None,
-) -> list[BehaviorDelta]:
-    """All packet classes whose behavior from ``ingress_box`` changed.
-
-    ``classifier_before``/``classifier_after`` are built ``APClassifier``
-    instances over the two data plane states (they may share a network
-    object at different times, or be fully independent builds, as long as
-    both use the same header layout).
-
-    The sweep is exhaustive: it enumerates every non-empty intersection of
-    a before-atom with an after-atom. Each such intersection is a uniform
-    class in *both* universes, so one witness per intersection covers the
-    entire header space exactly.
-    """
-    rng = rng if rng is not None else random.Random(0)
-    if (
-        classifier_before.dataplane.manager
-        is not classifier_after.dataplane.manager
-    ):
-        # Different managers: fall back to witness sampling per pair via
-        # evaluation (no cross-manager BDD ops are possible).
-        return _delta_cross_manager(
-            classifier_before, classifier_after, ingress_box, rng
-        )
-    deltas: list[BehaviorDelta] = []
-    # One behavior computation per atom per classifier, not per pair: an
-    # atom overlaps many atoms of the other universe, and behavior_of_atom
-    # re-traverses the forwarding graph every call.  Memoizing here keeps
-    # the sweep linear in behavior computations (the pair loop itself only
-    # pays one BDD intersection per pair).
-    before_cache: dict[int, Behavior] = {}
-    after_cache: dict[int, Behavior] = {}
-    before_atoms = sorted(classifier_before.universe.atoms().items())
-    for after_id, after_fn in sorted(classifier_after.universe.atoms().items()):
-        for before_id, before_fn in before_atoms:
-            overlap = after_fn & before_fn
-            if overlap.is_false:
-                continue
-            before = before_cache.get(before_id)
-            if before is None:
-                before = before_cache[before_id] = (
-                    classifier_before.behavior_of_atom(before_id, ingress_box)
-                )
-            after = after_cache.get(after_id)
-            if after is None:
-                after = after_cache[after_id] = (
-                    classifier_after.behavior_of_atom(after_id, ingress_box)
-                )
-            if diff_behaviors(before, after):
-                deltas.append(
-                    BehaviorDelta(
-                        witness_header=overlap.random_sat(rng),
-                        before=before,
-                        after=after,
-                        diverges_at=first_divergence(before, after),
-                    )
-                )
-    return deltas
-
-
-def _delta_cross_manager(
-    classifier_before, classifier_after, ingress_box: str, rng: random.Random
-) -> list[BehaviorDelta]:
-    """Pairwise sweep when the universes live in different managers.
-
-    Without a shared manager no cross-universe BDD intersection exists, so
-    this walks each after-atom's cubes and probes one witness per cube.
-    That covers every (after-atom, cube) pair -- exhaustive for planes
-    whose atoms are unions of cubes each intersecting one before-class
-    (true for prefix-rule planes), and a dense approximation otherwise.
-    Build both classifiers on one manager to get the exact sweep."""
-    deltas: list[BehaviorDelta] = []
-    before_cache: dict[int, Behavior] = {}
-    after_cache: dict[int, Behavior] = {}
-    for after_id, after_fn in sorted(classifier_after.universe.atoms().items()):
-        seen_before: set[int] = set()
-        for cube in after_fn.iter_cubes():
-            witness = _cube_witness(
-                cube, classifier_after.dataplane.manager.num_vars
-            )
-            before_id = classifier_before.classify(witness)
-            if before_id in seen_before:
-                continue
-            seen_before.add(before_id)
-            before = before_cache.get(before_id)
-            if before is None:
-                before = before_cache[before_id] = (
-                    classifier_before.behavior_of_atom(before_id, ingress_box)
-                )
-            after = after_cache.get(after_id)
-            if after is None:
-                after = after_cache[after_id] = (
-                    classifier_after.behavior_of_atom(after_id, ingress_box)
-                )
-            if diff_behaviors(before, after):
-                deltas.append(
-                    BehaviorDelta(
-                        witness_header=witness,
-                        before=before,
-                        after=after,
-                        diverges_at=first_divergence(before, after),
-                    )
-                )
-    return deltas
-
-
-def _cube_witness(cube: dict[int, bool], num_vars: int) -> int:
-    """A concrete header inside a cube (don't-care bits set to zero)."""
-    header = 0
-    for var, polarity in cube.items():
-        if polarity:
-            header |= 1 << (num_vars - 1 - var)
-    return header

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from ..bdd import Function
-from ..network.dataplane import LabeledPredicate
+from ..network.dataplane import LabeledPredicate, PredicateChange
 from .atomic import AtomicUniverse
 from .compiled import CompiledAPTree, FlatBDDSet
 from .construction import build_tree
@@ -228,27 +227,20 @@ class DynamicSimulation:
 
         pool = list(predicates)
         self.rng.shuffle(pool)
-        self._live: dict[int, Function] = {
-            lp.pid: lp.fn for lp in pool[:initial_count]
+        self._live: dict[int, LabeledPredicate] = {
+            lp.pid: lp for lp in pool[:initial_count]
         }
-        self._reserve: list[tuple[int, Function]] = [
-            (lp.pid, lp.fn) for lp in pool[initial_count:]
-        ]
+        self._reserve: list[LabeledPredicate] = pool[initial_count:]
         self.manager = pool[0].fn.manager
         self._next_synthetic_pid = 1 + max(lp.pid for lp in pool)
         self.maintenance = maintenance
         self._process = self._build_process()
         self._staged_process: _QueryProcess | None = None
-        # Updates applied while a rebuild is in flight, queued for replay
-        # onto the staged tree.  ``("add", labeled)`` entries carry the
-        # original LabeledPredicate (not a re-fabricated one) so the
-        # replayed universe matches a direct build field-for-field.
-        # Instance state (not a run() local) so a process-mode rebuild
-        # that outlives one run() call still gets its replay at the swap
-        # in a follow-on call.
-        self._pending_during_rebuild: list[
-            tuple[str, LabeledPredicate | int]
-        ] = []
+        # Updates applied while a rebuild is in flight, journaled for
+        # replay onto the staged tree.  Instance state (not a run()
+        # local) so a process-mode rebuild that outlives one run() call
+        # still gets its replay at the swap in a follow-on call.
+        self._pending_during_rebuild: list[PredicateChange] = []
         self.reconstruction = reconstruction
         self._recon = None
         if reconstruction == "process" and method == "apclassifier":
@@ -264,10 +256,7 @@ class DynamicSimulation:
     # ------------------------------------------------------------------
 
     def _live_labeled(self) -> list[LabeledPredicate]:
-        return [
-            LabeledPredicate(pid, "forward", "sim", "sim", fn)
-            for pid, fn in sorted(self._live.items())
-        ]
+        return [self._live[pid] for pid in sorted(self._live)]
 
     def _build_process(self) -> _QueryProcess:
         universe = AtomicUniverse.compute(self.manager, self._live_labeled())
@@ -289,8 +278,8 @@ class DynamicSimulation:
             # PScan has no atom ids; fold the predicate verdict vector so
             # the work (evaluate every predicate) is what gets timed.
             verdict = 0
-            for fn in live.values():
-                verdict = (verdict << 1) | fn.evaluate(header)
+            for labeled in live.values():
+                verdict = (verdict << 1) | labeled.fn.evaluate(header)
             return verdict
 
         return pscan
@@ -319,7 +308,7 @@ class DynamicSimulation:
         else:  # pscan: the per-query work is one verdict per live predicate
             flat = FlatBDDSet.compile(
                 self.manager,
-                [fn.node for fn in self._live.values()],
+                [labeled.fn.node for labeled in self._live.values()],
                 backend=self.backend,
             )
             batch = flat.truth_bits_batch
@@ -352,41 +341,36 @@ class DynamicSimulation:
     # Event application (real work, timed)
     # ------------------------------------------------------------------
 
-    def _pick_update(self, kind: str) -> tuple[str, LabeledPredicate | int]:
+    def _pick_update(self, kind: str) -> PredicateChange:
         """Choose what to add/delete; falls back when a side is exhausted.
 
-        Additions come back as the full :class:`LabeledPredicate` so the
-        same object both updates the live process and rides the pending
-        journal into :meth:`UpdateEngine.replay` -- replayed and direct
-        builds see identical label metadata.
+        The returned change both updates the live process and rides the
+        journal into :meth:`UpdateEngine.replay`, so replayed and direct
+        builds see the identical :class:`LabeledPredicate`.
         """
         if kind == "add" and not self._reserve:
             kind = "delete"
         if kind == "delete" and len(self._live) <= 1:
             kind = "add"
         if kind == "add":
-            pid, fn = self._reserve.pop(self.rng.randrange(len(self._reserve)))
+            reserved = self._reserve.pop(self.rng.randrange(len(self._reserve)))
             # Re-mint under a fresh pid: the same predicate may have been
             # added and deleted before, and universes never reuse pids.
             new_pid = self._next_synthetic_pid
             self._next_synthetic_pid += 1
-            return "add", LabeledPredicate(new_pid, "forward", "sim", "sim", fn)
+            return PredicateChange(None, replace(reserved, pid=new_pid))
         pid = self.rng.choice(sorted(self._live))
-        return "delete", pid
+        return PredicateChange(self._live[pid], None)
 
     def _apply_update(
-        self, process: _QueryProcess, kind: str, payload: LabeledPredicate | int
+        self, process: _QueryProcess, change: PredicateChange
     ) -> float:
         started = time.perf_counter()
-        if kind == "add":
-            assert isinstance(payload, LabeledPredicate)
-            self._live[payload.pid] = payload.fn
-            process.engine.add_predicate(payload)
+        if change.added is not None:
+            self._live[change.added.pid] = change.added
         else:
-            assert isinstance(payload, int)
-            original = self._live.pop(payload)
-            self._reserve.append((payload, original))
-            process.engine.remove_predicate(payload)
+            self._reserve.append(self._live.pop(change.removed.pid))
+        process.engine.apply(change)
         return time.perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -454,10 +438,10 @@ class DynamicSimulation:
             while event_index < len(events) and events[event_index].at <= bucket_end:
                 event = events[event_index]
                 event_index += 1
-                kind, payload = self._pick_update(event.kind)
-                update_time += self._apply_update(self._process, kind, payload)
+                change = self._pick_update(event.kind)
+                update_time += self._apply_update(self._process, change)
                 if in_flight:
-                    pending_during_rebuild.append((kind, payload))
+                    pending_during_rebuild.append(change)
 
             # Rebuild completion: inline mode completes when the simulated
             # clock passes the measured build time; process mode completes

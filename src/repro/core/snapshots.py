@@ -12,18 +12,15 @@ and every stored predicate function is checked against the recompiled one
 by BDD node identity -- a stale snapshot against a changed network fails
 loudly instead of answering queries wrong.
 
-.. deprecated::
-    ``save_classifier``/``load_classifier`` are thin shims now; call
-    :mod:`repro.persist` instead (``persist.classifier_to_json`` /
-    ``persist.classifier_from_json`` for the string form, or
-    ``persist.save``/``persist.load`` for files, which also speak the
-    binary artifact format).
+The public entry points live in :mod:`repro.persist`
+(``classifier_to_json``/``classifier_from_json`` for the string form,
+``save``/``load`` for files, which also speak the binary artifact
+format); this module is the JSON codec behind them.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 from ..bdd.serialize import dump_node, load_node
 from ..network.dataplane import DataPlane
@@ -32,7 +29,7 @@ from .aptree import APTree, APTreeNode
 from .atomic import AtomicUniverse
 from .classifier import APClassifier
 
-__all__ = ["save_classifier", "load_classifier", "SnapshotMismatch"]
+__all__ = ["SnapshotMismatch"]
 
 FORMAT_VERSION = 1
 
@@ -60,28 +57,6 @@ def _load_tree(
         _load_tree(low, pid_map, fn_nodes),
         _load_tree(high, pid_map, fn_nodes),
     )
-
-
-def save_classifier(classifier: APClassifier) -> str:
-    """Deprecated shim; use repro.persist (``classifier_to_json``)."""
-    warnings.warn(
-        "save_classifier is deprecated; use repro.persist"
-        " (persist.classifier_to_json, or persist.save for files)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _save_json(classifier)
-
-
-def load_classifier(text: str) -> APClassifier:
-    """Deprecated shim; use repro.persist (``classifier_from_json``)."""
-    warnings.warn(
-        "load_classifier is deprecated; use repro.persist"
-        " (persist.classifier_from_json, or persist.load for files)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _load_json(text)
 
 
 def _save_json(classifier: APClassifier) -> str:

@@ -119,32 +119,33 @@ class UpdateEngine:
             split_count = sum(1 for split in splits if split.is_split)
         return split_count
 
-    def replay(
-        self, pending: Sequence[tuple[str, LabeledPredicate | int]]
-    ) -> int:
+    def replay(self, journal: Sequence[PredicateChange]) -> int:
         """Re-apply updates that arrived while a reconstruction ran.
 
-        ``pending`` is the journal the query process kept during the
-        rebuild (Fig. 8): ``("add", labeled)`` entries carry the *original*
-        :class:`LabeledPredicate` (pid, kind, box, table, fn) so the
-        replayed universe matches a direct build field-for-field, and
-        ``("remove", pid)`` entries carry just the pid.  The freshly built
-        structure predates those updates, so they are replayed here before
-        the swap.  Deletes of predicates the rebuild never saw (added *and*
-        removed while it ran) are skipped.  Returns the number of replayed
-        entries.
+        ``journal`` is the list of :class:`PredicateChange` diffs the
+        query process applied to the old structures during the rebuild
+        (Fig. 8); additions carry the *original*
+        :class:`LabeledPredicate`, so the replayed universe matches a
+        direct build field-for-field.  Entries this engine's freshly
+        built structures already reflect -- a removal of a predicate
+        they do not hold, an addition of one they do -- are skipped, so
+        a journal that reaches back before the rebuild's snapshot is
+        harmless.  Replays are not counted as new updates (each was
+        accounted when first applied).  Returns the number of entries
+        that changed anything, and adds it to ``updates.replayed``.
         """
         replayed = 0
-        for kind, payload in pending:
-            if kind == "add":
-                assert isinstance(payload, LabeledPredicate)
-                self.add_predicate(payload)
-            else:
-                pid = payload.pid if isinstance(payload, LabeledPredicate) else payload
-                if not self.universe.has_predicate(pid):
-                    continue
-                self.remove_predicate(pid)
-            replayed += 1
+        has_predicate = self.universe.has_predicate
+        for change in journal:
+            removed, added = change.removed, change.added
+            remove = removed is not None and has_predicate(removed.pid)
+            add = added is not None and not has_predicate(added.pid)
+            if remove:
+                self.remove_predicate(removed.pid)
+            if add:
+                self.add_predicate(added)
+            if remove or add:
+                replayed += 1
         rec = self.recorder
         if rec is not None:
             rec.updates.replayed += replayed

@@ -16,8 +16,7 @@ Three pairings are supported, all through :func:`diff_generations`:
 * **artifact + artifact** -- two independently loaded generations with
   *separate* managers; one side's atoms are re-serialized into the other
   side's manager (:mod:`repro.bdd.serialize`), after which the sweep is
-  exactly the shared-manager sweep.  Unlike the cube-witness fallback in
-  :mod:`repro.core.delta`, this is exact for arbitrary planes;
+  exactly the shared-manager sweep -- exact for arbitrary planes;
 * **live + shadow** -- :func:`what_if` forks a *shadow* classifier from a
   persistence snapshot (its own manager, its own tree), applies candidate
   rule changes through the incremental engine, and diffs against the
@@ -86,6 +85,16 @@ class ChangedClass:
     before: Behavior
     after: Behavior
     diverges_at: str | None
+
+    def describe(self) -> str:
+        """One human-readable line: witness, divergence point, paths."""
+        before_paths = [" -> ".join(p) for p in self.before.paths()]
+        after_paths = [" -> ".join(p) for p in self.after.paths()]
+        where = self.diverges_at if self.diverges_at is not None else "endpoint"
+        return (
+            f"witness {self.witness:#x} diverges at {where}: "
+            f"{before_paths} != {after_paths}"
+        )
 
     def to_json(self, layout: HeaderLayout, total_volume: int) -> dict:
         return {

@@ -13,9 +13,9 @@ package provides all four on top of one spawn-safe worker-pool layer:
   divide-and-conquer atoms with a witness-guided universe merge;
 * :mod:`~repro.parallel.build` -- fanned Best-from-Random trials and a
   chunked OAPT root scan;
-* :mod:`~repro.parallel.recon` + :mod:`~repro.parallel.snapshot` -- a
-  live reconstruction worker process and the artifact serialization it
-  rides on;
+* :mod:`~repro.parallel.recon` + :mod:`~repro.parallel.snapshot` -- the
+  one isolated Section VI-B rebuild, a worker process to run it in, and
+  the artifact serialization it rides on;
 * :mod:`~repro.parallel.pipeline` -- the composed end-to-end pipeline.
 
 Every entry point is output-equivalent to its serial counterpart for

@@ -1,20 +1,27 @@
-"""A real reconstruction process (Section VI-B, Fig. 8).
+"""The isolated rebuild of Section VI-B (Fig. 8), and a process to run it in.
 
-The query process ships a predicate snapshot (pids + serialized BDDs)
-down a pipe; the worker computes the atomic universe and builds a fresh
-AP Tree in its *own* manager, then ships both back as snapshots
-(:mod:`repro.parallel.snapshot`).  The parent restores them into the
-canonical manager and swaps after replaying queued updates -- the
-version-stamp staleness machinery on the tree is untouched, because the
-restored tree is a brand-new object at version 0.
+A rebuild is three plain-data steps, each defined once here:
+:func:`snapshot_predicates` serializes the live predicates (pids + BDDs)
+in the query process; :func:`rebuild_snapshot` computes the atomic
+universe and a fresh AP Tree in its *own* manager and returns both as
+snapshots (:mod:`repro.parallel.snapshot`); :func:`restore_rebuild` wires
+the result back into the canonical manager, where
+:meth:`APClassifier.install_rebuild` (or the simulator) replays the
+journaled updates and swaps -- the version-stamp staleness machinery on
+the tree is untouched, because the restored tree is a brand-new object
+at version 0.
 
-The worker is a long-lived daemon: one process serves every rebuild of a
-simulation run, so process startup is paid once.
+*Where* the middle step runs is the caller's choice:
+:class:`repro.serve.QueryService` hands it to the event loop's executor
+(a loop cannot block on a pipe); :class:`ReconstructionProcess` runs it
+in a long-lived daemon worker on a second core -- one process serves
+every rebuild of a simulation run, so process startup is paid once.
 """
 
 from __future__ import annotations
 
 import random
+import time
 import traceback
 from multiprocessing import get_context
 from typing import Sequence
@@ -33,13 +40,62 @@ from .snapshot import (
     snapshot_universe,
 )
 
-__all__ = ["ReconstructionProcess"]
+__all__ = [
+    "ReconstructionProcess",
+    "snapshot_predicates",
+    "rebuild_snapshot",
+    "restore_rebuild",
+]
 
 
-def _reconstruction_worker(conn, strategy: str) -> None:
-    """Worker loop: one (universe, tree) rebuild per request, until None."""
-    import time
+def snapshot_predicates(
+    predicates: Sequence[LabeledPredicate],
+) -> tuple[list[int], str]:
+    """Submit half: a predicate set as plain data ``(pids, dumped)``.
 
+    Must run where the predicates' manager is quiescent (the caller's
+    update lock); everything downstream works on the serialized copy.
+    """
+    return (
+        [labeled.pid for labeled in predicates],
+        dump_functions([labeled.fn for labeled in predicates]),
+    )
+
+
+def rebuild_snapshot(pids: Sequence[int], dumped: str, strategy: str) -> dict:
+    """The one isolated rebuild: predicate snapshot in, payload out.
+
+    Receives only plain data and deserializes into a manager of its own,
+    so it can run on an executor thread (:class:`repro.serve.QueryService`)
+    or in a worker process (:class:`ReconstructionProcess`) without ever
+    touching the canonical, lock-free :class:`BDDManager` the query
+    process keeps mutating.  Canonical renumbering plus a fixed tree
+    ``rng`` make the payload a function of the snapshot alone.
+    """
+    functions = load_functions(dumped)
+    manager = functions[0].manager if functions else BDDManager(1)
+    labeled = [
+        LabeledPredicate(pid, "forward", "recon", "recon", fn)
+        for pid, fn in zip(pids, functions)
+    ]
+    universe = AtomicUniverse.compute(manager, labeled).renumber_canonical()
+    tree = build_tree(universe, strategy=strategy, rng=random.Random(0)).tree
+    return {
+        "universe": snapshot_universe(universe),
+        "tree": snapshot_tree(tree, universe),
+    }
+
+
+def restore_rebuild(
+    payload: dict, manager: BDDManager
+) -> tuple[AtomicUniverse, APTree]:
+    """Receive half: a :func:`rebuild_snapshot` payload, wired into ``manager``."""
+    universe = restore_universe(payload["universe"], manager)
+    return universe, restore_tree(payload["tree"], universe)
+
+
+def _reconstruction_worker(conn) -> None:
+    """Worker loop: one :func:`rebuild_snapshot` per request, until None."""
     # Ready handshake: under spawn the child re-imports the package
     # before this line runs; signalling here lets the parent charge that
     # startup to construction instead of to the first rebuild.
@@ -50,24 +106,9 @@ def _reconstruction_worker(conn, strategy: str) -> None:
             break
         try:
             started = time.perf_counter()
-            functions = load_functions(request["predicates"])
-            manager = functions[0].manager if functions else BDDManager(1)
-            labeled = [
-                LabeledPredicate(pid, "forward", "recon", "recon", fn)
-                for pid, fn in zip(request["pids"], functions)
-            ]
-            universe = AtomicUniverse.compute(manager, labeled)
-            universe = universe.renumber_canonical()
-            tree = build_tree(
-                universe, strategy=request["strategy"], rng=random.Random(0)
-            ).tree
-            conn.send(
-                {
-                    "universe": snapshot_universe(universe),
-                    "tree": snapshot_tree(tree, universe),
-                    "elapsed_s": time.perf_counter() - started,
-                }
-            )
+            payload = rebuild_snapshot(*request)
+            payload["elapsed_s"] = time.perf_counter() - started
+            conn.send(payload)
         except Exception:  # ship the failure instead of hanging the parent
             conn.send({"error": traceback.format_exc()})
     conn.close()
@@ -96,7 +137,7 @@ class ReconstructionProcess:
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_reconstruction_worker,
-            args=(child_conn, strategy),
+            args=(child_conn,),
             daemon=True,
         )
         self._process.start()
@@ -115,14 +156,8 @@ class ReconstructionProcess:
         """Ship a predicate snapshot to the worker (non-blocking)."""
         if self._busy:
             raise RuntimeError("a rebuild is already in flight")
-        dumped = dump_functions([labeled.fn for labeled in predicates])
-        self._conn.send(
-            {
-                "pids": [labeled.pid for labeled in predicates],
-                "predicates": dumped,
-                "strategy": self.strategy,
-            }
-        )
+        pids, dumped = snapshot_predicates(predicates)
+        self._conn.send((pids, dumped, self.strategy))
         if self.recorder is not None:
             self.recorder.parallel.record_shipping(
                 to_workers=len(dumped), from_workers=0
@@ -148,8 +183,7 @@ class ReconstructionProcess:
                 from_workers=len(payload["universe"]["atoms"])
                 + len(payload["universe"]["predicates"]),
             )
-        universe = restore_universe(payload["universe"], self.manager)
-        tree = restore_tree(payload["tree"], universe)
+        universe, tree = restore_rebuild(payload, self.manager)
         return universe, tree, payload["elapsed_s"]
 
     def close(self) -> None:

@@ -12,9 +12,7 @@ around).  This module unifies them:
 * :func:`load` restores from either, auto-detected by magic bytes, so
   callers never care which format a path holds;
 * :func:`classifier_to_json` / :func:`classifier_from_json` are the
-  supported string-level JSON API (the old
-  ``core.snapshots.save_classifier``/``load_classifier`` names are
-  deprecated shims over these);
+  string-level JSON API;
 * :func:`detect_format` answers "what is this file?" without loading.
 
 Artifact-only capabilities (serving-only loads, shared-memory buffers,

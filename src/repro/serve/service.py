@@ -59,27 +59,20 @@ timeouts, p50/p99 service latency, swaps) lands in
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from collections import deque
 from contextlib import asynccontextmanager
 from typing import AsyncIterator
 
-from ..bdd import BDDManager
-from ..bdd.serialize import dump_functions, load_functions
-from ..core.atomic import AtomicUniverse
 from ..core.classifier import APClassifier
-from ..core.construction import build_tree
-from ..core.update import UpdateEngine
 from ..headerspace.header import Packet
-from ..network.dataplane import LabeledPredicate, PredicateChange
+from ..network.dataplane import PredicateChange
 from ..network.rules import ForwardingRule
 from ..obs import ServeCounters
-from ..parallel.snapshot import (
-    restore_tree,
-    restore_universe,
-    snapshot_tree,
-    snapshot_universe,
+from ..parallel.recon import (
+    rebuild_snapshot,
+    restore_rebuild,
+    snapshot_predicates,
 )
 from .cache import ResultCache
 
@@ -961,17 +954,17 @@ class QueryService:
         compiled artifact if it is still fresh for the old tree, on the
         interpreted fallback otherwise.  Updates applied while the
         rebuild runs are journaled and replayed onto the staged
-        structures before the swap (Fig. 8), so the swapped-in
-        classifier is exact for the *current* data plane.
+        structures at the swap (Fig. 8), so the swapped-in classifier is
+        exact for the *current* data plane.
 
         The rebuild thread never touches the canonical
         :class:`~repro.bdd.BDDManager`: that manager keeps taking
         updates on the event-loop thread during the rebuild, and it has
         no internal locking.  Instead the predicate snapshot is
-        serialized under the write lock, the thread recomputes in a
-        private manager (the in-loop analogue of
-        :class:`repro.parallel.ReconstructionProcess`, which isolates
-        with a separate *process*), and the result is restored into the
+        serialized under the write lock, the executor runs
+        :func:`repro.parallel.recon.rebuild_snapshot` on it (the same
+        function :class:`repro.parallel.ReconstructionProcess` runs in a
+        separate *process*), and the result is restored into the
         canonical manager back on the loop thread, under the write lock.
         """
         if self._reconstructing:
@@ -980,36 +973,25 @@ class QueryService:
         try:
             classifier = self.classifier
             async with self._swap_lock.write():
-                snapshot = classifier.dataplane.predicates()
-                pids = [labeled.pid for labeled in snapshot]
-                dumped = dump_functions([labeled.fn for labeled in snapshot])
+                pids, dumped = snapshot_predicates(
+                    classifier.dataplane.predicates()
+                )
                 self._journal = []
-            loop = asyncio.get_running_loop()
-            payload = await loop.run_in_executor(
-                None, self._rebuild, pids, dumped
+            payload = await asyncio.get_running_loop().run_in_executor(
+                None, rebuild_snapshot, pids, dumped, classifier.strategy
             )
             async with self._swap_lock.write():
-                manager = classifier.dataplane.manager
-                universe = restore_universe(payload["universe"], manager)
-                tree = restore_tree(payload["tree"], universe)
-                journal = self._journal or []
-                self._journal = None
-                if journal:
-                    staged = UpdateEngine(universe, tree)
-                    for change in journal:
-                        if (
-                            change.removed is not None
-                            and universe.has_predicate(change.removed.pid)
-                        ):
-                            staged.remove_predicate(change.removed.pid)
-                        if (
-                            change.added is not None
-                            and not universe.has_predicate(change.added.pid)
-                        ):
-                            staged.add_predicate(change.added)
-                    if self.recorder is not None:
-                        self.recorder.updates.replayed += len(journal)
-                classifier.install_rebuild(universe, tree)
+                universe, tree = restore_rebuild(
+                    payload, classifier.dataplane.manager
+                )
+                replayed = classifier.install_rebuild(
+                    universe, tree, self._journal
+                )
+                # The classifier's engine credits its own recorder; a
+                # service observed separately still sees the replays.
+                rec = self.recorder
+                if rec is not None and rec is not classifier.recorder:
+                    rec.updates.replayed += replayed
                 self._invalidate_cache()
                 if self.autocompile:
                     self._compile_now()
@@ -1017,10 +999,6 @@ class QueryService:
         finally:
             self._reconstructing = False
             self._journal = None
-
-    def _rebuild(self, pids: list[int], dumped: str) -> dict:
-        """Executor-thread half of :meth:`reconstruct` (CPU-heavy)."""
-        return _rebuild_isolated(pids, dumped, self.classifier.strategy)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1053,25 +1031,3 @@ class QueryService:
             f"overflow={self.overflow!r})"
         )
 
-
-def _rebuild_isolated(pids: list[int], dumped: str, strategy: str) -> dict:
-    """Recompute (universe, tree) from a serialized predicate snapshot.
-
-    A module-level function on purpose: it receives only plain data and
-    deserializes into a manager of its own, so running it on an executor
-    thread can never race the canonical :class:`BDDManager` that the
-    event loop keeps mutating.  Mirrors ``parallel.recon``'s worker loop,
-    minus the process boundary.
-    """
-    functions = load_functions(dumped)
-    manager = functions[0].manager if functions else BDDManager(1)
-    labeled = [
-        LabeledPredicate(pid, "forward", "rebuild", "rebuild", fn)
-        for pid, fn in zip(pids, functions)
-    ]
-    universe = AtomicUniverse.compute(manager, labeled).renumber_canonical()
-    tree = build_tree(universe, strategy=strategy, rng=random.Random(0)).tree
-    return {
-        "universe": snapshot_universe(universe),
-        "tree": snapshot_tree(tree, universe),
-    }

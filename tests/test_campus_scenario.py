@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.core.classifier import APClassifier
-from repro.core.delta import behavior_delta
 from repro.core.middlebox import (
     DETERMINISTIC,
     FlowEntry,
@@ -26,6 +25,7 @@ from repro.core.middlebox import (
 from repro.core.propagation import AtomPropagation
 from repro.persist import classifier_from_json, classifier_to_json
 from repro.core.verifier import NetworkVerifier
+from repro.diff import diff_generations
 from repro.headerspace.fields import five_tuple_layout, parse_ipv4
 from repro.headerspace.header import Packet
 from repro.network.builder import Network
@@ -162,7 +162,7 @@ class TestChangeManagement:
             ),
         )
         broken = APClassifier.from_dataplane(broken_dp)
-        deltas = behavior_delta(baseline, broken, "dmz")
+        deltas = diff_generations(baseline, broken, "dmz").entries
         assert deltas
         assert any(delta.diverges_at == "core" for delta in deltas)
 

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from repro.core.classifier import APClassifier
-from repro.core.delta import behavior_delta, diff_behaviors, first_divergence
+from repro.core.delta import diff_behaviors, first_divergence
 from repro.datasets import internet2_like, toy_network
+from repro.diff import diff_generations
 from repro.headerspace.fields import parse_ipv4
 from repro.network.dataplane import DataPlane
 from repro.network.rules import ForwardingRule, Match
@@ -55,8 +56,9 @@ class TestFirstDivergence:
                 ),
             )
         )
-        rng = random.Random(0)
-        deltas = behavior_delta(classifier_a, classifier_b, "SEAT", rng)
+        deltas = diff_generations(
+            classifier_a, classifier_b, "SEAT", rng=random.Random(0)
+        ).entries
         assert deltas
         for delta in deltas:
             assert delta.diverges_at is not None
@@ -72,7 +74,7 @@ class TestFirstDivergence:
 class TestBehaviorDelta:
     def test_no_change_no_deltas(self):
         classifier_a, classifier_b = classifier_pair(lambda net, dp: None)
-        assert behavior_delta(classifier_a, classifier_b, "CHIC") == []
+        assert diff_generations(classifier_a, classifier_b, "CHIC").is_empty
 
     def test_detects_blackhole(self):
         classifier_a, classifier_b = classifier_pair(
@@ -80,7 +82,7 @@ class TestBehaviorDelta:
                 "WASH", ForwardingRule(Match.any(), ("dead_end",), priority=32)
             )
         )
-        deltas = behavior_delta(classifier_a, classifier_b, "WASH")
+        deltas = diff_generations(classifier_a, classifier_b, "WASH").entries
         assert deltas
         # All deltas report WASH-adjacent divergence.
         for delta in deltas:
@@ -102,7 +104,9 @@ class TestBehaviorDelta:
         )
         # From SEAT itself the change may matter; pick an ingress whose
         # traffic to that /30 never routes via SEAT.
-        deltas_elsewhere = behavior_delta(classifier_a, classifier_b, "ATLA")
+        deltas_elsewhere = diff_generations(
+            classifier_a, classifier_b, "ATLA"
+        ).entries
         for delta in deltas_elsewhere:
             assert "SEAT" in delta.before.boxes_traversed() or (
                 "SEAT" in delta.after.boxes_traversed()
@@ -121,7 +125,7 @@ class TestBehaviorDelta:
         )
         box.table.remove(victim)
         classifier_b = APClassifier.build(network_b)
-        deltas = behavior_delta(classifier_a, classifier_b, "b2")
+        deltas = diff_generations(classifier_a, classifier_b, "b2").entries
         assert deltas
         changed_hosts = {
             frozenset(delta.before.delivered_hosts()) for delta in deltas

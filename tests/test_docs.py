@@ -1,12 +1,16 @@
-"""Documentation hygiene: intra-repo markdown links must resolve.
+"""Documentation hygiene: intra-repo links and code references resolve.
 
 Every relative link or image in README.md and docs/ must point at a file
 (or directory) that exists in the repository, and same-document anchors
-must match a real heading.  External URLs are out of scope.
+must match a real heading.  External URLs are out of scope.  Every
+backticked ``repro.<module>[.<name>]`` in those documents and DESIGN.md
+must import/resolve, so deleting a module cannot leave a dangling
+paper-mapping row.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -85,6 +89,45 @@ def test_intra_repo_links_resolve(document):
             if _github_anchor(anchor) not in _anchors(resolved):
                 broken.append(f"{target} (no such heading in target)")
     assert not broken, f"broken links in {document.name}: {broken}"
+
+
+#: Backticked dotted names rooted at the package; a ``/`` or ``-`` right
+#: after the name marks an identifier string (obs schema ids such as
+#: ``repro.obs.snapshot/9``, the ``repro.shard-cluster`` manifest kind),
+#: not code.
+_CODE_REF = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?![\w/-])")
+
+#: Dotted strings that are deliberately not importable.
+_NOT_IMPORTABLE = {
+    "repro.shard",  # artifact container kind (repro.artifact.shard.SHARD_KIND)
+    "repro._native._kernel",  # optional C extension, absent until built
+}
+
+
+def _resolves(dotted: str) -> bool:
+    """Is ``dotted`` a module, or an attribute path inside one?"""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[cut:]:
+                target = getattr(target, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "document", [REPO_ROOT / "DESIGN.md", *DOCUMENTS], ids=lambda p: p.name
+)
+def test_code_references_resolve(document):
+    references = set(_CODE_REF.findall(document.read_text())) - _NOT_IMPORTABLE
+    dangling = sorted(ref for ref in references if not _resolves(ref))
+    assert not dangling, f"dangling references in {document.name}: {dangling}"
 
 
 def test_readme_links_the_guides():

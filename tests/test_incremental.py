@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from repro.core.atomic import AtomicUniverse
 from repro.core.classifier import APClassifier
-from repro.core.delta import behavior_delta
+from repro.core.construction import build_tree
 from repro.core.incremental import IncrementalEngine
 from repro.core.update import UpdateEngine
 from repro.datasets import internet2_like, rule_update_stream
+from repro.diff import diff_generations
 from repro.network.dataplane import DataPlane, LabeledPredicate, PredicateChange
 from repro.obs import Recorder, validate_snapshot
 
@@ -216,7 +217,7 @@ class TestDeltaMemoization:
         classifier_b.behavior_of_atom = lambda *args, **kw: (
             calls.__setitem__("b", calls["b"] + 1) or original_b(*args, **kw)
         )
-        behavior_delta(classifier_a, classifier_b, "SEAT", random.Random(0))
+        diff_generations(classifier_a, classifier_b, "SEAT")
         # Memoized: at most one behavior computation per atom per side,
         # not one per (before, after) overlap pair.
         assert 0 < calls["a"] <= classifier_a.universe.atom_count
@@ -240,13 +241,69 @@ class TestReplayCarriesLabels:
         labeled = LabeledPredicate(
             9001, template.kind, template.box, template.port, template.fn
         )
-        replayed = engine.replay([("add", labeled), ("remove", 123456)])
+        never_seen = LabeledPredicate(
+            123456, template.kind, template.box, template.port, template.fn
+        )
+        replayed = engine.replay(
+            [
+                PredicateChange(None, labeled),
+                PredicateChange(never_seen, None),
+                PredicateChange(None, template),
+            ]
+        )
         # The original object rides the journal -- not a re-fabricated
-        # predicate with made-up provenance; the unknown-pid delete is
-        # skipped, not fabricated either.
+        # predicate with made-up provenance; the removal of a pid the
+        # universe never held and the addition of one it already holds
+        # are skipped and not counted.
         assert captured == [labeled]
         assert captured[0] is labeled
         assert replayed == 1
+
+
+class TestReplayEqualsScratchBuild:
+    """Fig. 8's replay: a universe that predates a journal, brought
+    forward by ``replay``, is the universe a from-scratch ``compute``
+    over the final predicate set yields."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        engine_cls=st.sampled_from([UpdateEngine, IncrementalEngine]),
+        initial=st.integers(min_value=1, max_value=12),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0)), max_size=8
+        ),
+    )
+    def test_replayed_interleaving_matches_compute(
+        self, engine_cls, initial, ops
+    ):
+        pool = DataPlane(internet2_like(prefixes_per_router=2)).predicates()
+        manager = pool[0].fn.manager
+        live = {lp.pid: lp for lp in pool[:initial]}
+        reserve = pool[initial:]
+        universe = AtomicUniverse.compute(manager, list(live.values()))
+        tree = build_tree(universe, rng=random.Random(0)).tree
+        journal = []
+        for add, pick in ops:
+            if add and reserve:
+                labeled = reserve.pop(pick % len(reserve))
+                live[labeled.pid] = labeled
+                journal.append(PredicateChange(None, labeled))
+            elif len(live) > 1:
+                labeled = live.pop(sorted(live)[pick % len(live)])
+                journal.append(PredicateChange(labeled, None))
+        engine = engine_cls(universe, tree)
+        assert engine.replay(journal) == len(journal)
+
+        scratch = AtomicUniverse.compute(manager, list(live.values()))
+        rng = random.Random(0)
+        for atom_fn in scratch.atoms().values():
+            header = atom_fn.random_sat(rng)
+            assert universe.memberships(tree.classify(header)) == (
+                scratch.memberships(scratch.classify(header))
+            )
+        if engine_cls is UpdateEngine:
+            universe.coalesce()  # tombstones fragment until coalesced
+        assert universe.atom_count == scratch.atom_count
 
 
 class TestTombstonedAccounting:

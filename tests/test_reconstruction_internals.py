@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.reconstruction import DynamicSimulation
 from repro.datasets import internet2_like, uniform_over_atoms
-from repro.network.dataplane import DataPlane, LabeledPredicate
+from repro.network.dataplane import DataPlane, LabeledPredicate, PredicateChange
 
 
 @pytest.fixture(scope="module")
@@ -23,19 +23,19 @@ class TestPickUpdateFallbacks:
             pool, initial_count=len(pool), rng=random.Random(0), cost_samples=10
         )
         # Reserve is empty: an "add" must become a delete.
-        kind, payload = sim._pick_update("add")
-        assert kind == "delete"
-        assert isinstance(payload, int)
+        change = sim._pick_update("add")
+        assert change.added is None
+        assert change.removed.pid in sim._live
 
     def test_delete_falls_back_when_one_left(self, pool):
         sim = DynamicSimulation(
             pool, initial_count=1, rng=random.Random(1), cost_samples=10
         )
-        kind, payload = sim._pick_update("delete")
-        assert kind == "add"
+        change = sim._pick_update("delete")
+        assert change.removed is None
         # The full labeled predicate rides the journal, not a bare fn.
-        assert isinstance(payload, LabeledPredicate)
-        assert payload.fn is not None
+        assert isinstance(change.added, LabeledPredicate)
+        assert change.added.fn is not None
 
     def test_synthetic_pids_never_collide(self, pool):
         sim = DynamicSimulation(
@@ -47,13 +47,13 @@ class TestPickUpdateFallbacks:
         existing = {lp.pid for lp in pool}
         minted = set()
         for _ in range(10):
-            kind, payload = sim._pick_update("add")
-            if kind != "add":
+            change = sim._pick_update("add")
+            if change.added is None:
                 break
-            assert payload.pid not in existing
-            assert payload.pid not in minted
-            minted.add(payload.pid)
-            sim._apply_update(sim._process, kind, payload)
+            assert change.added.pid not in existing
+            assert change.added.pid not in minted
+            minted.add(change.added.pid)
+            sim._apply_update(sim._process, change)
 
     def test_add_then_delete_round_trip(self, pool):
         sim = DynamicSimulation(
@@ -63,10 +63,10 @@ class TestPickUpdateFallbacks:
             cost_samples=10,
         )
         live_before = set(sim._live)
-        kind, payload = sim._pick_update("add")
-        sim._apply_update(sim._process, kind, payload)
-        assert payload.pid in sim._live
-        sim._apply_update(sim._process, "delete", payload.pid)
+        change = sim._pick_update("add")
+        sim._apply_update(sim._process, change)
+        assert change.added.pid in sim._live
+        sim._apply_update(sim._process, PredicateChange(change.added, None))
         assert set(sim._live) == live_before
 
 

@@ -13,15 +13,24 @@ import asyncio
 import json
 import random
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.classifier import APClassifier
 from repro.datasets import internet2_like, toy_network, uniform_over_atoms
 from repro.headerspace.fields import parse_ipv4
+from repro.network.dataplane import PredicateChange
 from repro.network.rules import ForwardingRule, Match
 from repro.obs import Recorder, validate_snapshot
+from repro.parallel import ReconstructionProcess, snapshot_tree, snapshot_universe
+from repro.parallel.recon import (
+    rebuild_snapshot,
+    restore_rebuild,
+    snapshot_predicates,
+)
 from repro.serve import QueryService, QueryShed, ServiceClosed, start_tcp_server
+from repro.serve import service as service_module
 
 
 def run(coro):
@@ -41,6 +50,20 @@ def behavior_key(behavior):
 @pytest.fixture(scope="module")
 def toy_classifier():
     return APClassifier.build(toy_network())
+
+
+@pytest.fixture
+def rebuild_gate(monkeypatch):
+    """Hold ``reconstruct()``'s executor-side rebuild until the gate is set."""
+    gate = threading.Event()
+    rebuild = service_module.rebuild_snapshot
+
+    def gated(*args):
+        gate.wait(timeout=30)
+        return rebuild(*args)
+
+    monkeypatch.setattr(service_module, "rebuild_snapshot", gated)
+    return gate
 
 
 def sample_headers(classifier, count, seed=3):
@@ -282,21 +305,16 @@ class TestDegradation:
 
         run(scenario())
 
-    def test_queries_during_reconstruction_match_quiesced(self):
+    def test_queries_during_reconstruction_match_quiesced(self, rebuild_gate):
+        gate = rebuild_gate
         classifier = APClassifier.build(internet2_like())
         headers = sample_headers(classifier, 48)
         quiesced = {
             h: behavior_key(classifier.query(h, "SEAT")) for h in headers
         }
-        gate = threading.Event()
-
-        class GatedService(QueryService):
-            def _rebuild(self, *args):
-                gate.wait(timeout=30)
-                return super()._rebuild(*args)
 
         async def scenario():
-            service = GatedService(classifier, max_delay_s=0.002)
+            service = QueryService(classifier, max_delay_s=0.002)
             async with service:
                 recon = asyncio.ensure_future(service.reconstruct())
                 await asyncio.sleep(0.01)
@@ -320,22 +338,17 @@ class TestDegradation:
             assert behavior_key(behavior) == quiesced[h]
         assert service.counters.swaps == 1
 
-    def test_updates_during_reconstruction_are_replayed(self):
+    def test_updates_during_reconstruction_are_replayed(self, rebuild_gate):
+        gate = rebuild_gate
         classifier = APClassifier.build(toy_network())
         recorder = Recorder()
-        gate = threading.Event()
         rule = ForwardingRule(
             Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 24), (), 24
         )
         probe = parse_ipv4("10.2.0.9")
 
-        class GatedService(QueryService):
-            def _rebuild(self, *args):
-                gate.wait(timeout=30)
-                return super()._rebuild(*args)
-
         async def scenario():
-            service = GatedService(
+            service = QueryService(
                 classifier, max_delay_s=0, recorder=recorder
             )
             async with service:
@@ -344,17 +357,21 @@ class TestDegradation:
                 assert service.reconstructing
                 # This update postdates the rebuild's snapshot: it must
                 # be journaled and replayed before the swap.
-                await service.insert_rule("b1", rule)
+                applied = await service.insert_rule("b1", rule)
+                # An addition the rebuilt universe already holds changes
+                # nothing at replay, so it must not count as replayed.
+                held = classifier.dataplane.predicates()[0]
+                service._journal.append(PredicateChange(None, held))
                 mid = await service.query(probe, "b1")
                 assert mid.delivered_hosts() == frozenset()
                 gate.set()
                 await recon
                 post = await service.query(probe, "b1")
-            return mid, post
+            return len(applied), mid, post
 
-        mid, post = run(scenario())
+        applied, mid, post = run(scenario())
         assert behavior_key(post) == behavior_key(mid)
-        assert recorder.updates.replayed >= 1
+        assert recorder.updates.replayed == applied >= 1
         assert recorder.serve.swaps == 1
         # Ground truth: a classifier built fresh from the updated
         # network agrees with what was served after the swap.
@@ -366,18 +383,67 @@ class TestDegradation:
         # private manager: the canonical one keeps taking updates on the
         # loop thread mid-rebuild and has no locking, so any node or
         # cache it minted from the rebuild thread would be a data race.
-        from repro.bdd.serialize import dump_functions
-        from repro.serve.service import _rebuild_isolated
-
         classifier = APClassifier.build(toy_network())
         manager = classifier.dataplane.manager
         snapshot = classifier.dataplane.predicates()
-        pids = [labeled.pid for labeled in snapshot]
-        dumped = dump_functions([labeled.fn for labeled in snapshot])
+        pids, dumped = snapshot_predicates(snapshot)
         before = manager.cache_stats()
-        payload = _rebuild_isolated(pids, dumped, classifier.strategy)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            payload = executor.submit(
+                rebuild_snapshot, pids, dumped, classifier.strategy
+            ).result(timeout=60)
         assert manager.cache_stats() == before
         assert payload["universe"]["pids"] == pids
+        # The worker process runs the same function: one snapshot, one
+        # payload, wherever the rebuild executes.
+        with ReconstructionProcess(manager, classifier.strategy) as recon:
+            recon.submit(snapshot)
+            universe, tree, _ = recon.receive()
+        assert snapshot_tree(tree, universe) == payload["tree"]
+        expected, _ = restore_rebuild(payload, manager)
+        assert snapshot_universe(universe) == snapshot_universe(expected)
+        assert snapshot_universe(universe)["r"] == payload["universe"]["r"]
+
+    def test_incremental_replay_leaves_no_dead_labels(self, rebuild_gate):
+        # A journal replayed through a tombstone engine would hand an
+        # incremental classifier a tree with a dead label, costing the
+        # next removal one avoidable full rebuild.
+        classifier = APClassifier.build(internet2_like())
+        drop = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.1.0.0"), 24), (), 24
+        )
+        headers = sample_headers(classifier, 32) + [parse_ipv4("10.1.0.9")]
+
+        async def scenario():
+            async with QueryService(
+                classifier, max_delay_s=0, maintenance="incremental"
+            ) as service:
+                recon = asyncio.ensure_future(service.reconstruct())
+                await asyncio.sleep(0.01)
+                assert service.reconstructing
+                await service.insert_rule("ATLA", drop)
+                rebuild_gate.set()
+                await recon
+                served = await asyncio.gather(
+                    *(service.query(h, "SEAT") for h in headers)
+                )
+                universe, tree = classifier.universe, classifier.tree
+                assert all(
+                    universe.has_predicate(node.pid)
+                    for node in tree._walk()
+                    if not node.is_leaf
+                )
+                await service.remove_rule("ATLA", drop)
+                return served
+
+        served = run(scenario())
+        assert classifier._engine.full_rebuilds == 0
+        classifier.insert_rule("ATLA", drop)
+        reference = APClassifier.build(classifier.dataplane.network)
+        for h, behavior in zip(headers, served):
+            assert behavior_key(behavior) == behavior_key(
+                reference.query(h, "SEAT")
+            )
 
     def test_updates_racing_live_rebuild_stay_exact(self):
         # No gate here on purpose: the rebuild thread really runs while
@@ -406,16 +472,11 @@ class TestDegradation:
             post
         )
 
-    def test_reconstruct_rejects_reentry(self, toy_classifier):
-        gate = threading.Event()
-
-        class GatedService(QueryService):
-            def _rebuild(self, *args):
-                gate.wait(timeout=30)
-                return super()._rebuild(*args)
+    def test_reconstruct_rejects_reentry(self, toy_classifier, rebuild_gate):
+        gate = rebuild_gate
 
         async def scenario():
-            service = GatedService(toy_classifier, max_delay_s=0)
+            service = QueryService(toy_classifier, max_delay_s=0)
             async with service:
                 recon = asyncio.ensure_future(service.reconstruct())
                 await asyncio.sleep(0.01)

@@ -131,18 +131,6 @@ class TestValidation:
             classifier_from_json(json.dumps(payload))
 
 
-class TestDeprecatedShims:
-    def test_old_names_warn_and_still_work(self):
-        from repro.core.snapshots import load_classifier, save_classifier
-
-        original = APClassifier.build(toy_network())
-        with pytest.warns(DeprecationWarning, match="use repro.persist"):
-            text = save_classifier(original)
-        with pytest.warns(DeprecationWarning, match="use repro.persist"):
-            restored = load_classifier(text)
-        assert_same_answers(original, restored, samples=20)
-
-
 class TestPersistFacade:
     def test_json_file_round_trip(self, tmp_path):
         original = APClassifier.build(toy_network())

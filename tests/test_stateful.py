@@ -2,8 +2,9 @@
 sequences.
 
 A hypothesis state machine drives a live :class:`APClassifier` through
-random rule inserts/withdrawals, tree rebuilds, and full reconstructions,
-checking after every step that
+random rule inserts/withdrawals, tree rebuilds, full reconstructions, and
+isolated rebuilds swapped in with a journal of concurrent updates
+(Section VI-B, Fig. 8), checking after every step that
 
 * the AP Tree classifies exactly like the linear atom scan;
 * atom membership in every live predicate matches the predicate's own
@@ -33,6 +34,20 @@ from repro.core.classifier import APClassifier
 from repro.datasets import internet2_like
 from repro.headerspace.fields import parse_ipv4
 from repro.network.rules import ForwardingRule, Match
+from repro.parallel.recon import (
+    rebuild_snapshot,
+    restore_rebuild,
+    snapshot_predicates,
+)
+
+
+#: (box index, second octet, third octet, port index) of a drawn /24 rule.
+RULE_DRAW = st.tuples(
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=10),
+)
 
 
 class ClassifierMachine(RuleBasedStateMachine):
@@ -49,31 +64,60 @@ class ClassifierMachine(RuleBasedStateMachine):
         self.simulator = ForwardingSimulator(self.classifier.dataplane)
         self.boxes = sorted(self.network.boxes)
 
-    @rule(
-        box_index=st.integers(min_value=0, max_value=8),
-        second_octet=st.integers(min_value=1, max_value=12),
-        third_octet=st.integers(min_value=0, max_value=255),
-        port_index=st.integers(min_value=0, max_value=10),
-    )
-    def insert_rule(self, box_index, second_octet, third_octet, port_index) -> None:
+    def _draw_rule(self, box_index, second_octet, third_octet, port_index):
         box = self.boxes[box_index % len(self.boxes)]
         ports = self.network.box(box).table.out_ports()
         if not ports:
-            return
+            return None
         value = parse_ipv4(f"10.{second_octet}.{third_octet}.0")
-        new_rule = ForwardingRule(
+        return box, ForwardingRule(
             Match.prefix("dst_ip", value, 24),
             (ports[port_index % len(ports)],),
             priority=24,
         )
-        self.classifier.insert_rule(box, new_rule)
-        self.installed.append((box, new_rule))
+
+    @rule(drawn=RULE_DRAW)
+    def insert_rule(self, drawn) -> None:
+        target = self._draw_rule(*drawn)
+        if target is None:
+            return
+        self.classifier.insert_rule(*target)
+        self.installed.append(target)
 
     @precondition(lambda self: self.installed)
     @rule(victim=st.integers(min_value=0, max_value=2**31))
     def remove_rule(self, victim) -> None:
         box, installed_rule = self.installed.pop(victim % len(self.installed))
         self.classifier.remove_rule(box, installed_rule)
+
+    @rule(
+        updates=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0), RULE_DRAW),
+            max_size=3,
+        )
+    )
+    def reconstruct_with_journal(self, updates) -> None:
+        """Fig. 8 in one step: snapshot, keep updating the live
+        structures, rebuild from the snapshot, replay the journal, swap."""
+        classifier = self.classifier
+        dataplane = classifier.dataplane
+        pids, dumped = snapshot_predicates(dataplane.predicates())
+        journal = []
+        for remove, victim, drawn in updates:
+            if remove and self.installed:
+                target = self.installed.pop(victim % len(self.installed))
+                changes = dataplane.remove_rule(*target)
+            else:
+                target = self._draw_rule(*drawn)
+                if target is None:
+                    continue
+                changes = dataplane.insert_rule(*target)
+                self.installed.append(target)
+            classifier.apply_changes(changes)
+            journal.extend(changes)
+        payload = rebuild_snapshot(pids, dumped, classifier.strategy)
+        universe, tree = restore_rebuild(payload, dataplane.manager)
+        assert classifier.install_rebuild(universe, tree, journal) == len(journal)
 
     @rule()
     def rebuild_tree(self) -> None:
