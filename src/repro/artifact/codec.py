@@ -5,18 +5,17 @@ What gets persisted (one section table entry each, see ``container``):
 * the network serialization (``network``, JSON bytes) -- stage 2's
   topology and rules, and the provenance everything else is checked
   against via a SHA-256 digest in the manifest;
-* every live predicate BDD (``pred_triples``/``pred_offsets``) with its
-  ``(kind, box, port)`` slot and original pid in the manifest;
-* every atom BDD (``atom_triples``/``atom_offsets``) with explicit atom
-  ids -- classification output is atom ids, so ids are preserved
-  bit-for-bit, gaps included;
+* every BDD the classifier holds as one image (``bdd_nodes``/
+  ``bdd_roots``, :mod:`repro.bdd.serialize`) whose roots are, in order:
+  every live predicate (its ``(kind, box, port)`` slot and original pid
+  in the manifest), every atom (explicit ``atom_ids`` -- classification
+  output is atom ids, so ids are preserved bit-for-bit, gaps included),
+  and every "ghost": a tombstoned predicate the tree still evaluates
+  after updates, saved from the tree nodes themselves and restored
+  under a fresh negative pid;
 * the ``R`` sets (``r_values``/``r_offsets``), the integer-set form of
   "which atoms make up predicate p" that stage 2's behavior walk and
   every tree-construction decision consume;
-* "ghost" predicate BDDs (``ghost_triples``/``ghost_offsets``):
-  tombstoned predicates the tree still evaluates after updates, saved
-  from the tree nodes themselves and restored under fresh negative
-  pids;
 * the AP Tree as preorder records (``tree``, via
   :mod:`repro.parallel.snapshot`);
 * the compiled engine's arrays (``c_*`` sections) in exactly the layout
@@ -48,7 +47,7 @@ import time
 from typing import Mapping
 
 from ..bdd import BDDManager, Function
-from ..bdd.serialize import dump_node, dump_nodes_flat, load_nodes_flat
+from ..bdd.serialize import dump_image, load_image
 from ..core.classifier import APClassifier
 from ..core.atomic import AtomicUniverse
 from ..core.compiled import CompiledAPTree
@@ -78,7 +77,7 @@ __all__ = [
 ]
 
 CLASSIFIER_KIND = "repro.classifier"
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 _LEAF = -1  # mirrors repro.parallel.snapshot's leaf sentinel
 
@@ -137,15 +136,12 @@ def _manifest_and_sections(
 
     network_bytes = network_to_json(dataplane.network).encode()
 
-    pred_flat, pred_offsets = dump_nodes_flat(
-        manager, [p.fn.node for p in predicates]
-    )
     atom_ids = sorted(universe.atom_ids())
-    atom_flat, atom_offsets = dump_nodes_flat(
-        manager, [universe.atom_fn(a).node for a in atom_ids]
-    )
-    ghost_flat, ghost_offsets = dump_nodes_flat(
-        manager, [ghost_fns[pid] for pid in ghost_pids]
+    num_vars, bdd_nodes, bdd_roots = dump_image(
+        manager,
+        [p.fn.node for p in predicates]
+        + [universe.atom_fn(a).node for a in atom_ids]
+        + [ghost_fns[pid] for pid in ghost_pids],
     )
     r_values: list[int] = []
     r_offsets = [0]
@@ -166,7 +162,7 @@ def _manifest_and_sections(
         "kind": CLASSIFIER_KIND,
         "payload_version": PAYLOAD_VERSION,
         "strategy": classifier.strategy,
-        "num_vars": manager.num_vars,
+        "num_vars": num_vars,
         "network_digest": _network_digest(network_bytes),
         "counts": {
             "predicates": len(predicates),
@@ -189,15 +185,11 @@ def _manifest_and_sections(
     }
     sections = [
         ("network", "u1", network_bytes),
-        ("pred_triples", "i4", pred_flat),
-        ("pred_offsets", "i8", pred_offsets),
+        ("bdd_nodes", "i4", bdd_nodes),
+        ("bdd_roots", "i4", bdd_roots),
         ("atom_ids", "i8", atom_ids),
-        ("atom_triples", "i4", atom_flat),
-        ("atom_offsets", "i8", atom_offsets),
         ("r_values", "i8", r_values),
         ("r_offsets", "i8", r_offsets),
-        ("ghost_triples", "i4", ghost_flat),
-        ("ghost_offsets", "i8", ghost_offsets),
         ("tree", "i4", tree_flat),
         ("c_pred_entry", "i4", arrays["pred_entry"]),
         ("c_low_idx", "i4", arrays["low_idx"]),
@@ -292,17 +284,15 @@ def _compiled_arrays(artifact: Artifact, manifest: dict) -> dict:
     }
 
 
-def _deep_verify_predicates(network, manager, predicates) -> None:
-    """Recompile the network in a scratch manager and compare every
-    predicate BDD structurally (node identity cannot cross managers, so
-    equality is on canonical :func:`dump_node` triples)."""
+def _deep_verify_predicates(network, image, slots) -> None:
+    """Recompile the network in a scratch manager, load the stored image
+    beside it and compare every predicate by node identity (the image's
+    leading roots are the predicates, in ``slots`` order)."""
     recompiled = DataPlane(network)
     live_by_slot = {slot: lp for slot, lp in recompiled.iter_slots()}
-    for slot, fn in predicates:
+    for slot, node in zip(slots, load_image(recompiled.manager, image)):
         live = live_by_slot.pop(slot, None)
-        if live is None or dump_node(recompiled.manager, live.fn.node) != dump_node(
-            manager, fn.node
-        ):
+        if live is None or live.fn.node != node:
             raise ArtifactMismatch(
                 f"stored predicate at slot {slot} does not match the "
                 "network recompiled from the stored rules"
@@ -332,18 +322,26 @@ def _restore_classifier(
     slots = [tuple(slot) for slot in (meta.get("slots") or [])]
     if len(stored_pids) != len(slots):
         raise ArtifactMismatch("predicate pid/slot tables disagree in length")
-    fns = load_nodes_flat(
-        manager,
-        artifact.section_ints("pred_triples"),
-        artifact.section_ints("pred_offsets"),
+    atom_ids = [int(a) for a in artifact.section_ints("atom_ids")]
+    ghost_meta = manifest.get("ghosts") or {}
+    stored_ghost_pids = [int(p) for p in (ghost_meta.get("pids") or [])]
+    image = (
+        num_vars,
+        artifact.section_ints("bdd_nodes"),
+        artifact.section_ints("bdd_roots"),
     )
-    if len(fns) != len(slots):
+    try:
+        nodes = load_image(manager, image)
+    except ValueError as exc:
+        raise ArtifactMismatch(f"BDD image is inconsistent: {exc}") from None
+    if len(nodes) != len(slots) + len(atom_ids) + len(stored_ghost_pids):
         raise ArtifactMismatch(
-            f"{len(fns)} stored predicate BDDs for {len(slots)} slots"
+            f"{len(nodes)} stored BDD roots for {len(slots)} predicates, "
+            f"{len(atom_ids)} atoms and {len(stored_ghost_pids)} ghosts"
         )
-    functions = [Function(manager, node) for node in fns]
+    functions = [Function(manager, node) for node in nodes[: len(slots)]]
     if deep_verify:
-        _deep_verify_predicates(network, manager, list(zip(slots, functions)))
+        _deep_verify_predicates(network, image, slots)
 
     # Rebuild the data plane over the *stored* functions.  DataPlane
     # mints pids box-by-box in network order, so group the stored
@@ -376,19 +374,10 @@ def _restore_classifier(
             f"stored slot table ({len(dataplane)} vs {len(slots)})"
         )
 
-    atom_ids = [int(a) for a in artifact.section_ints("atom_ids")]
-    atom_nodes = load_nodes_flat(
-        manager,
-        artifact.section_ints("atom_triples"),
-        artifact.section_ints("atom_offsets"),
-    )
-    if len(atom_nodes) != len(atom_ids):
-        raise ArtifactMismatch(
-            f"{len(atom_nodes)} stored atom BDDs for {len(atom_ids)} atom ids"
-        )
+    ghost_start = len(slots) + len(atom_ids)
     atoms: Mapping[int, Function] = {
         atom_id: Function(manager, node)
-        for atom_id, node in zip(atom_ids, atom_nodes)
+        for atom_id, node in zip(atom_ids, nodes[len(slots) : ghost_start])
     }
 
     r_values = artifact.section_ints("r_values")
@@ -416,21 +405,6 @@ def _restore_classifier(
     # They get fresh *negative* pids so they can never collide with a
     # pid the restored data plane mints now or later (-1 is the leaf
     # sentinel, so ghosts start at -2).
-    ghost_meta = manifest.get("ghosts") or {}
-    stored_ghost_pids = [int(p) for p in (ghost_meta.get("pids") or [])]
-    if stored_ghost_pids:
-        ghost_nodes = load_nodes_flat(
-            manager,
-            artifact.section_ints("ghost_triples"),
-            artifact.section_ints("ghost_offsets"),
-        )
-        if len(ghost_nodes) != len(stored_ghost_pids):
-            raise ArtifactMismatch(
-                f"{len(ghost_nodes)} stored ghost BDDs for "
-                f"{len(stored_ghost_pids)} ghost pids"
-            )
-    else:
-        ghost_nodes = []
     ghost_pid_map = {
         stored: -(index + 2)
         for index, stored in enumerate(stored_ghost_pids)
@@ -441,7 +415,7 @@ def _restore_classifier(
         )
     ghost_fn_nodes = {
         ghost_pid_map[stored]: node
-        for stored, node in zip(stored_ghost_pids, ghost_nodes)
+        for stored, node in zip(stored_ghost_pids, nodes[ghost_start:])
     }
 
     tree_flat = artifact.section_ints("tree")

@@ -1,180 +1,122 @@
-"""Flat serialization of BDD functions for snapshotting and debugging.
+"""The BDD image: how every predicate/atom set crosses a boundary.
 
-A serialized function is a topologically ordered list of
-``(var, low_ref, high_ref)`` triples where references index earlier entries
-(with ``-2``/``-1`` denoting FALSE/TRUE).  This is enough to move predicate
-sets between processes (e.g. the reconstruction process of Section VI-B) or
-persist a data plane snapshot to disk.
+An *image* is ``(num_vars, nodes, roots)``: ``nodes`` is one flat int
+list, three ints ``var, low, high`` per node, holding every node
+reachable from any root exactly once; ``roots`` is one ref per dumped
+root, in the caller's order.  A ref is a *position in the image*: ``0``
+and ``1`` are the FALSE/TRUE terminals, ``k + 2`` is the k-th emitted
+node.  Refs are never raw node ids, and nodes are emitted in one
+depth-first postorder over the roots in order (low before high, a node
+after both children), so the bytes are a function of the dumped
+functions and their order alone -- nothing else the manager holds or
+gains later, and not the order it happened to create nodes in (serial
+build, parallel build or an earlier load), can change them.
+
+Postorder is topological: every ref points backwards, and loading is
+one forward pass.
+
+This is the only module that knows the layout.  Processes
+(:mod:`repro.parallel`, the reconstruction worker of Section VI-B),
+files (:mod:`repro.artifact`, :mod:`repro.core.snapshots`) and the
+cross-manager transfer in :mod:`repro.diff` all move images.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
-from .function import Function
 from .manager import FALSE, TRUE, BDDManager
 
-__all__ = [
-    "dump_node",
-    "load_node",
-    "dump_nodes_flat",
-    "load_nodes_flat",
-    "dump_functions",
-    "load_functions",
-    "to_dot",
-]
+__all__ = ["Image", "dump_image", "load_image", "image_nbytes", "to_dot"]
 
-_FALSE_REF = -2
-_TRUE_REF = -1
+#: ``(num_vars, nodes, roots)`` -- see the module docstring.
+Image = tuple[int, Sequence[int], Sequence[int]]
 
 
-def dump_node(manager: BDDManager, node: int) -> list[tuple[int, int, int]]:
-    """Flatten the DAG under ``node`` into a list of triples.
+def dump_image(manager: BDDManager, roots: Sequence[int]) -> Image:
+    """The functions under ``roots`` (node ids, terminals and duplicates
+    welcome) as one image; shared sub-graphs are emitted once.
 
-    The postorder walk uses an explicit stack: a node stays on the stack
-    until both children are indexed, then gets its slot.  Deep BDDs (a
-    chain cube has one level per constrained variable) would blow the
-    interpreter's recursion limit otherwise, and serialization is exactly
-    what wide synthetic datasets hit when they ship predicates between
-    worker processes.
+    The walk keeps an explicit stack -- a chain cube has one level per
+    constrained variable, far past the interpreter's recursion limit.
     """
-    order: list[int] = []
-    index: dict[int, int] = {}
-    stack = [node]
-    while stack:
-        current = stack[-1]
-        if current <= TRUE or current in index:
-            stack.pop()
-            continue
-        low = manager.low(current)
-        high = manager.high(current)
-        ready = True
-        if high > TRUE and high not in index:
-            stack.append(high)
-            ready = False
-        if low > TRUE and low not in index:
-            stack.append(low)
-            ready = False
-        if ready:
-            stack.pop()
-            index[current] = len(order)
-            order.append(current)
-
-    def ref(current: int) -> int:
-        if current == FALSE:
-            return _FALSE_REF
-        if current == TRUE:
-            return _TRUE_REF
-        return index[current]
-
-    triples = [
-        (manager.top_var(n), ref(manager.low(n)), ref(manager.high(n)))
-        for n in order
-    ]
-    # The root must be resolvable by the loader: encode it as a final ref.
-    triples.append((-1, ref(node), ref(node)))
-    return triples
+    var, low, high = manager.node_arrays()
+    ref = {FALSE: 0, TRUE: 1}
+    nodes: list[int] = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in ref:
+                stack.pop()
+            elif low[node] not in ref:
+                stack.append(low[node])
+            elif high[node] not in ref:
+                stack.append(high[node])
+            else:
+                stack.pop()
+                ref[node] = len(ref)
+                nodes += (var[node], ref[low[node]], ref[high[node]])
+    return manager.num_vars, nodes, [ref[root] for root in roots]
 
 
-def load_node(manager: BDDManager, triples: Sequence[Sequence[int]]) -> int:
-    """Rebuild a node in ``manager`` from :func:`dump_node` output."""
-    if not triples:
-        raise ValueError("empty serialization")
-    built: list[int] = []
+def load_image(manager: BDDManager, image: Image) -> list[int]:
+    """Rebuild an image in ``manager``; returns one node id per root.
 
-    def deref(ref: int) -> int:
-        if ref == _FALSE_REF:
-            return FALSE
-        if ref == _TRUE_REF:
-            return TRUE
-        return built[ref]
-
-    *body, root_marker = triples
-    for var, low_ref, high_ref in body:
-        built.append(manager._mk(var, deref(low_ref), deref(high_ref)))
-    marker_var, root_ref, _ = root_marker
-    if marker_var != -1:
-        raise ValueError("malformed serialization: missing root marker")
-    return deref(root_ref)
-
-
-def dump_nodes_flat(
-    manager: BDDManager, nodes: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Concatenate :func:`dump_node` output for many roots into one flat
-    int list (3 ints per triple, root markers included) plus offsets.
-
-    ``offsets`` has ``len(nodes) + 1`` entries in *triple* units:
-    function ``i`` occupies flat triples ``offsets[i]:offsets[i+1]``.
-    This is the shape the binary artifact stores -- two integer sections
-    instead of per-function JSON.
+    Serves empty and populated managers alike: every node goes through
+    ``_mk``, so functions the manager already holds come back under
+    their existing ids.  Images arrive from files and pipes, so each
+    node is validated before it is built -- a bad ref must raise, never
+    load a different function: ``var`` in range and strictly above
+    (smaller than) both children's, refs non-negative and backwards,
+    ``low != high``.  Raises :class:`ValueError`.
     """
-    flat: list[int] = []
-    extend = flat.extend
-    offsets = [0]
-    for node in nodes:
-        for triple in dump_node(manager, node):
-            extend(triple)
-        offsets.append(len(flat) // 3)
-    return flat, offsets
-
-
-def load_nodes_flat(
-    manager: BDDManager, flat: Sequence[int], offsets: Sequence[int]
-) -> list[int]:
-    """Inverse of :func:`dump_nodes_flat`; returns one node per root.
-
-    The loop inlines :func:`load_node`'s dereferencing (no tuple
-    objects, hoisted locals): artifact warm starts rebuild every atom
-    BDD through here, so this is the hot path of a classifier load.
-    """
-    if hasattr(flat, "tolist"):  # numpy / array.array: python ints are
-        flat = flat.tolist()  # faster than numpy scalars in this loop
-    if hasattr(offsets, "tolist"):
-        offsets = offsets.tolist()
-    if offsets and offsets[-1] * 3 != len(flat):
+    num_vars, nodes, roots = image
+    if num_vars != manager.num_vars:
         raise ValueError(
-            f"flat triples length {len(flat)} disagrees with final offset "
-            f"{offsets[-1]}"
+            f"image is over {num_vars} variables, manager has "
+            f"{manager.num_vars}"
+        )
+    if hasattr(nodes, "tolist"):  # numpy / array.array section views:
+        nodes = nodes.tolist()  # python ints are faster in this loop
+    if hasattr(roots, "tolist"):
+        roots = roots.tolist()
+    if len(nodes) % 3:
+        raise ValueError(
+            f"image node list of {len(nodes)} ints is not whole triples"
         )
     mk = manager._mk
-    out: list[int] = []
-    for index in range(len(offsets) - 1):
-        start = offsets[index] * 3
-        stop = offsets[index + 1] * 3
-        if stop <= start:
-            raise ValueError(f"empty serialization for function {index}")
-        built: list[int] = []
-        append = built.append
-        marker = stop - 3
-        k = start
-        while k < marker:
-            low_ref = flat[k + 1]
-            high_ref = flat[k + 2]
-            append(
-                mk(
-                    flat[k],
-                    FALSE if low_ref == _FALSE_REF
-                    else TRUE if low_ref == _TRUE_REF
-                    else built[low_ref],
-                    FALSE if high_ref == _FALSE_REF
-                    else TRUE if high_ref == _TRUE_REF
-                    else built[high_ref],
-                )
-            )
-            k += 3
-        if flat[marker] != -1:
+    built = [FALSE, TRUE]
+    # Terminals order after every variable, like the manager's sentinel.
+    var_of = [num_vars, num_vars]
+    for var, low, high in zip(nodes[0::3], nodes[1::3], nodes[2::3]):
+        here = len(built)
+        if not (
+            0 <= var < num_vars
+            and 0 <= low < here
+            and 0 <= high < here
+            and low != high
+            and var < var_of[low]
+            and var < var_of[high]
+        ):
             raise ValueError(
-                f"malformed serialization: function {index} has no root marker"
+                f"image node {here - 2} is malformed: "
+                f"(var={var}, low={low}, high={high}) over {num_vars} variables"
             )
-        root_ref = flat[marker + 1]
-        out.append(
-            FALSE if root_ref == _FALSE_REF
-            else TRUE if root_ref == _TRUE_REF
-            else built[root_ref]
-        )
-    return out
+        built.append(mk(var, built[low], built[high]))
+        var_of.append(var)
+    count = len(built)
+    for root in roots:
+        if not 0 <= root < count:
+            raise ValueError(f"image root ref {root} is out of range")
+    return [built[root] for root in roots]
+
+
+def image_nbytes(image: Image) -> int:
+    """Size of an image as int32 columns -- what an artifact stores and
+    the figure ``parallel.record_shipping`` reports for a hand-off."""
+    _, nodes, roots = image
+    return 4 * (len(nodes) + len(roots))
 
 
 def to_dot(
@@ -216,34 +158,3 @@ def to_dot(
     visit(node)
     lines.append("}")
     return "\n".join(lines)
-
-
-def dump_functions(functions: Sequence[Function]) -> str:
-    """Serialize functions sharing one manager to a JSON string."""
-    if not functions:
-        return json.dumps({"num_vars": 0, "functions": []})
-    manager = functions[0].manager
-    for fn in functions:
-        if fn.manager is not manager:
-            raise ValueError("all functions must share one manager")
-    payload = {
-        "num_vars": manager.num_vars,
-        "functions": [dump_node(manager, fn.node) for fn in functions],
-    }
-    return json.dumps(payload)
-
-
-def load_functions(text: str, manager: BDDManager | None = None) -> list[Function]:
-    """Inverse of :func:`dump_functions`; creates a manager if none given."""
-    payload = json.loads(text)
-    if manager is None:
-        manager = BDDManager(max(payload["num_vars"], 1))
-    elif payload["functions"] and manager.num_vars != payload["num_vars"]:
-        raise ValueError(
-            f"manager has {manager.num_vars} vars, payload needs "
-            f"{payload['num_vars']}"
-        )
-    return [
-        Function(manager, load_node(manager, triples))
-        for triples in payload["functions"]
-    ]

@@ -22,71 +22,51 @@ from __future__ import annotations
 
 import json
 
-from ..bdd.serialize import dump_node, load_node
+from ..bdd import Function
+from ..bdd.serialize import dump_image, load_image
 from ..network.dataplane import DataPlane
 from ..network.serialize import network_from_json, network_to_json
-from .aptree import APTree, APTreeNode
+from ..parallel.snapshot import restore_tree, snapshot_tree
 from .atomic import AtomicUniverse
 from .classifier import APClassifier
 
 __all__ = ["SnapshotMismatch"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SnapshotMismatch(ValueError):
     """The snapshot does not correspond to the recompiled network."""
 
 
-def _dump_tree(node: APTreeNode) -> list:
-    if node.is_leaf:
-        return ["L", node.atom_id]
-    return ["N", node.pid, _dump_tree(node.low), _dump_tree(node.high)]
-
-
-def _load_tree(
-    payload: list, pid_map: dict[int, int], fn_nodes: dict[int, int]
-) -> APTreeNode:
-    if payload[0] == "L":
-        return APTreeNode.leaf(payload[1])
-    _, stored_pid, low, high = payload
-    pid = pid_map[stored_pid]
-    return APTreeNode.internal(
-        pid,
-        fn_nodes[pid],
-        _load_tree(low, pid_map, fn_nodes),
-        _load_tree(high, pid_map, fn_nodes),
-    )
-
-
 def _save_json(classifier: APClassifier) -> str:
     """Serialize a built classifier to a JSON string."""
-    manager = classifier.dataplane.manager
+    dataplane = classifier.dataplane
     universe = classifier.universe
+    pids = universe.predicate_ids()
+    atom_ids = sorted(universe.atom_ids())
     payload = {
         "version": FORMAT_VERSION,
         "strategy": classifier.strategy,
-        "network": json.loads(network_to_json(classifier.dataplane.network)),
+        "network": json.loads(network_to_json(dataplane.network)),
         "predicates": [
             {
-                "pid": pid,
+                "pid": labeled.pid,
                 # The slot is the stable identity across serialization
                 # (pids depend on compile order).
-                "slot": [
-                    classifier.dataplane.predicate(pid).kind,
-                    classifier.dataplane.predicate(pid).box,
-                    classifier.dataplane.predicate(pid).port,
-                ],
-                "bdd": dump_node(manager, universe.predicate_fn(pid).node),
-                "r": sorted(universe.r(pid)),
+                "slot": [labeled.kind, labeled.box, labeled.port],
+                "r": sorted(universe.r(labeled.pid)),
             }
-            for pid in universe.predicate_ids()
+            for labeled in map(dataplane.predicate, pids)
         ],
-        "atoms": [
-            {"atom_id": atom_id, "bdd": dump_node(manager, fn.node)}
-            for atom_id, fn in sorted(universe.atoms().items())
-        ],
-        "tree": _dump_tree(classifier.tree.root),
+        "atom_ids": atom_ids,
+        # One image; its roots are the predicates above, then the atoms.
+        "image": dump_image(
+            dataplane.manager,
+            [universe.predicate_fn(pid).node for pid in pids]
+            + [universe.atom_fn(atom_id).node for atom_id in atom_ids],
+        ),
+        "tree": snapshot_tree(classifier.tree, universe),
     }
     return json.dumps(payload)
 
@@ -107,17 +87,26 @@ def _load_json(text: str) -> APClassifier:
     dataplane = DataPlane(network)
     manager = dataplane.manager
 
-    from ..bdd.function import Function
+    entries = payload["predicates"]
+    atom_ids = payload["atom_ids"]
+    try:
+        nodes = load_image(manager, payload["image"])
+    except (TypeError, ValueError) as exc:
+        raise SnapshotMismatch(f"BDD image is inconsistent: {exc}") from None
+    if len(nodes) != len(entries) + len(atom_ids):
+        raise SnapshotMismatch(
+            f"{len(nodes)} stored BDD roots for {len(entries)} predicates "
+            f"and {len(atom_ids)} atoms"
+        )
 
     # Match stored predicates to recompiled ones by slot (pids depend on
     # compile order, which serialization normalizes).
     live_by_slot = {slot: lp for slot, lp in dataplane.iter_slots()}
     pid_map: dict[int, int] = {}
-    stored_fns: dict[int, Function] = {}
-    stored_r: dict[int, set[int]] = {}
-    for entry in payload["predicates"]:
+    pred_fns: dict[int, Function] = {}
+    r: dict[int, list[int]] = {}
+    for entry, node in zip(entries, nodes):
         slot = tuple(entry["slot"])
-        node = load_node(manager, entry["bdd"])
         live = live_by_slot.get(slot)
         if live is None or live.fn.node != node:
             raise SnapshotMismatch(
@@ -125,35 +114,33 @@ def _load_json(text: str) -> APClassifier:
                 "recompiled network (stale or corrupted snapshot)"
             )
         pid_map[entry["pid"]] = live.pid
-        stored_fns[live.pid] = Function(manager, node)
-        stored_r[live.pid] = set(entry["r"])
-    if len(stored_fns) != len(live_by_slot):
+        pred_fns[live.pid] = live.fn
+        r[live.pid] = entry["r"]
+    if len(pred_fns) != len(live_by_slot):
         raise SnapshotMismatch(
             "snapshot and recompiled network disagree on the predicate set"
         )
 
-    # Rebuild the universe without refinement.
-    universe = AtomicUniverse(manager)
-    atoms: dict[int, Function] = {}
-    for entry in payload["atoms"]:
-        atoms[entry["atom_id"]] = Function(
-            manager, load_node(manager, entry["bdd"])
+    # Reassemble the universe without refinement, then the tree over it.
+    atoms = {
+        atom_id: Function(manager, node)
+        for atom_id, node in zip(atom_ids, nodes[len(entries):])
+    }
+    try:
+        universe = AtomicUniverse.assemble_with_ids(manager, pred_fns, atoms, r)
+    except ValueError as exc:
+        raise SnapshotMismatch(str(exc)) from None
+    try:
+        tree = restore_tree(
+            [
+                # Real pids are non-negative; the leaf marker passes through.
+                [pid_map[pid] if pid >= 0 else pid, first, second]
+                for pid, first, second in payload["tree"]
+            ],
+            universe,
         )
-    universe._atoms = dict(atoms)
-    universe._next_atom_id = max(atoms, default=-1) + 1
-    universe._pred_fns = dict(stored_fns)
-    universe._r = {pid: set(r) for pid, r in stored_r.items()}
-    universe._containing = {atom_id: set() for atom_id in atoms}
-    for pid, r_set in stored_r.items():
-        for atom_id in r_set:
-            if atom_id not in universe._containing:
-                raise SnapshotMismatch(
-                    f"R({pid}) references unknown atom {atom_id}"
-                )
-            universe._containing[atom_id].add(pid)
-
-    fn_nodes = {pid: fn.node for pid, fn in stored_fns.items()}
-    tree = APTree(manager, _load_tree(payload["tree"], pid_map, fn_nodes))
+    except (IndexError, KeyError, ValueError) as exc:
+        raise SnapshotMismatch(f"tree is inconsistent: {exc!r}") from None
     if set(tree.leaf_depths()) != set(atoms):
         raise SnapshotMismatch("tree leaves do not cover the stored atoms")
 

@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bdd.function import Function
-from .bdd.serialize import dump_nodes_flat, load_nodes_flat
+from .bdd.serialize import dump_image, load_image
 from .core.behavior import Behavior
 from .core.classifier import APClassifier
 from .core.delta import diff_behaviors, first_divergence
@@ -242,10 +242,12 @@ def diff_generations(
     transfer_s = 0.0
     if cross_manager:
         transfer_started = time.perf_counter()
-        flat, offsets = dump_nodes_flat(
-            after.dataplane.manager, [fn.node for _, fn in after_atoms]
+        transferred = load_image(
+            manager,
+            dump_image(
+                after.dataplane.manager, [fn.node for _, fn in after_atoms]
+            ),
         )
-        transferred = load_nodes_flat(manager, flat, offsets)
         after_atoms = [
             (atom_id, Function(manager, node))
             for (atom_id, _), node in zip(after_atoms, transferred)
@@ -398,6 +400,10 @@ def what_if(
         rng=rng,
         recorder=recorder,
     )
+    # The diff ran in the live manager; its memo entries pair live atoms
+    # with shadow atoms that die with the shadow.  Left behind they cost
+    # the serving side tens of MB per what-if until the size trigger.
+    classifier.dataplane.manager.clear_caches()
     if recorder is not None:
         recorder.diff.record_whatif()
     return WhatIfReport(

@@ -9,9 +9,9 @@ superlinearly in atom count), and the witness-guided
 O(final atoms) BDD operations -- which is why the decomposition wins
 even on a single core.
 
-Workers are spawn-safe: each receives ``(pids, dumped predicate
+Workers are spawn-safe: each receives ``(pids, image of the predicate
 functions)``, computes its shard universe in a private manager, and
-ships back serialized atoms plus positional ``R`` sets.  The parent
+ships back an image of the atoms plus positional ``R`` sets.  The parent
 reassembles each shard against its own canonical predicate functions,
 folds the shards together with ``merge_universes``, and canonically
 renumbers -- so the result is bit-identical to serial
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..bdd import BDDManager, Function
-from ..bdd.serialize import dump_functions, load_functions
+from ..bdd.serialize import Image, dump_image, image_nbytes, load_image
 from ..core.atomic import AtomicUniverse
 from ..network.dataplane import LabeledPredicate
 from .merge import merge_universes
@@ -32,34 +32,31 @@ from .pool import WorkerPool, shard, shared_pool
 
 __all__ = ["compute_atoms"]
 
-#: One worker task: (pids, serialized predicate functions, same order).
-_AtomsTask = tuple[tuple[int, ...], str]
+#: One worker task: (pids, image of the predicate functions, same order).
+_AtomsTask = tuple[tuple[int, ...], Image]
 
 
 def _atoms_shard(task: _AtomsTask):
     """Worker: full refinement over one predicate shard, privately.
 
-    Returns ``(dumped atoms, r)`` where the atoms are serialized in
+    Returns ``(atom image, r)`` where the image's roots are the atoms in
     sorted-atom-id order and ``r`` maps pid -> positions into that list.
     """
-    pids, dumped = task
-    manager = BDDManager(1)
-    functions = load_functions(dumped)
-    if functions:
-        manager = functions[0].manager
+    pids, image = task
+    manager = BDDManager(image[0])  # the image carries its num_vars
     labeled = [
-        LabeledPredicate(pid, "forward", "shard", "shard", fn)
-        for pid, fn in zip(pids, functions)
+        LabeledPredicate(pid, "forward", "shard", "shard", Function(manager, node))
+        for pid, node in zip(pids, load_image(manager, image))
     ]
     universe = AtomicUniverse.compute(manager, labeled)
     atom_order = sorted(universe.atom_ids())
     position = {atom_id: index for index, atom_id in enumerate(atom_order)}
-    atoms = [universe.atom_fn(atom_id) for atom_id in atom_order]
+    atoms = [universe.atom_fn(atom_id).node for atom_id in atom_order]
     r = {
         pid: sorted(position[atom_id] for atom_id in universe.r(pid))
         for pid in pids
     }
-    return dump_functions(atoms), r
+    return dump_image(manager, atoms), r
 
 
 def compute_atoms(
@@ -91,16 +88,18 @@ def compute_atoms(
         tasks.append(
             (
                 tuple(labeled.pid for labeled in chunk),
-                dump_functions([labeled.fn for labeled in chunk]),
+                dump_image(manager, [labeled.fn.node for labeled in chunk]),
             )
         )
     results = pool.map(_atoms_shard, tasks)
-    bytes_to = sum(len(dumped) for _, dumped in tasks)
+    bytes_to = sum(image_nbytes(image) for _, image in tasks)
     bytes_from = 0
     universes: list[AtomicUniverse] = []
-    for chunk, (dumped_atoms, r) in zip(shards, results):
-        bytes_from += len(dumped_atoms)
-        atoms = load_functions(dumped_atoms, manager)
+    for chunk, (atom_image, r) in zip(shards, results):
+        bytes_from += image_nbytes(atom_image)
+        atoms = [
+            Function(manager, node) for node in load_image(manager, atom_image)
+        ]
         universes.append(
             AtomicUniverse.assemble(
                 manager,

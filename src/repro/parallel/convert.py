@@ -4,15 +4,16 @@ Rule-to-predicate conversion is embarrassingly parallel per box
 (Hazelhurst-style per-ACL/per-table independence): each worker gets the
 network as JSON plus a contiguous shard of box names, compiles those
 boxes' forwarding tables and ACLs into a *private* BDD manager, and ships
-the functions back serialized.  The parent re-imports every shard into
-the canonical manager and mints :class:`LabeledPredicate` ids in the same
-box/slot order a serial compile would use, so pids are identical.
+the functions back as one image (:mod:`repro.bdd.serialize`).  The parent
+re-imports every shard into the canonical manager and mints
+:class:`LabeledPredicate` ids in the same box/slot order a serial compile
+would use, so pids are identical.
 """
 
 from __future__ import annotations
 
 from ..bdd import BDDManager, Function
-from ..bdd.serialize import dump_functions, load_functions
+from ..bdd.serialize import dump_image, image_nbytes, load_image
 from ..network.builder import Network
 from ..network.dataplane import DataPlane
 from ..network.predicates import PredicateCompiler
@@ -28,19 +29,19 @@ _ConvertTask = tuple[str, tuple[str, ...]]
 def _convert_shard(task: _ConvertTask):
     """Worker: compile a shard of boxes in a private manager.
 
-    Returns ``(entries, dumped)`` where ``entries[i]`` is the
-    ``(box, kind, port)`` provenance of the i-th serialized function.
+    Returns ``(entries, image)`` where ``entries[i]`` is the
+    ``(box, kind, port)`` provenance of the image's i-th root.
     """
     network_json, box_names = task
     network = network_from_json(network_json)
     compiler = PredicateCompiler(network.layout)
     entries: list[tuple[str, str, str]] = []
-    functions: list[Function] = []
+    roots: list[int] = []
     for name in box_names:
         for kind, port, fn in compiler.box_predicates(network.box(name)):
             entries.append((name, kind, port))
-            functions.append(fn)
-    return entries, dump_functions(functions)
+            roots.append(fn.node)
+    return entries, dump_image(compiler.manager, roots)
 
 
 def convert_network(
@@ -73,11 +74,10 @@ def convert_network(
         name: [] for name in names
     }
     bytes_from = 0
-    for entries, dumped in results:
-        bytes_from += len(dumped)
-        functions = load_functions(dumped, manager)
-        for (name, kind, port), fn in zip(entries, functions):
-            precompiled[name].append((kind, port, fn))
+    for entries, image in results:
+        bytes_from += image_nbytes(image)
+        for (name, kind, port), node in zip(entries, load_image(manager, image)):
+            precompiled[name].append((kind, port, Function(manager, node)))
     if parallel is not None:
         parallel.record_pool(pool.workers)
         parallel.record_shards("convert", [len(chunk) for chunk in shards])

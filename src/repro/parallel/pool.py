@@ -3,13 +3,14 @@
 Design rules every stage in this package follows:
 
 * **spawn-safe tasks** -- a worker task is a module-level function whose
-  arguments are picklable plain data (JSON strings, tuples of ints);
+  arguments are picklable plain data (JSON strings, tuples and lists of
+  ints);
   nothing relies on memory inherited from the parent, so the same code
   runs under ``fork``, ``spawn``, and ``forkserver``;
 * **private managers** -- a worker never sees the parent's
   :class:`~repro.bdd.manager.BDDManager`.  BDD functions cross the
-  process boundary only through :func:`repro.bdd.serialize.dump_functions`
-  / ``load_functions``;
+  process boundary only as an image, :func:`repro.bdd.serialize.dump_image`
+  / ``load_image``;
 * **graceful serial fallback** -- at ``workers <= 1`` every stage runs the
   plain in-process code path with no pool, no serialization, and no
   child processes.

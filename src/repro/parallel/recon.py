@@ -1,11 +1,12 @@
 """The isolated rebuild of Section VI-B (Fig. 8), and a process to run it in.
 
 A rebuild is three plain-data steps, each defined once here:
-:func:`snapshot_predicates` serializes the live predicates (pids + BDDs)
-in the query process; :func:`rebuild_snapshot` computes the atomic
-universe and a fresh AP Tree in its *own* manager and returns both as
-snapshots (:mod:`repro.parallel.snapshot`); :func:`restore_rebuild` wires
-the result back into the canonical manager, where
+:func:`snapshot_predicates` serializes the live predicates (pids + one
+BDD image, :mod:`repro.bdd.serialize`) in the query process;
+:func:`rebuild_snapshot` computes the atomic universe and a fresh AP
+Tree in its *own* manager and returns both as snapshots
+(:mod:`repro.parallel.snapshot`); :func:`restore_rebuild` wires the
+result back into the canonical manager, where
 :meth:`APClassifier.install_rebuild` (or the simulator) replays the
 journaled updates and swaps -- the version-stamp staleness machinery on
 the tree is untouched, because the restored tree is a brand-new object
@@ -26,8 +27,8 @@ import traceback
 from multiprocessing import get_context
 from typing import Sequence
 
-from ..bdd import BDDManager
-from ..bdd.serialize import dump_functions, load_functions
+from ..bdd import BDDManager, Function
+from ..bdd.serialize import Image, dump_image, image_nbytes, load_image
 from ..core.aptree import APTree
 from ..core.atomic import AtomicUniverse
 from ..core.construction import build_tree
@@ -50,19 +51,21 @@ __all__ = [
 
 def snapshot_predicates(
     predicates: Sequence[LabeledPredicate],
-) -> tuple[list[int], str]:
-    """Submit half: a predicate set as plain data ``(pids, dumped)``.
+) -> tuple[list[int], Image]:
+    """Submit half: a non-empty predicate set as plain data ``(pids, image)``.
 
     Must run where the predicates' manager is quiescent (the caller's
     update lock); everything downstream works on the serialized copy.
     """
     return (
         [labeled.pid for labeled in predicates],
-        dump_functions([labeled.fn for labeled in predicates]),
+        dump_image(
+            predicates[0].fn.manager, [labeled.fn.node for labeled in predicates]
+        ),
     )
 
 
-def rebuild_snapshot(pids: Sequence[int], dumped: str, strategy: str) -> dict:
+def rebuild_snapshot(pids: Sequence[int], image: Image, strategy: str) -> dict:
     """The one isolated rebuild: predicate snapshot in, payload out.
 
     Receives only plain data and deserializes into a manager of its own,
@@ -72,11 +75,10 @@ def rebuild_snapshot(pids: Sequence[int], dumped: str, strategy: str) -> dict:
     process keeps mutating.  Canonical renumbering plus a fixed tree
     ``rng`` make the payload a function of the snapshot alone.
     """
-    functions = load_functions(dumped)
-    manager = functions[0].manager if functions else BDDManager(1)
+    manager = BDDManager(image[0])  # the image carries its num_vars
     labeled = [
-        LabeledPredicate(pid, "forward", "recon", "recon", fn)
-        for pid, fn in zip(pids, functions)
+        LabeledPredicate(pid, "forward", "recon", "recon", Function(manager, node))
+        for pid, node in zip(pids, load_image(manager, image))
     ]
     universe = AtomicUniverse.compute(manager, labeled).renumber_canonical()
     tree = build_tree(universe, strategy=strategy, rng=random.Random(0)).tree
@@ -156,11 +158,11 @@ class ReconstructionProcess:
         """Ship a predicate snapshot to the worker (non-blocking)."""
         if self._busy:
             raise RuntimeError("a rebuild is already in flight")
-        pids, dumped = snapshot_predicates(predicates)
-        self._conn.send((pids, dumped, self.strategy))
+        pids, image = snapshot_predicates(predicates)
+        self._conn.send((pids, image, self.strategy))
         if self.recorder is not None:
             self.recorder.parallel.record_shipping(
-                to_workers=len(dumped), from_workers=0
+                to_workers=image_nbytes(image), from_workers=0
             )
         self._busy = True
 
@@ -180,8 +182,7 @@ class ReconstructionProcess:
         if self.recorder is not None:
             self.recorder.parallel.record_shipping(
                 to_workers=0,
-                from_workers=len(payload["universe"]["atoms"])
-                + len(payload["universe"]["predicates"]),
+                from_workers=image_nbytes(payload["universe"]["image"]),
             )
         universe, tree = restore_rebuild(payload, self.manager)
         return universe, tree, payload["elapsed_s"]

@@ -2,9 +2,10 @@
 
 The reconstruction worker (Section VI-B, Fig. 8) computes a fresh
 universe and tree in its own process and must ship both back to the
-query process.  BDD functions travel via :mod:`repro.bdd.serialize`;
-this module adds the structure around them: atom order, ``R`` sets as
-positions, and the tree as a flat preorder record list.
+query process.  BDD functions travel as one image
+(:mod:`repro.bdd.serialize`); this module adds the structure around it:
+atom order, ``R`` sets as positions, and the tree as a flat preorder
+record list.
 
 Atom ids are positional: a snapshot stores atoms in sorted-id order and
 :func:`restore_universe` re-mints them as ``0..n-1``.  Universes that
@@ -15,8 +16,8 @@ snapshot round-trip is id-stable.
 
 from __future__ import annotations
 
-from ..bdd import BDDManager
-from ..bdd.serialize import dump_functions, load_functions
+from ..bdd import BDDManager, Function
+from ..bdd.serialize import dump_image, load_image
 from ..core.aptree import APTree, APTreeNode
 from ..core.atomic import AtomicUniverse
 
@@ -31,14 +32,21 @@ _LEAF = -1
 
 
 def snapshot_universe(universe: AtomicUniverse) -> dict:
-    """The universe as a JSON-ready dict (atoms positional, R by position)."""
+    """The universe as plain data (atoms positional, R by position).
+
+    The image's roots are the predicates in ``pids`` order, then the
+    atoms in sorted-id order.
+    """
     order = sorted(universe.atom_ids())
     position = {atom_id: index for index, atom_id in enumerate(order)}
     pids = universe.predicate_ids()
     return {
-        "atoms": dump_functions([universe.atom_fn(a) for a in order]),
+        "image": dump_image(
+            universe.manager,
+            [universe.predicate_fn(p).node for p in pids]
+            + [universe.atom_fn(a).node for a in order],
+        ),
         "pids": pids,
-        "predicates": dump_functions([universe.predicate_fn(p) for p in pids]),
         "r": [
             sorted(position[atom_id] for atom_id in universe.r(pid))
             for pid in pids
@@ -48,13 +56,14 @@ def snapshot_universe(universe: AtomicUniverse) -> dict:
 
 def restore_universe(payload: dict, manager: BDDManager) -> AtomicUniverse:
     """Rebuild a snapshot in ``manager``; atoms become ids ``0..n-1``."""
-    atoms = load_functions(payload["atoms"], manager)
-    predicates = load_functions(payload["predicates"], manager)
     pids = payload["pids"]
+    functions = [
+        Function(manager, node) for node in load_image(manager, payload["image"])
+    ]
     return AtomicUniverse.assemble(
         manager,
-        dict(zip(pids, predicates)),
-        atoms,
+        dict(zip(pids, functions)),  # zip stops at the last predicate
+        functions[len(pids):],
         dict(zip(pids, payload["r"])),
     )
 

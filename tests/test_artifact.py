@@ -32,6 +32,9 @@ from repro.artifact import (
 from repro.core.classifier import APClassifier
 from repro.core.compiled import available_backends
 from repro.datasets import internet2_like, random_headers, rule_update_stream, toy_network
+from repro.datasets.registry import get_scenario, list_scenarios
+from repro.parallel import snapshot_tree
+from repro.persist import classifier_from_json, classifier_to_json
 
 
 def classify_all(classifier, headers):
@@ -179,6 +182,53 @@ def test_round_trip_property(updates, seed, tmp_path_factory):
     assert classify_all(restored, headers) == classify_all(classifier, headers)
 
 
+def structure(classifier):
+    """Atom ids, R sets and tree shape, with predicates named by slot:
+    a load re-mints pids in the serialized (sorted) box order."""
+    dataplane, universe = classifier.dataplane, classifier.universe
+
+    def slot(pid):
+        labeled = dataplane.predicate(pid)
+        return labeled.kind, labeled.box, labeled.port
+
+    return (
+        universe.atom_ids(),
+        {slot(pid): universe.r(pid) for pid in universe.predicate_ids()},
+        [
+            (pid if pid < 0 else slot(pid), first, second)
+            for pid, first, second in snapshot_tree(classifier.tree, universe)
+        ],
+    )
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_registry_round_trips_exact_and_byte_stable(name):
+    """Artifact and JSON, every registry scenario: a restored classifier
+    has the same atom ids, R sets, tree shape and answers; saving twice
+    and save -> load -> save write the same bytes."""
+    scenario = get_scenario(name)
+    network = scenario.network()
+    original = APClassifier.build(network)
+    headers = scenario.trace(original.universe, 500).headers
+    blob = artifact_bytes(original)
+    text = classifier_to_json(original)
+    assert artifact_bytes(original) == blob
+    assert classifier_to_json(original) == text
+    for first, save, load in (
+        (blob, artifact_bytes, load_artifact_buffer),
+        (text, classifier_to_json, classifier_from_json),
+    ):
+        restored = load(first)
+        assert structure(restored) == structure(original)
+        assert classify_all(restored, headers) == classify_all(original, headers)
+        # Every later generation is byte-identical; the first is too
+        # unless the load renumbered pids (boxes not built in sorted order).
+        second = save(restored)
+        assert save(load(second)) == second
+        if list(network.boxes) == sorted(network.boxes):
+            assert second == first
+
+
 class TestCorruption:
     """Damage must raise a typed error -- never a wrong answer."""
 
@@ -246,12 +296,47 @@ class TestCorruption:
 
         classifier = APClassifier.build(toy_network())
         manifest, sections = _manifest_and_sections(classifier)
-        manifest = dict(manifest, payload_version=999)
         path = tmp_path / "payload.apc"
-        path.write_bytes(build_artifact_bytes(manifest, sections))
-        with pytest.raises(ArtifactVersionError):
-            load_artifact(path)
+        # 1 is the pre-image layout (per-root triples + offsets).
+        for version in (1, 999):
+            manifest = dict(manifest, payload_version=version)
+            path.write_bytes(build_artifact_bytes(manifest, sections))
+            with pytest.raises(ArtifactVersionError):
+                load_artifact(path)
         del json
+
+    def test_tampered_image_refused_without_crc(self, tmp_path):
+        """The CRC only catches accidents, and only while verification
+        is on: a tampered ref or var whose CRC is right (or unchecked)
+        must still raise, never load a function that answers differently."""
+        from repro.artifact import build_artifact_bytes
+        from repro.artifact.codec import _manifest_and_sections
+
+        classifier = APClassifier.build(toy_network())
+        manifest, sections = _manifest_and_sections(classifier)
+        index = [name for name, _, _ in sections].index("bdd_nodes")
+        name, dtype, nodes = sections[index]
+        for offset, value in ((-3, 99), (-2, -3), (-1, len(nodes)), (-3, -1)):
+            tampered = list(nodes)
+            tampered[offset] = value
+            sections[index] = (name, dtype, tampered)
+            blob = build_artifact_bytes(manifest, sections)
+            for verify in (True, False):
+                with pytest.raises(ArtifactMismatch, match="BDD image"):
+                    load_artifact_buffer(blob, verify=verify)
+        sections[index] = (name, dtype, nodes)
+        index = [name for name, _, _ in sections].index("bdd_roots")
+        name, dtype, roots = sections[index]
+        sections[index] = (name, dtype, [-1, *roots[1:]])
+        with pytest.raises(ArtifactMismatch, match="BDD image"):
+            load_artifact_buffer(
+                build_artifact_bytes(manifest, sections), verify=False
+            )
+        sections[index] = (name, dtype, roots[:-1])
+        with pytest.raises(ArtifactMismatch, match="stored BDD roots"):
+            load_artifact_buffer(
+                build_artifact_bytes(manifest, sections), verify=False
+            )
 
     def test_wrong_kind(self, tmp_path):
         from repro.artifact import build_artifact_bytes

@@ -99,7 +99,40 @@ class TestValidation:
         text = classifier_to_json(APClassifier.build(toy_network()))
         payload = json.loads(text)
         payload["version"] = 99
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unsupported .* version"):
+            classifier_from_json(json.dumps(payload))
+
+    def test_version_1_snapshot_refused(self):
+        """The pre-image layout (one triple list per predicate/atom, a
+        nested tree) is refused by version, before anything is parsed."""
+        old = {
+            "version": 1,
+            "strategy": "oapt",
+            "network": {},
+            "predicates": [
+                {"pid": 0, "slot": ["forward", "b", "p"], "r": [0],
+                 "bdd": [[0, -2, -1], [-1, 0, 0]]}
+            ],
+            "atoms": [{"atom_id": 0, "bdd": [[-1, -1, -1]]}],
+            "tree": ["L", 0],
+        }
+        with pytest.raises(ValueError, match="unsupported .* version 1"):
+            classifier_from_json(json.dumps(old))
+
+    def test_tampered_image_detected(self):
+        """No checksum guards the JSON form: the image's own validation
+        and the node-identity check must refuse an edited ref."""
+        classifier = APClassifier.build(toy_network())
+        payload = json.loads(classifier_to_json(classifier))
+        num_vars, nodes, roots = payload["image"]
+        for offset, value in ((-2, -3), (-3, 99), (-1, len(nodes))):
+            tampered = list(nodes)
+            tampered[offset] = value
+            payload["image"] = [num_vars, tampered, roots]
+            with pytest.raises(SnapshotMismatch, match="BDD image"):
+                classifier_from_json(json.dumps(payload))
+        payload["image"] = [num_vars, nodes, roots[:-1]]
+        with pytest.raises(SnapshotMismatch, match="stored BDD roots"):
             classifier_from_json(json.dumps(payload))
 
     def test_stale_snapshot_detected(self):
