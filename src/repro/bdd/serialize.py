@@ -9,14 +9,15 @@ node.  Refs are never raw node ids, and nodes are emitted in one
 depth-first postorder over the roots in order (low before high, a node
 after both children), so the bytes are a function of the dumped
 functions and their order alone -- nothing else the manager holds or
-gains later, and not the order it happened to create nodes in (serial
-build, parallel build or an earlier load), can change them.
+gains later, and not the order it happened to create nodes in (a fresh
+build, an incrementally maintained one or an earlier load), can change
+them.
 
 Postorder is topological: every ref points backwards, and loading is
 one forward pass.
 
 This is the only module that knows the layout.  Processes
-(:mod:`repro.parallel`, the reconstruction worker of Section VI-B),
+(:mod:`repro.parallel`, the reconstruction process of Section VI-B),
 files (:mod:`repro.artifact`, :mod:`repro.core.snapshots`) and the
 cross-manager transfer in :mod:`repro.diff` all move images.
 """
@@ -114,7 +115,7 @@ def load_image(manager: BDDManager, image: Image) -> list[int]:
 
 def image_nbytes(image: Image) -> int:
     """Size of an image as int32 columns -- what an artifact stores and
-    the figure ``parallel.record_shipping`` reports for a hand-off."""
+    the figure ``ParallelCounters.record_shipping`` reports for a hand-off."""
     _, nodes, roots = image
     return 4 * (len(nodes) + len(roots))
 

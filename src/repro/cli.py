@@ -106,9 +106,7 @@ def _build(args: argparse.Namespace) -> APClassifier:
     artifact = getattr(args, "artifact", "")
     if artifact:
         return _load_classifier_file(artifact)
-    return APClassifier.build(
-        _load(args), strategy=args.strategy, workers=args.workers
-    )
+    return APClassifier.build(_load(args), strategy=args.strategy)
 
 
 def _load_classifier_file(path: str) -> APClassifier:
@@ -687,13 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("random", "best_from_random", "quick_ordering", "oapt"),
         help="AP Tree construction strategy (default: oapt)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the offline build (default: the "
-        "REPRO_WORKERS environment variable, else serial)",
-    )
     # The metavar controls the usage listing; "snapshot" stays
     # registered below as a hidden legacy alias of `save --format network`.
     sub = parser.add_subparsers(
@@ -719,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="skip the build: load a classifier saved by `save` "
             "(binary artifact or classifier JSON)",
         )
-        # Accept the global options after the subcommand too.  SUPPRESS
+        # Accept the global option after the subcommand too.  SUPPRESS
         # keeps the subparser from overwriting a value already parsed at
         # the top level.
         sub_parser.add_argument(
@@ -727,9 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=argparse.SUPPRESS,
             choices=("random", "best_from_random", "quick_ordering", "oapt"),
             help=argparse.SUPPRESS,
-        )
-        sub_parser.add_argument(
-            "--workers", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS
         )
 
     stats = sub.add_parser("stats", help="dataset and classifier statistics")

@@ -1,12 +1,11 @@
 """Central registry for every ``REPRO_*`` environment knob.
 
 Before this module existed, configuration reads were scattered
-(``parallel.pool`` parsed ``REPRO_WORKERS``, ``core.compiled`` peeked at
-``REPRO_DISABLE_NUMPY`` at import, the benchmark conftest read
-``REPRO_OBS_SIDECAR``, ...), which made it impossible to answer "what
-knobs exist and what do they do?" without grepping.  Now every knob is
-declared once in :data:`KNOBS` with a typed accessor next to it, and the
-rest of the codebase imports from here.
+(``core.compiled`` peeked at ``REPRO_DISABLE_NUMPY`` at import, the
+benchmark conftest read ``REPRO_OBS_SIDECAR``, ...), which made it
+impossible to answer "what knobs exist and what do they do?" without
+grepping.  Now every knob is declared once in :data:`KNOBS` with a typed
+accessor next to it, and the rest of the codebase imports from here.
 
 Semantics shared by all knobs:
 
@@ -18,13 +17,11 @@ Semantics shared by all knobs:
   never a silent fallback, so typos in CI matrices fail loudly.
 
 Knob reference (also surfaced by :func:`describe` and
-``docs/persistence.md`` / ``docs/parallel.md``):
+``docs/persistence.md``):
 
-``REPRO_WORKERS``
-    Default worker count for the parallel offline pipeline (build,
-    atoms, reconstruction).  ``1`` or unset = serial.
 ``REPRO_MP_START``
-    Multiprocessing start method (``fork``/``spawn``/``forkserver``).
+    Multiprocessing start method (``fork``/``spawn``/``forkserver``)
+    for the reconstruction process, serve workers and shard replicas.
     Default: ``fork`` where available, else ``spawn``.
 ``REPRO_DISABLE_NUMPY``
     Truthy = never import numpy; the compiled engine and artifact loads
@@ -60,7 +57,6 @@ import os
 from dataclasses import dataclass
 
 __all__ = [
-    "ENV_WORKERS",
     "ENV_MP_START",
     "ENV_DISABLE_NUMPY",
     "ENV_ENGINE",
@@ -73,7 +69,6 @@ __all__ = [
     "KNOBS",
     "env_flag",
     "env_int",
-    "workers",
     "mp_start",
     "numpy_disabled",
     "engine",
@@ -84,7 +79,6 @@ __all__ = [
     "describe",
 ]
 
-ENV_WORKERS = "REPRO_WORKERS"
 ENV_MP_START = "REPRO_MP_START"
 ENV_DISABLE_NUMPY = "REPRO_DISABLE_NUMPY"
 ENV_ENGINE = "REPRO_ENGINE"
@@ -108,7 +102,6 @@ class Knob:
 
 
 KNOBS: tuple[Knob, ...] = (
-    Knob(ENV_WORKERS, "int", "1", "offline-pipeline worker processes"),
     Knob(ENV_MP_START, "str", "fork if available else spawn",
          "multiprocessing start method"),
     Knob(ENV_DISABLE_NUMPY, "bool", "0",
@@ -157,13 +150,6 @@ def env_int(name: str, default: int | None = None) -> int | None:
         return int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def workers(explicit: int | None = None) -> int:
-    """Effective offline-pipeline width: argument, else env, else 1."""
-    if explicit is None:
-        explicit = env_int(ENV_WORKERS, 1)
-    return max(1, int(explicit))
 
 
 def mp_start(explicit: str | None = None) -> str:

@@ -166,9 +166,9 @@ class AtomicUniverse:
 
         ``atoms`` become ids ``0..n-1`` in iteration order; ``r`` maps each
         pid to the atom ids (positions) inside it.  This is the re-entry
-        point for universes that crossed a process boundary (the parallel
-        pipeline and the reconstruction worker ship atoms via
-        :mod:`repro.bdd.serialize` and reassemble here) and for merges.
+        point for universes that crossed a process boundary (the
+        reconstruction worker ships atoms via :mod:`repro.bdd.serialize`
+        and :mod:`repro.parallel.snapshot` reassembles them here).
         The invariants are *not* re-verified -- use :meth:`verify_partition`
         when the parts come from an untrusted path.
         """
@@ -230,8 +230,8 @@ class AtomicUniverse:
         (:meth:`BDDManager.first_sat`) -- a total order that depends only
         on the partition itself, never on the refinement history.  Two
         universes over the same predicate set therefore get identical atom
-        ids however they were computed, which is what makes the parallel
-        pipeline's output independent of the worker count.
+        ids however they were computed, which is what lets a rebuilt or
+        incrementally maintained universe be compared with a fresh one.
         """
         first_sat = self.manager.first_sat
         order = sorted(

@@ -151,37 +151,9 @@ class APClassifier:
         rng: random.Random | None = None,
         trials: int = 100,
         count_visits: bool = False,
-        workers: int | None = None,
         maintenance: str = "tombstone",
     ) -> "APClassifier":
-        """Compile a network and build the classifier in one step.
-
-        ``workers`` (default: the ``REPRO_WORKERS`` environment variable,
-        else 1) routes the offline phase through the multi-core pipeline
-        of :mod:`repro.parallel`; the result is output-equivalent to the
-        serial build for any worker count.
-        """
-        # Imported lazily: repro.parallel pulls in repro.core, which
-        # imports this module at package init.
-        from ..parallel import offline_pipeline, resolve_workers
-
-        if resolve_workers(workers) > 1:
-            result = offline_pipeline(
-                network,
-                workers=workers,
-                strategy=strategy,
-                manager=manager,
-                rng=rng,
-                trials=trials,
-            )
-            return cls(
-                result.dataplane,
-                result.universe,
-                result.report.tree,
-                strategy=strategy,
-                count_visits=count_visits,
-                maintenance=maintenance,
-            )
+        """Compile a network and build the classifier in one step."""
         dataplane = DataPlane(network, manager)
         return cls.from_dataplane(
             dataplane,

@@ -21,7 +21,6 @@ __all__ = [
     "build_with_order",
     "build_random",
     "best_from_random",
-    "draw_trial_seeds",
     "build_quick_ordering",
     "build_oapt",
     "build_optimal",
@@ -62,48 +61,27 @@ def build_random(universe: AtomicUniverse, rng: random.Random) -> APTree:
     return build_with_order(universe, order)
 
 
-def draw_trial_seeds(rng: random.Random, trials: int) -> list[int]:
-    """Pre-draw one independent seed per Best-from-Random trial.
-
-    Seeding each trial with its own :class:`random.Random` decouples the
-    trials from each other, so they can run in any order -- or in worker
-    processes -- and still produce depth-for-depth identical results.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    return [rng.randrange(1 << 63) for _ in range(trials)]
-
-
 def best_from_random(
     universe: AtomicUniverse,
     trials: int = 100,
     rng: random.Random | None = None,
     weights: Mapping[int, float] | None = None,
-    seeds: Sequence[int] | None = None,
 ) -> tuple[APTree, list[float]]:
     """The paper's Best-from-Random baseline (Section VII-A).
 
     Builds ``trials`` random-order trees and keeps the one with minimal
     average leaf depth.  Also returns every trial's average depth, which
-    is exactly the scatter data of Fig. 4.  With ``seeds``, each trial
-    shuffles with its own ``Random(seed)`` (see :func:`draw_trial_seeds`);
-    without, the single ``rng`` threads through all trials as before.
+    is exactly the scatter data of Fig. 4.
     """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
     rng = rng if rng is not None else random.Random(0)
     weight_map = dict(weights) if weights else None
     best: APTree | None = None
     best_depth = float("inf")
     depths: list[float] = []
-    if seeds is not None:
-        trial_rngs = [random.Random(seed) for seed in seeds]
-    else:
-        if trials <= 0:
-            raise ValueError("trials must be positive")
-        trial_rngs = [rng] * trials
-    if not trial_rngs:
-        raise ValueError("seeds must be non-empty")
-    for trial_rng in trial_rngs:
-        tree = build_random(universe, trial_rng)
+    for _ in range(trials):
+        tree = build_random(universe, rng)
         depth = tree.average_depth(weight_map)
         depths.append(depth)
         if depth < best_depth:

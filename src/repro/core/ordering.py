@@ -118,10 +118,6 @@ def oapt_survivor(
     """One OAPT linear scan: the candidate never found inferior.
 
     ``sets[pid]`` must already be restricted to the current atom set.
-    Module-level (rather than a closure inside :func:`oapt_chooser`) so
-    parallel construction can run the same scan on candidate chunks in
-    worker processes and again over the chunk survivors -- the relation is
-    acyclic, so a survivor-of-survivors is still not inferior to anyone.
     """
     best = candidates[0]
     best_set = sets[best]

@@ -79,9 +79,9 @@ class DataPlane:
         }
         for box in network.boxes.values():
             if precompiled is not None:
-                # Sharded conversion already compiled this box's functions
-                # (into *this* manager); mint them in the canonical order
-                # so pids match a serial compile exactly.
+                # The artifact loader already restored this box's
+                # functions (into *this* manager); mint them in the
+                # canonical order so pids match a fresh compile exactly.
                 for kind, port, fn in precompiled[box.name]:
                     if fn.manager is not self.manager:
                         raise ValueError(

@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 #: Snapshot format identifier; bump on incompatible shape changes.
-#: /2 added the "parallel" section (offline-pipeline stage walls, shard
-#: sizes, shipping volume) and ``updates.replayed``.
+#: /2 added the "parallel" section (process shipping volume; its stage
+#: and shard keys are no longer fed) and ``updates.replayed``.
 #: /3 added the "serve" section (online query service: batch-size
 #: histogram, queue depth watermark, sheds/timeouts, service latency).
 #: /4 added the "persist" section (artifact/snapshot save and load
@@ -237,14 +237,15 @@ class UpdateCounters:
 
 
 class ParallelCounters:
-    """Offline-pipeline counters: stage walls, shards, shipping volume.
+    """Cross-process shipping volume of the Section VI-B rebuild.
 
-    Populated by :mod:`repro.parallel` -- per-stage wall time, the shard
-    sizes each stage fanned out, bytes of serialized BDDs crossing the
-    process boundary in each direction, and the atom count after each
-    universe merge step (the divide-and-conquer convergence trace).
+    :class:`repro.parallel.ReconstructionProcess` feeds the two byte
+    counters (BDD images sent to / received from its worker).
     """
 
+    # Only the two byte counters have a writer; the other five keys stay
+    # (at 0/{}/[]) so committed ``/9`` sidecars validate, until the schema
+    # turns additive (ROADMAP item 8(d)).
     __slots__ = (
         "workers",
         "pool_tasks",
@@ -264,28 +265,10 @@ class ParallelCounters:
         self.bytes_from_workers = 0
         self.merge_atom_counts: list[int] = []
 
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Accrue wall time for one pipeline stage."""
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def record_shards(self, stage: str, sizes: list[int]) -> None:
-        """One fan-out: the per-worker-task shard sizes of a stage."""
-        self.shard_sizes.setdefault(stage, []).extend(sizes)
-        self.pool_tasks += len(sizes)
-
     def record_shipping(self, to_workers: int, from_workers: int) -> None:
         """Serialized-BDD bytes sent to / received from workers."""
         self.bytes_to_workers += to_workers
         self.bytes_from_workers += from_workers
-
-    def record_merge(self, atom_count: int) -> None:
-        """One universe merge completed with ``atom_count`` atoms."""
-        self.merge_atom_counts.append(atom_count)
-
-    def record_pool(self, workers: int) -> None:
-        """Note the pool width a stage ran with (max is reported)."""
-        if workers > self.workers:
-            self.workers = workers
 
 
 class ServeCounters:
@@ -743,11 +726,11 @@ class Recorder:
         Sections: ``scenario`` (which registry scenario produced the
         workload), ``bdd`` (cache and node-table counters), ``tree``
         (per-query evaluation counts and depth histogram), ``updates``
-        (splits, rebuilds, staleness fallbacks), ``parallel`` (offline
-        pipeline phases), ``serve`` (the query service's batch/queue/
-        latency counters), ``persist`` (artifact/snapshot save and load
-        traffic), ``diff`` (generation diffs and what-if queries), and
-        ``timeline`` (dynamic-run samples).
+        (splits, rebuilds, staleness fallbacks), ``parallel`` (bytes
+        shipped to and from the reconstruction process), ``serve`` (the
+        query service's batch/queue/latency counters), ``persist``
+        (artifact/snapshot save and load traffic), ``diff`` (generation
+        diffs and what-if queries), and ``timeline`` (dynamic-run samples).
         """
         bdd = self.bdd
         tree = self.tree

@@ -27,13 +27,13 @@ import traceback
 from multiprocessing import get_context
 from typing import Sequence
 
+from .. import config
 from ..bdd import BDDManager, Function
 from ..bdd.serialize import Image, dump_image, image_nbytes, load_image
 from ..core.aptree import APTree
 from ..core.atomic import AtomicUniverse
 from ..core.construction import build_tree
 from ..network.dataplane import LabeledPredicate
-from .pool import default_start_method
 from .snapshot import (
     restore_tree,
     restore_universe,
@@ -133,9 +133,7 @@ class ReconstructionProcess:
         self.manager = manager
         self.strategy = strategy
         self.recorder = recorder
-        context = get_context(
-            start_method if start_method is not None else default_start_method()
-        )
+        context = get_context(config.mp_start(start_method))
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_reconstruction_worker,

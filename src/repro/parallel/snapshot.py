@@ -9,9 +9,9 @@ record list.
 
 Atom ids are positional: a snapshot stores atoms in sorted-id order and
 :func:`restore_universe` re-mints them as ``0..n-1``.  Universes that
-went through :meth:`AtomicUniverse.renumber_canonical` (everything the
-parallel pipeline produces) already have exactly those ids, so a
-snapshot round-trip is id-stable.
+went through :meth:`AtomicUniverse.renumber_canonical` (everything
+:func:`repro.parallel.recon.rebuild_snapshot` produces) already have
+exactly those ids, so a snapshot round-trip is id-stable.
 """
 
 from __future__ import annotations

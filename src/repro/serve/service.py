@@ -434,6 +434,14 @@ class QueryService:
         dispatcher = self._dispatcher
         if dispatcher is None or dispatcher.done():
             raise ServiceClosed("service is not running")
+        # Refuse here, before a queue slot or single-flight entry is
+        # taken: a header the kernel cannot pack would fail the whole
+        # coalesced batch, i.e. other callers' requests.
+        width = self.classifier.dataplane.layout.total_width
+        if not 0 <= header < 1 << width:
+            raise ValueError(
+                f"header {header} out of range for a {width}-bit layout"
+            )
         counters = self.counters
         if ingress is None:
             if self._cache is not None:

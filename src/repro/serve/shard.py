@@ -706,6 +706,11 @@ class ShardRouter:
         return atoms
 
     async def classify(self, header: int) -> int:
+        num_vars = self._routing[0].program.num_vars
+        if not 0 <= header < 1 << num_vars:
+            raise ValueError(
+                f"header {header} out of range for a {num_vars}-bit layout"
+            )
         return (await self.classify_batch([header]))[0]
 
     async def _shard_call(

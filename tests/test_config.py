@@ -41,16 +41,6 @@ class TestFlags:
 
 
 class TestInts:
-    def test_workers_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(config.ENV_WORKERS, "4")
-        assert config.workers() == 4
-        assert config.workers(2) == 2
-
-    def test_workers_floor_is_one(self, monkeypatch):
-        monkeypatch.setenv(config.ENV_WORKERS, "-3")
-        assert config.workers() == 1
-        assert config.workers(0) == 1
-
     def test_serve_workers_default(self, monkeypatch):
         monkeypatch.delenv(config.ENV_SERVE_WORKERS, raising=False)
         assert config.serve_workers() == 1
@@ -59,9 +49,9 @@ class TestInts:
         assert config.serve_workers(2) == 2
 
     def test_bad_int_is_loud(self, monkeypatch):
-        monkeypatch.setenv(config.ENV_WORKERS, "many")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            config.workers()
+        monkeypatch.setenv(config.ENV_SERVE_WORKERS, "many")
+        with pytest.raises(ValueError, match="REPRO_SERVE_WORKERS"):
+            config.serve_workers()
 
 
 class TestEngine:
@@ -115,7 +105,6 @@ class TestRegistry:
     def test_every_knob_described(self):
         names = {knob.name for knob in config.KNOBS}
         assert names == {
-            "REPRO_WORKERS",
             "REPRO_MP_START",
             "REPRO_DISABLE_NUMPY",
             "REPRO_ENGINE",
@@ -127,11 +116,3 @@ class TestRegistry:
         rows = config.describe()
         assert {row["name"] for row in rows} == names
         assert all(row["help"] for row in rows)
-
-    def test_pool_module_delegates(self, monkeypatch):
-        from repro.parallel import pool
-
-        monkeypatch.setenv(config.ENV_WORKERS, "5")
-        assert pool.resolve_workers() == 5
-        assert pool.ENV_WORKERS == config.ENV_WORKERS
-        assert pool.ENV_START == config.ENV_MP_START

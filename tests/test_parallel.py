@@ -1,12 +1,9 @@
-"""The multi-core offline pipeline (``repro.parallel``).
+"""Section VI-B's reconstruction process and its snapshots (``repro.parallel``).
 
-The load-bearing property throughout is *output equivalence*: every
-parallel entry point must produce the same artifacts as its serial
-counterpart for any worker count -- same pids, same canonical atom ids
-with the same BDD nodes, same ``R`` sets, same classifications.  The
-divide-and-conquer merge gets a property test against serial
-``AtomicUniverse.compute`` on two predicate substrates (random cubes and
-real data plane predicates).
+The load-bearing property is that a rebuild which crossed a process
+boundary is *the same* rebuild: same canonical atom ids with the same
+BDD nodes, same ``R`` sets, same classifications as computing it in
+place.
 """
 
 from __future__ import annotations
@@ -14,38 +11,20 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.bdd import BDDManager, Function
+from repro.bdd import BDDManager
 from repro.core.atomic import AtomicUniverse
-from repro.core.classifier import APClassifier
-from repro.core.construction import best_from_random, draw_trial_seeds
 from repro.core.reconstruction import DynamicSimulation
-from repro.datasets import internet2_like, toy_network
-from repro.network.dataplane import DataPlane, LabeledPredicate
+from repro.datasets import internet2_like
+from repro.network.dataplane import DataPlane
 from repro.obs import Recorder, validate_snapshot
 from repro.parallel import (
     ReconstructionProcess,
-    WorkerPool,
-    compute_atoms,
-    merge_universes,
-    offline_pipeline,
-    parallel_best_from_random,
-    parallel_dataplane,
-    resolve_workers,
     restore_tree,
     restore_universe,
-    shard,
     snapshot_tree,
     snapshot_universe,
 )
-
-NUM_VARS = 6
-
-
-def labeled(pid: int, fn: Function) -> LabeledPredicate:
-    return LabeledPredicate(pid, "forward", "t", "t", fn)
 
 
 def canonical_atoms(universe: AtomicUniverse) -> dict[int, int]:
@@ -62,212 +41,6 @@ def assert_universes_identical(
     assert left.predicate_ids() == right.predicate_ids()
     for pid in left.predicate_ids():
         assert left.r(pid) == right.r(pid)
-
-
-# ----------------------------------------------------------------------
-# Pool plumbing
-# ----------------------------------------------------------------------
-
-
-def test_resolve_workers_argument_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    assert resolve_workers(2) == 2
-    assert resolve_workers() == 4
-    monkeypatch.delenv("REPRO_WORKERS")
-    assert resolve_workers() == 1
-    assert resolve_workers(0) == 1
-    assert resolve_workers(-3) == 1
-
-
-def test_resolve_workers_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "many")
-    with pytest.raises(ValueError, match="REPRO_WORKERS"):
-        resolve_workers()
-
-
-def test_shard_contiguous_and_near_even():
-    items = list(range(10))
-    shards = shard(items, 3)
-    assert [item for chunk in shards for item in chunk] == items
-    assert sorted(len(chunk) for chunk in shards) == [3, 3, 4]
-    # Never more shards than items, never an empty shard.
-    assert shard([1, 2], 8) == [[1], [2]]
-    assert shard([], 4) == []
-    assert shard(items, 1) == [items]
-
-
-def test_worker_pool_serial_fallback_runs_in_process():
-    with WorkerPool(1) as pool:
-        assert pool.serial
-        assert pool.map(len, ["aa", "b"]) == [2, 1]
-        assert pool._pool is None  # no processes were ever created
-
-
-def test_worker_pool_rejects_bad_start_method(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START", "telepathy")
-    with pytest.raises(ValueError, match="REPRO_MP_START"):
-        WorkerPool(2)
-
-
-# ----------------------------------------------------------------------
-# Divide-and-conquer atoms: merge == serial compute (property tests)
-# ----------------------------------------------------------------------
-
-
-def random_cubes(rng: random.Random, manager: BDDManager, count: int):
-    predicates = []
-    for pid in range(count):
-        literals = {
-            var: rng.random() < 0.5
-            for var in rng.sample(range(NUM_VARS), rng.randint(1, 3))
-        }
-        predicates.append(labeled(pid, Function.cube(manager, literals)))
-    return predicates
-
-
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=2, max_value=8),
-    st.integers(min_value=1, max_value=7),
-)
-@settings(max_examples=60, deadline=None)
-def test_merge_matches_serial_compute_on_cubes(seed, count, cut):
-    """merge(compute(P1), compute(P2)) == compute(P1 | P2), on cubes."""
-    cut = min(cut, count - 1)
-    rng = random.Random(seed)
-    manager = BDDManager(NUM_VARS)
-    predicates = random_cubes(rng, manager, count)
-    serial = AtomicUniverse.compute(manager, predicates).renumber_canonical()
-    left = AtomicUniverse.compute(manager, predicates[:cut])
-    right = AtomicUniverse.compute(manager, predicates[cut:])
-    merged = merge_universes(left, right).renumber_canonical()
-    assert_universes_identical(serial, merged)
-    assert merged.verify_partition()
-
-
-def test_merge_matches_serial_compute_on_dataplane():
-    """Same property on the second substrate: real network predicates."""
-    dataplane = DataPlane(internet2_like())
-    predicates = dataplane.predicates()
-    serial = AtomicUniverse.compute(
-        dataplane.manager, predicates
-    ).renumber_canonical()
-    rng = random.Random(9)
-    for _ in range(5):
-        cut = rng.randint(1, len(predicates) - 1)
-        left = AtomicUniverse.compute(dataplane.manager, predicates[:cut])
-        right = AtomicUniverse.compute(dataplane.manager, predicates[cut:])
-        merged = merge_universes(left, right).renumber_canonical()
-        assert_universes_identical(serial, merged)
-
-
-def test_merge_rejects_overlapping_pids(toy_dataplane):
-    universe = AtomicUniverse.compute(
-        toy_dataplane.manager, toy_dataplane.predicates()
-    )
-    with pytest.raises(ValueError, match="share predicate pids"):
-        merge_universes(universe, universe)
-
-
-def test_compute_atoms_independent_of_worker_count(toy_dataplane):
-    predicates = toy_dataplane.predicates()
-    base = compute_atoms(toy_dataplane.manager, predicates, pool=WorkerPool(1))
-    for workers in (2, 3, 5):
-        universe = compute_atoms(
-            toy_dataplane.manager, predicates, pool=WorkerPool(workers)
-        )
-        assert_universes_identical(base, universe)
-
-
-# ----------------------------------------------------------------------
-# Sharded conversion
-# ----------------------------------------------------------------------
-
-
-def test_parallel_dataplane_matches_serial():
-    network = toy_network()
-    manager = BDDManager(network.layout.total_width)
-    serial = DataPlane(network, manager)
-    parallel = parallel_dataplane(network, manager=manager, pool=WorkerPool(2))
-    assert [lp.pid for lp in serial.predicates()] == [
-        lp.pid for lp in parallel.predicates()
-    ]
-    for ours, theirs in zip(serial.predicates(), parallel.predicates()):
-        assert (ours.kind, ours.box, ours.port) == (
-            theirs.kind,
-            theirs.box,
-            theirs.port,
-        )
-        assert ours.fn.node == theirs.fn.node
-
-
-# ----------------------------------------------------------------------
-# Construction
-# ----------------------------------------------------------------------
-
-
-def test_parallel_best_from_random_matches_seeded_serial(toy_universe):
-    tree, depths = parallel_best_from_random(
-        toy_universe, trials=12, rng=random.Random(5), pool=WorkerPool(3)
-    )
-    serial_tree, serial_depths = best_from_random(
-        toy_universe,
-        seeds=draw_trial_seeds(random.Random(5), 12),
-    )
-    assert depths == serial_depths
-    assert tree.leaf_depths() == serial_tree.leaf_depths()
-
-
-def test_offline_pipeline_outputs_identical_across_worker_counts():
-    network = internet2_like()
-    manager = BDDManager(network.layout.total_width)
-    results = {
-        workers: offline_pipeline(
-            network, manager=manager, pool=WorkerPool(workers)
-        )
-        for workers in (1, 2, 3)
-    }
-    base = results[1]
-    headers = [
-        random.Random(11).randrange(1 << network.layout.total_width)
-        for _ in range(100)
-    ]
-    base_classes = [base.report.tree.classify(h) for h in headers]
-    for workers in (2, 3):
-        result = results[workers]
-        assert [lp.pid for lp in result.dataplane.predicates()] == [
-            lp.pid for lp in base.dataplane.predicates()
-        ]
-        assert_universes_identical(base.universe, result.universe)
-        assert [
-            result.report.tree.classify(h) for h in headers
-        ] == base_classes
-
-
-def test_classifier_build_with_workers_env(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    network = toy_network()
-    parallel = APClassifier.build(network)
-    monkeypatch.delenv("REPRO_WORKERS")
-    serial = APClassifier.build(network)
-    headers = [
-        random.Random(13).randrange(1 << network.layout.total_width)
-        for _ in range(50)
-    ]
-    # The serial path keeps refinement-order atom ids while the parallel
-    # pipeline renumbers canonically, so compare the *partitions*: the
-    # two labelings must be related by a bijection.
-    pairs = {
-        (serial.classify(h), parallel.classify(h)) for h in headers
-    }
-    assert len({a for a, _ in pairs}) == len(pairs)
-    assert len({b for _, b in pairs}) == len(pairs)
-    assert parallel.universe.atom_count == serial.universe.atom_count
-
-
-# ----------------------------------------------------------------------
-# Snapshots and the reconstruction process
-# ----------------------------------------------------------------------
 
 
 def test_universe_and_tree_snapshot_round_trip(toy_dataplane):
@@ -307,6 +80,36 @@ def test_reconstruction_process_round_trip():
     width = dataplane.manager.num_vars
     for header in [random.Random(8).randrange(1 << width) for _ in range(64)]:
         assert tree.classify(header) == universe.classify(header)
+
+
+def test_reconstruction_process_records_shipping_counters(toy_dataplane):
+    """The obs ``parallel`` section: both byte counters fed, the rest at rest."""
+    recorder = Recorder()
+    with ReconstructionProcess(
+        toy_dataplane.manager, recorder=recorder
+    ) as recon:
+        recon.submit(toy_dataplane.predicates())
+        recon.receive()
+    parallel = validate_snapshot(recorder.snapshot())["parallel"]
+    assert parallel.pop("bytes_to_workers") > 0
+    assert parallel.pop("bytes_from_workers") > 0
+    assert parallel == {
+        "workers": 0,
+        "pool_tasks": 0,
+        "stage_seconds": {},
+        "shard_sizes": {},
+        "merge_atom_counts": [],
+    }
+
+
+def test_reconstruction_process_rejects_bad_start_method(
+    toy_dataplane, monkeypatch
+):
+    with pytest.raises(ValueError, match="REPRO_MP_START"):
+        ReconstructionProcess(toy_dataplane.manager, start_method="telepathy")
+    monkeypatch.setenv("REPRO_MP_START", "telepathy")
+    with pytest.raises(ValueError, match="REPRO_MP_START"):
+        ReconstructionProcess(toy_dataplane.manager)
 
 
 def test_reconstruction_process_rejects_double_submit(toy_dataplane):
@@ -356,27 +159,3 @@ def test_dynamic_simulation_rejects_unknown_reconstruction(toy_dataplane):
             initial_count=2,
             reconstruction="quantum",
         )
-
-
-# ----------------------------------------------------------------------
-# Observability
-# ----------------------------------------------------------------------
-
-
-def test_pipeline_records_parallel_counters():
-    recorder = Recorder()
-    result = offline_pipeline(
-        toy_network(), pool=WorkerPool(2), recorder=recorder
-    )
-    assert result.workers == 2
-    snapshot = validate_snapshot(recorder.snapshot())
-    parallel = snapshot["parallel"]
-    assert parallel["workers"] == 2
-    assert parallel["pool_tasks"] >= 2
-    assert set(parallel["stage_seconds"]) == {"convert", "atoms", "build"}
-    assert parallel["bytes_to_workers"] > 0
-    assert parallel["bytes_from_workers"] > 0
-    assert parallel["merge_atom_counts"]
-    assert sum(parallel["shard_sizes"]["atoms"]) == len(
-        result.dataplane.predicates()
-    )

@@ -21,6 +21,7 @@ import json
 
 import pytest
 
+from repro import persist
 from repro.artifact import load_artifact, save_artifact
 from repro.core.atomic import AtomicUniverse
 from repro.core.classifier import APClassifier
@@ -151,6 +152,18 @@ class TestSeedDeterminism:
         assert [
             (u.kind, u.box, u.rule.describe()) for u in stream_a
         ] == [(u.kind, u.box, u.rule.describe()) for u in stream_b]
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_two_builds_give_identical_classifier_text(self, name):
+        """One way to build, one output: two fresh builds of a scenario
+        (own network object, own manager) serialize to the same text."""
+        texts = [
+            persist.classifier_to_json(
+                APClassifier.build(get_scenario(name).network())
+            )
+            for _ in range(2)
+        ]
+        assert texts[0] == texts[1]
 
     def test_different_seeds_differ(self):
         # The acl-heavy forwarding skeleton is fixed; the seed owns the

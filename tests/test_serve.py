@@ -202,6 +202,34 @@ class TestAdmission:
         assert service.counters.served == 4
         assert service.counters.queue_depth_max == 4
 
+    @pytest.mark.parametrize(
+        "bad", [-1, 1 << 200], ids=["negative", "too-wide"]
+    )
+    def test_out_of_range_header_is_refused_alone(self, toy_classifier, bad):
+        """A header the layout cannot hold is refused at admission; the
+        good requests it would have shared a batch with are answered."""
+        good = sample_headers(toy_classifier, 2)
+
+        async def scenario():
+            service = QueryService(toy_classifier, max_delay_s=0.05)
+            async with service:
+                results = await asyncio.gather(
+                    service.classify(good[0]),
+                    service.classify(bad),
+                    service.query(bad, "b1"),
+                    service.classify(good[1]),
+                    return_exceptions=True,
+                )
+            return service, results
+
+        service, (first, refused, refused_query, second) = run(scenario())
+        assert [first, second] == toy_classifier.classify_batch(good)
+        assert isinstance(refused, ValueError)
+        assert isinstance(refused_query, ValueError)
+        assert "out of range" in str(refused)
+        assert service.counters.served == 2
+        assert service.counters.queue_depth_max == 2  # no slot was taken
+
     def test_wait_policy_backpressures_and_serves_all(self, toy_classifier):
         async def scenario():
             service = QueryService(
@@ -582,6 +610,51 @@ class TestTCP:
         metrics = responses["metrics"]["metrics"]
         assert metrics["served"] == 3  # two classifies + the good query
         assert metrics["running"] is True
+
+    def test_bad_header_fails_only_its_own_line(self):
+        """Three clients whose requests coalesce into one batch: the
+        out-of-range header gets its error line, the others their atoms."""
+        classifier = APClassifier.build(toy_network())
+        good = sample_headers(classifier, 2)
+
+        async def scenario():
+            service = QueryService(classifier, max_delay_s=0.05)
+            async with service:
+                server = await start_tcp_server(service)
+                port = server.sockets[0].getsockname()[1]
+                conns = [
+                    await asyncio.open_connection("127.0.0.1", port)
+                    for _ in range(3)
+                ]
+
+                async def ask(conn, payload):
+                    reader, writer = conn
+                    writer.write((json.dumps(payload) + "\n").encode())
+                    await writer.drain()
+                    return json.loads(await reader.readline())
+
+                replies = await asyncio.gather(
+                    ask(conns[0], {"op": "classify", "header": good[0]}),
+                    ask(conns[1], {"op": "classify", "header": -1}),
+                    ask(conns[2], {"op": "classify", "header": good[1]}),
+                )
+                pong = await ask(conns[1], {"op": "ping"})
+                for _reader, writer in conns:
+                    writer.close()
+                    await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+            return service, replies, pong
+
+        service, (first, refused, second), pong = run(scenario())
+        expected = classifier.classify_batch(good)
+        assert first == {"ok": True, "atom": expected[0]}
+        assert second == {"ok": True, "atom": expected[1]}
+        assert refused["ok"] is False
+        assert "out of range" in refused["error"]
+        assert service.counters.rejected == 1
+        assert service.counters.served == 2
+        assert pong == {"ok": True, "pong": True}
 
     def test_unexpected_error_keeps_connection_alive(self):
         classifier = APClassifier.build(toy_network())

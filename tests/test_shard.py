@@ -506,6 +506,171 @@ class TestTCPSatellites:
         assert pong == {"ok": True, "pong": True}
 
 
+class TestFrontTier:
+    """``repro serve --shards``' front endpoint, both protocols."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self, toy_classifier):
+        with ShardCluster(toy_classifier, shards=2, replicas=1) as cluster:
+            yield cluster
+
+    @staticmethod
+    def with_front(cluster, client):
+        """Run ``client(host, port)`` against a front server on ``cluster``."""
+        from repro.serve import start_front_server
+
+        async def scenario():
+            router = ShardRouter.from_cluster(cluster)
+            server = await start_front_server(router)
+            try:
+                return await client(*server.sockets[0].getsockname()[:2])
+            finally:
+                server.close()
+                await server.wait_closed()
+                await router.close()
+
+        return run(scenario())
+
+    def test_both_protocols_match_direct(self, cluster, toy_classifier):
+        headers = sample_headers(toy_classifier, 48, seed=5)
+        expected = toy_classifier.classify_batch(headers)
+
+        async def ask(reader, writer, request):
+            writer.write((json.dumps(request) + "\n").encode())
+            await writer.drain()
+            return json.loads(await reader.readline())
+
+        async def client(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(proto.pack_frame(proto.PING))
+            await writer.drain()
+            ftype, _payload = await proto.read_frame(reader)
+            assert ftype == proto.PONG
+            writer.write(
+                proto.pack_frame(proto.CLASSIFY, proto.encode_classify(headers))
+            )
+            await writer.drain()
+            ftype, payload = await proto.read_frame(reader)
+            assert ftype == proto.RESULT
+            framed = [int(a) for a in proto.decode_result(payload)]
+            writer.write(proto.pack_frame(proto.METRICS))
+            await writer.drain()
+            ftype, payload = await proto.read_frame(reader)
+            assert ftype == proto.METRICS_RESULT
+            framed_metrics = json.loads(payload)
+            writer.close()
+            await writer.wait_closed()
+
+            reader, writer = await asyncio.open_connection(host, port)
+            pong = await ask(reader, writer, {"op": "ping"})
+            replies = [
+                await ask(reader, writer, {"op": "classify", "header": h})
+                for h in headers[:8]
+            ]
+            json_metrics = await ask(reader, writer, {"op": "metrics"})
+            writer.close()
+            await writer.wait_closed()
+            return framed, framed_metrics, pong, replies, json_metrics
+
+        framed, framed_metrics, pong, replies, json_metrics = self.with_front(
+            cluster, client
+        )
+        assert framed == expected
+        assert framed_metrics["served"] == len(headers)
+        assert pong == {"ok": True, "pong": True}
+        assert replies == [{"ok": True, "atom": a} for a in expected[:8]]
+        assert json_metrics["ok"] is True
+        assert json_metrics["metrics"]["served"] == len(headers) + 8
+        assert json_metrics["metrics"]["shard"]["shards"] == 2
+
+    def test_bad_requests_answer_errors_and_survive(
+        self, cluster, toy_classifier
+    ):
+        from repro.serve.tcp import MAX_LINE_BYTES
+
+        header = sample_headers(toy_classifier, 1)[0]
+        expected = toy_classifier.classify_batch([header])[0]
+        width = toy_classifier.dataplane.layout.total_width
+
+        async def client(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(proto.pack_frame(proto.SHARD_CLASSIFY, b""))
+            await writer.drain()
+            ftype, _payload = await proto.read_frame(reader)
+            assert ftype == proto.ERROR
+            writer.write(
+                proto.pack_frame(proto.CLASSIFY, proto.encode_classify([header]))
+            )
+            await writer.drain()
+            ftype, payload = await proto.read_frame(reader)
+            assert ftype == proto.RESULT
+            framed = [int(a) for a in proto.decode_result(payload)]
+            writer.close()
+            await writer.wait_closed()
+
+            reader, writer = await asyncio.open_connection(host, port)
+            replies = []
+            for line in (
+                b'{"op": "teleport"}',
+                b"x" * (3 * MAX_LINE_BYTES),
+                b"[1, 2, 3]",
+                b'{"op": "classify", "header": -1}',
+                b'{"op": "classify", "header": %d}' % (1 << width),
+                b'{"op": "classify", "header": %d}' % header,
+            ):
+                writer.write(line + b"\n")
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            return framed, replies
+
+        framed, replies = self.with_front(cluster, client)
+        assert framed == [expected]
+        *errors, answer = replies
+        assert all(reply["ok"] is False and reply["error"] for reply in errors)
+        assert errors[1] == {"ok": False, "error": "request too large"}
+        assert "out of range" in errors[3]["error"]
+        assert "out of range" in errors[4]["error"]
+        assert answer == {"ok": True, "atom": expected}
+
+    def test_serve_front_forever_announces_strict_json(self, cluster):
+        from repro.serve import serve_front_forever
+
+        async def scenario():
+            router = ShardRouter.from_cluster(cluster)
+            lines: list[str] = []
+            task = asyncio.ensure_future(
+                serve_front_forever(
+                    router, "127.0.0.1", 0, announce=lines.append
+                )
+            )
+            try:
+                while not lines:
+                    await asyncio.sleep(0.01)
+                info = json.loads(lines[0])
+                reader, writer = await asyncio.open_connection(
+                    *info["listening"]
+                )
+                writer.write(b'{"op": "ping"}\n')
+                await writer.drain()
+                pong = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+                await router.close()
+            return lines, info, pong
+
+        lines, info, pong = run(scenario())
+        assert len(lines) == 1
+        assert info["mode"] == "shard-router"
+        assert info["listening"][0] == "127.0.0.1"
+        assert isinstance(info["listening"][1], int) and info["listening"][1] > 0
+        assert pong == {"ok": True, "pong": True}
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
