@@ -873,7 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=128,
                        help="most requests coalesced per classify_batch call")
     serve.add_argument("--max-delay-ms", type=float, default=1.0,
-                       help="micro-batching latency budget in milliseconds")
+                       help="longest a batch is held open while requests "
+                       "keep arriving, in milliseconds (it closes at the "
+                       "first event-loop pass that adds none)")
     serve.add_argument("--queue-limit", type=int, default=1024,
                        help="admission queue bound")
     serve.add_argument("--overflow", choices=("wait", "shed"), default="wait",

@@ -127,9 +127,31 @@ def _as_int_list(seq) -> list[int]:
         return seq.tolist()
     return list(seq)
 
-#: Below this batch size the whole-batch machinery costs more than it
-#: saves; batch entry points fall back to the scalar loop.
-_MIN_BATCH = 16
+
+def _header_ints(headers, num_vars: int) -> list[int]:
+    """Packed header ints from any :func:`~.kernel.pack_headers` input.
+
+    A list is used as-is; an array is validated by ``pack_headers``
+    (zero-copy) and unpacked -- ``(n,)`` by ``tolist``, ``(n, W)``
+    little-endian words one row at a time.
+    """
+    if not isinstance(headers, _np.ndarray):
+        return _as_int_list(headers)
+    words = _kernel.pack_headers(headers, num_vars)
+    if words.ndim == 1:
+        return words.tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
+#: Below this batch size the whole-batch descents cost more than they
+#: save and the tree's batch entry points walk each header on its own.
+#: Measured: numpy/scalar break-even at 128 headers on i2-14,
+#: stanford-like, stanford and acl-heavy (the stdlib crossover is 100-300).
+_MIN_BATCH = 128
+
+#: The same cutover for the PScan/AP-linear predicate-set baselines,
+#: kept where Figs. 12 and 14 were measured.
+_MIN_SET_BATCH = 16
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +430,7 @@ class FlatBDDSet:
 
     def truth_bits_batch(self, headers: Sequence[int]) -> list[int]:
         """Verdict vectors for a batch: one packed int per header."""
-        if len(headers) < _MIN_BATCH:
+        if len(headers) < _MIN_SET_BATCH:
             return [self.truth_bits(h) for h in headers]
         if self.backend == NUMPY_BACKEND:
             matrix = self._verdict_matrix_numpy(headers)  # (roots, n)
@@ -435,7 +457,7 @@ class FlatBDDSet:
         work matches the scalar scan's early exit -- just batched.
         """
         n = len(headers)
-        if n < _MIN_BATCH:
+        if n < _MIN_SET_BATCH:
             return [self.first_true(h) for h in headers]
         out = [-1] * n
         if self.backend == NUMPY_BACKEND:
@@ -1107,26 +1129,23 @@ class CompiledAPTree:
     def classify_batch(self, headers: Sequence[int]) -> list[int]:
         """Atom ids for a whole batch, all packets advanced together.
 
-        Dispatches on input type instead of unconditionally copying: a
-        numpy array routes straight through the zero-copy
-        :meth:`classify_batch_array` path (``tolist`` only at the very
-        end, to honor the list-out contract -- callers that want arrays
-        out call ``classify_batch_array`` directly); a list is used
-        as-is; only foreign sequences are materialized.
+        Dispatches on input type instead of unconditionally copying:
+        accelerated engines route through :meth:`classify_batch_array`
+        (``tolist`` only at the very end, to honor the list-out contract
+        -- callers that want arrays out call ``classify_batch_array``
+        directly); a list is used as-is; only foreign sequences are
+        materialized.  Below ``_MIN_BATCH`` headers the numpy and stdlib
+        engines walk each header with the scalar :meth:`classify`.
         """
-        if _np is not None and isinstance(headers, _np.ndarray):
-            if self.backend == STDLIB_BACKEND:
-                headers = headers.tolist()
-            else:
-                return self.classify_batch_array(headers).tolist()
-        elif not isinstance(headers, list):
-            headers = list(headers)
+        if self.backend != STDLIB_BACKEND:
+            if not isinstance(headers, _np.ndarray):
+                headers = _as_int_list(headers)
+            return self.classify_batch_array(headers).tolist()
+        headers = _as_int_list(headers)
         if len(headers) < _MIN_BATCH:
             classify = self.classify
             return [classify(h) for h in headers]
-        if self.backend == STDLIB_BACKEND:
-            return self._classify_batch_stdlib(headers)
-        return self._classify_batch_numpy(headers)
+        return self._classify_batch_stdlib(headers)
 
     def classify_batch_array(self, headers, out=None):
         """Atom ids as an ``int64`` array -- numpy arrays end-to-end.
@@ -1140,6 +1159,11 @@ class CompiledAPTree:
         when uncontended, so a steady-state serving loop performs no
         per-batch allocations beyond numpy's gather temporaries.
 
+        The numpy descent pays a fixed cost per fused-program level
+        however few headers it carries, so below ``_MIN_BATCH`` headers
+        the numpy engine writes the scalar :meth:`classify` of each
+        header into ``out`` instead.  The native loop has no such floor.
+
         Requires an accelerated backend (``native`` or ``numpy``);
         stdlib engines raise -- their batch substrate is big-int lane
         masks, not arrays (use :meth:`classify_batch`).
@@ -1152,6 +1176,10 @@ class CompiledAPTree:
         n = len(headers)
         if out is None:
             out = _np.empty(n, dtype=_np.int64)
+        if self.backend == NUMPY_BACKEND and n < _MIN_BATCH:
+            classify = self.classify
+            out[:] = [classify(h) for h in _header_ints(headers, self.num_vars)]
+            return out
         scratch = self._scratch
         leased = scratch.acquire()
         try:
@@ -1165,15 +1193,6 @@ class CompiledAPTree:
             if leased:
                 scratch.release()
         return out
-
-    def _classify_batch_numpy(self, headers: list[int]) -> list[int]:
-        """List-in/list-out shim over the word-packed kernel descent.
-
-        Historically this packed an ``n x num_vars`` bit matrix and
-        allocated every lane/cursor array per call; both now live in
-        :mod:`repro.core.kernel` (word packing + reusable scratch).
-        """
-        return self.classify_batch_array(headers).tolist()
 
     def _classify_batch_stdlib(self, headers: list[int]) -> list[int]:
         """Bit-parallel descent: one topological mask-propagation pass.

@@ -19,8 +19,9 @@ builds a structurally equivalent stand-in:
 
 With the default parameters the generated plane has ~150 predicates and
 atoms on the same order as the paper's 161 predicates, at rule counts
-sized for seconds-scale experiments (scale ``rules_per_prefix`` /
-``prefixes_per_router`` up for stress runs).
+sized for seconds-scale experiments (scale ``prefixes_per_router`` up
+for stress runs; predicates grow with it, since every prefix has its
+own port).
 """
 
 from __future__ import annotations

@@ -101,9 +101,8 @@ class PredicateCompiler:
         """Every labeled predicate of one box as ``(kind, port, fn)``.
 
         This is *the* canonical per-box compile order -- forwarding ports
-        (false ports skipped), then input ACLs, then output ACLs -- shared
-        by :class:`repro.network.dataplane.DataPlane` and the sharded
-        conversion workers so both assign identical pids.
+        (false ports skipped), then input ACLs, then output ACLs -- in
+        which :class:`repro.network.dataplane.DataPlane` assigns pids.
         """
         compiled: list[tuple[str, str, Function]] = []
         for port, fn in self.port_predicates(box.table).items():

@@ -6,9 +6,10 @@ fielding a stream of packet-behavior queries while the data plane churns
 underneath it.  This module is that serving layer:
 
 * **Adaptive micro-batching.**  Concurrent ``classify``/``query`` calls
-  land in one admission queue; a single dispatcher coalesces them --
-  up to ``max_batch`` requests or a ``max_delay_s`` latency budget,
-  whichever closes first -- into one
+  land in one admission queue; a single dispatcher coalesces the
+  requests that are already arriving -- closing the batch when an
+  event-loop pass adds nothing, at ``max_batch`` requests, or after
+  ``max_delay_s``, whichever comes first -- into one
   :meth:`~repro.core.classifier.APClassifier.classify_batch` call, so
   the compiled engine's bit-parallel path is amortized across requests
   that arrived independently.
@@ -189,10 +190,9 @@ class QueryService:
     ``max_batch``
         Most requests coalesced into one ``classify_batch`` call.
     ``max_delay_s``
-        Longest the dispatcher waits for more requests after the first
-        one arrives -- the batching latency budget.  ``0`` dispatches
-        whatever is queued immediately (no added latency, smaller
-        batches).
+        Longest a batch is held open while requests keep arriving.  The
+        batch closes earlier at the first event-loop pass that adds no
+        request; ``0`` dispatches whatever one pass accumulates.
     ``queue_limit``
         Admission-queue bound; with ``overflow="wait"`` it is the
         backpressure threshold, with ``"shed"`` the drop threshold.
@@ -413,18 +413,7 @@ class QueryService:
             raise ServiceClosed("service is not running")
         started = time.perf_counter()
         async with self._swap_lock.read():
-            if _np is None:
-                atoms = self.classifier.classify_batch(list(headers))
-            else:
-                n = len(headers)
-                out = self._batch_out
-                if out is None or out.shape[0] < n:
-                    out = self._batch_out = _np.empty(
-                        max(self.max_batch, n), dtype=_np.int64
-                    )
-                atoms = self.classifier.classify_batch_array(
-                    headers, out=out[:n]
-                ).tolist()
+            atoms = self._classify_headers(self.classifier, headers)
         self.counters.record_frame(len(atoms), time.perf_counter() - started)
         return atoms
 
@@ -590,57 +579,45 @@ class QueryService:
             if not queue:
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            # Coalescing window: after the first request, wait up to
-            # max_delay_s (or until max_batch are queued) for company.
-            # Already-runnable submitters are drained with plain yields
-            # (one event-loop pass each); the timed wait only runs once
-            # arrivals pause, so a filling queue costs no timers.
-            if self.max_delay_s > 0 and len(queue) < self.max_batch:
-                deadline = loop.time() + self.max_delay_s
-                while len(queue) < self.max_batch:
-                    size = len(queue)
-                    await asyncio.sleep(0)
-                    if len(queue) != size:
-                        continue
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.clear()
-                    try:
-                        await asyncio.wait_for(self._wakeup.wait(), remaining)
-                    except asyncio.TimeoutError:
-                        break
-            elif len(queue) < self.max_batch:
-                # No latency budget: still take one free event-loop pass
-                # so submitters that are already scheduled join the batch.
+            # Coalescing window: free event-loop passes while arrivals
+            # keep growing the queue.  It closes at the first pass that
+            # adds nothing, at max_batch, or after max_delay_s.  Below
+            # the engine's batch crossover a batch costs what its
+            # requests cost one at a time, so waiting for company that
+            # is not already arriving could only add latency.
+            deadline = loop.time() + self.max_delay_s
+            while len(queue) < self.max_batch:
+                size = len(queue)
                 await asyncio.sleep(0)
+                if len(queue) == size or loop.time() >= deadline:
+                    break
             batch: list[_Request] = []
             while queue and len(batch) < self.max_batch:
                 batch.append(queue.popleft())
             self._release_slots(len(batch))
-            # Requests whose leader timed out (or was cancelled) carry a
-            # cancelled future; drop them so they cost no work.  Their
-            # single-flight entries were retired by the leader, but
-            # retire again here as a backstop so coalesced waiters can
-            # never be left probing a dead future.
-            live = []
-            for req in batch:
-                if req.future.cancelled():
-                    self._retire_inflight(req)
-                else:
-                    live.append(req)
-            if not live:
-                continue
-            self.counters.record_batch(len(live))
             try:
                 async with self._swap_lock.read():
-                    self._serve_batch(live)
+                    # Filter only now: a request can time out while its
+                    # batch is parked behind a writer.  Cancelled
+                    # futures cost no work; their single-flight entries
+                    # were retired by the leader, retired again here as
+                    # a backstop so coalesced waiters never probe a
+                    # dead future.
+                    live = []
+                    for request in batch:
+                        if request.future.cancelled():
+                            self._retire_inflight(request)
+                        else:
+                            live.append(request)
+                    if live:
+                        self.counters.record_batch(len(live))
+                        self._serve_batch(live)
             except asyncio.CancelledError:
                 # stop() can cancel us while this batch waits for a
                 # writer to release the swap lock.  Its requests already
                 # left the queue, so stop()'s drain cannot see them --
                 # fail them here or callers with no timeout hang forever.
-                for request in live:
+                for request in batch:
                     self._retire_inflight(request)
                     if not request.future.done():
                         request.future.set_exception(
@@ -689,13 +666,15 @@ class QueryService:
             else:
                 request.future.set_result(behavior)
 
-    def _classify_headers(self, classifier: APClassifier, headers: list[int]):
+    def _classify_headers(self, classifier: APClassifier, headers):
         """One batched stage-1 call, through the array kernel when possible.
 
-        With numpy present the batch goes arrays end-to-end into a
-        service-owned reusable ``int64`` output buffer (no per-batch
-        result allocation); ``tolist`` at the end keeps the futures'
-        results plain Python ints (JSON-safe for the TCP front-end).
+        ``headers`` is a list of packed ints (a dispatcher batch) or a
+        ``uint64`` word array (a frame).  With numpy present the batch
+        goes arrays end-to-end into a service-owned reusable ``int64``
+        output buffer (no per-batch result allocation); ``tolist`` at
+        the end keeps the results plain Python ints (JSON-safe for the
+        TCP front-end).
         """
         if _np is None:
             return classifier.classify_batch(headers)

@@ -22,8 +22,9 @@ from repro.core.compiled import (
     available_backends,
     default_backend,
 )
+from repro.core import kernel
 from repro.core.construction import build_tree
-from repro.datasets import internet2_like, rule_update_stream
+from repro.datasets import internet2_like, rule_update_stream, uniform_over_atoms
 from repro.network.dataplane import LabeledPredicate
 
 BACKENDS = available_backends()
@@ -151,6 +152,68 @@ class TestCompiledAPTree:
         assert stats["tree_nodes"] == tree.node_count()
         assert stats["fused_nodes"] > 0
         assert stats["estimated_bytes"] > 0
+
+
+# ----------------------------------------------------------------------
+# The scalar/batch cutover (_MIN_BATCH)
+# ----------------------------------------------------------------------
+
+#: Both sides of the cutover, and the empty batch.
+CUTOVER_SIZES = (0, 1, 2, 127, 128, 129, 256)
+
+
+@pytest.fixture(params=["internet2_classifier", "stanford_classifier"])
+def plane(request):
+    """A 1-word (32-bit) and a 2-word (104-bit) header layout."""
+    return request.getfixturevalue(request.param)
+
+
+def atom_headers(classifier: APClassifier) -> list[int]:
+    trace = uniform_over_atoms(
+        classifier.universe, max(CUTOVER_SIZES), random.Random(12)
+    )
+    return list(trace.headers)
+
+
+class TestBatchCutover:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_classify_batch_matches_scalar(self, plane, backend):
+        compiled = CompiledAPTree.compile(plane.tree, backend=backend)
+        headers = atom_headers(plane)
+        for n in CUTOVER_SIZES:
+            batch = headers[:n]
+            expected = [compiled.classify(h) for h in batch]
+            assert expected == [plane.tree.classify(h) for h in batch]
+            assert compiled.classify_batch(batch) == expected, n
+
+    @pytest.mark.skipif(
+        not kernel.numpy_available(),
+        reason="array paths are numpy-backed (REPRO_DISABLE_NUMPY set)",
+    )
+    @pytest.mark.parametrize(
+        "backend", [b for b in BACKENDS if b != STDLIB_BACKEND]
+    )
+    def test_classify_batch_array_matches_scalar(self, plane, backend):
+        import numpy as np
+
+        compiled = CompiledAPTree.compile(plane.tree, backend=backend)
+        num_vars = compiled.num_vars
+        headers = atom_headers(plane)
+        for n in CUTOVER_SIZES:
+            batch = headers[:n]
+            expected = [compiled.classify(h) for h in batch]
+            # A list, and the packed words: (n,) uint64 on the 1-word
+            # plane, (n, 2) on the 2-word one.
+            words = kernel.pack_headers(batch, num_vars)
+            assert words.ndim == (1 if num_vars <= 64 else 2)
+            for given in (batch, words):
+                got = compiled.classify_batch_array(given)
+                assert got.tolist() == expected, (n, type(given))
+            # out= is written in place, and only its first n slots.
+            out = np.full(n + 3, -7, dtype=np.int64)
+            got = compiled.classify_batch_array(words, out=out[:n])
+            assert n == 0 or np.shares_memory(got, out)
+            assert out.tolist() == expected + [-7] * 3, n
 
 
 # ----------------------------------------------------------------------

@@ -45,10 +45,13 @@ cube = st.dictionaries(
 
 universe_spec = st.lists(cube, min_size=1, max_size=6)
 
-headers = st.lists(
-    st.integers(min_value=0, max_value=2**NUM_VARS - 1),
-    min_size=0,
-    max_size=64,
+header = st.integers(min_value=0, max_value=2**NUM_VARS - 1)
+
+# Small batches take the scalar walk, batches from _MIN_BATCH (128) up
+# the batch descents: draw from both sides of the cutover.
+headers = st.one_of(
+    st.lists(header, min_size=0, max_size=64),
+    st.lists(header, min_size=128, max_size=160),
 )
 
 

@@ -127,19 +127,60 @@ class TestBasicServing:
 
     def test_stop_fails_pending(self, toy_classifier):
         async def scenario():
-            # A huge delay budget parks the request in the dispatcher's
-            # coalescing window; stop() must fail it, not leak it.
+            # A held write lock parks the dispatcher on the first batch,
+            # so the second request stays queued; stop() must fail both,
+            # not leak them.
             service = QueryService(
                 toy_classifier, max_batch=64, max_delay_s=30.0
             )
             await service.start()
-            task = asyncio.ensure_future(service.classify(0))
-            await asyncio.sleep(0.01)
-            await service.stop()
-            with pytest.raises(ServiceClosed):
-                await task
+            async with service._swap_lock.write():
+                parked = asyncio.ensure_future(service.classify(0))
+                await asyncio.sleep(0.01)  # batch popped, parked at read()
+                queued = asyncio.ensure_future(service.classify(1))
+                await asyncio.sleep(0.01)
+                assert service.metrics()["queue_depth"] == 1
+                await service.stop()
+                for task in (parked, queued):
+                    with pytest.raises(ServiceClosed):
+                        await asyncio.wait_for(task, 5.0)
 
         run(scenario())
+
+    def test_lone_request_does_not_wait_out_the_window(self, toy_classifier):
+        async def scenario():
+            # Nothing else is arriving, so the window closes at the
+            # first quiet event-loop pass, not after max_delay_s.
+            async with QueryService(
+                toy_classifier, max_batch=64, max_delay_s=30.0
+            ) as service:
+                return await asyncio.wait_for(service.classify(0), 1.0)
+
+        assert run(scenario()) == toy_classifier.classify(0)
+
+    def test_sustained_arrivals_close_at_max_batch(self, toy_classifier):
+        headers = sample_headers(toy_classifier, 40)
+        max_batch = 8
+
+        async def scenario():
+            # One new request per event-loop pass keeps the window open
+            # (max_delay_s is far away), so only max_batch can close it.
+            service = QueryService(
+                toy_classifier, max_batch=max_batch, max_delay_s=30.0
+            )
+            async with service:
+                tasks = []
+                for header in headers:
+                    tasks.append(asyncio.ensure_future(service.classify(header)))
+                    await asyncio.sleep(0)
+                results = await asyncio.wait_for(asyncio.gather(*tasks), 5.0)
+            return service, results
+
+        service, results = run(scenario())
+        assert results == toy_classifier.classify_batch(headers)
+        histogram = service.counters.batch_size_histogram
+        assert max(histogram) == max_batch
+        assert service.counters.batched_requests == len(headers)
 
     def test_stop_fails_batch_parked_at_swap_lock(self, toy_classifier):
         async def scenario():
@@ -252,15 +293,15 @@ class TestAdmission:
 
     def test_timeout_cancels_cleanly(self, toy_classifier):
         async def scenario():
-            # The lone request sits in a 0.5 s coalescing window but
-            # carries a 10 ms deadline: it must time out, be skipped by
-            # the dispatcher, and leave no orphan task behind.
-            service = QueryService(
-                toy_classifier, max_batch=8, max_delay_s=0.5
-            )
+            # The lone request's batch is parked behind a held write
+            # lock (an update or swap) and it carries a 10 ms deadline:
+            # it must time out, be skipped by the dispatcher once the
+            # lock frees, and leave no orphan task behind.
+            service = QueryService(toy_classifier, max_batch=8)
             async with service:
-                with pytest.raises(asyncio.TimeoutError):
-                    await service.classify(0, timeout=0.01)
+                async with service._swap_lock.write():
+                    with pytest.raises(asyncio.TimeoutError):
+                        await service.classify(0, timeout=0.01)
                 assert service.counters.timeouts == 1
                 # The service is still healthy for the next caller.
                 atom = await asyncio.wait_for(
