@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import Sequence
 
@@ -537,6 +538,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stop_on_sigterm() -> None:
+    """Route SIGTERM into the ``KeyboardInterrupt`` shutdown path.
+
+    Called once the serving children are up, so ``kill`` on the parent
+    stops them the way Ctrl-C does instead of orphaning them.
+    """
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+
+
 def _serve_multi(
     args: argparse.Namespace, classifier: APClassifier, serve_workers: int
 ) -> int:
@@ -574,6 +584,7 @@ def _serve_multi(
         "protocols": ["framed", "json"],
     }), flush=True)
     try:
+        _stop_on_sigterm()
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -625,6 +636,7 @@ def _serve_sharded(args: argparse.Namespace, classifier: APClassifier) -> int:
             await router.close()
 
     try:
+        _stop_on_sigterm()
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("interrupted; shutting down")

@@ -135,7 +135,7 @@ def _header_ints(headers, num_vars: int) -> list[int]:
     (zero-copy) and unpacked -- ``(n,)`` by ``tolist``, ``(n, W)``
     little-endian words one row at a time.
     """
-    if not isinstance(headers, _np.ndarray):
+    if _np is None or not isinstance(headers, _np.ndarray):
         return _as_int_list(headers)
     words = _kernel.pack_headers(headers, num_vars)
     if words.ndim == 1:
@@ -143,10 +143,12 @@ def _header_ints(headers, num_vars: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
-#: Below this batch size the whole-batch descents cost more than they
-#: save and the tree's batch entry points walk each header on its own.
-#: Measured: numpy/scalar break-even at 128 headers on i2-14,
-#: stanford-like, stanford and acl-heavy (the stdlib crossover is 100-300).
+#: Below this batch size the tree's batch entry points walk each header
+#: on its own.  Measured numpy/scalar time on i2-14, stanford-like,
+#: stanford and acl-heavy: 0.90-1.37 at 48 headers, 0.67-1.04 at 64,
+#: 0.50-0.72 at 96, 0.38-0.57 at 128.  The numpy break-even is now
+#: ~64, but the stdlib crossover is 100-300 and no serving workload
+#: batches 48-127 headers, so the one cutover stays at 128.
 _MIN_BATCH = 128
 
 #: The same cutover for the PScan/AP-linear predicate-set baselines,
@@ -712,26 +714,30 @@ class CompiledAPTree:
         self._scalar_ready = True
 
     def _init_kernel(self) -> None:
-        """Precompute the word/shift tables and scratch for the kernel.
+        """Precompute the descent's bit-lookup tables and scratch.
 
         Derived once from ``_np_f_var`` (for artifact loads this is the
-        only consumer of ``f_var`` on the batch path): node ``i`` reads
-        word ``_np_f_word[i]`` at in-word shift ``_np_f_shift[i]`` of a
-        little-endian packed header.  The :class:`~.kernel.Program` view
-        is what both descents (and the C kernel) consume; the scratch
-        buffers make steady-state batches allocation-free.
+        only consumer of ``f_var`` on the batch path): the doubled-cursor
+        ``bit2``/``child2`` tables for the numpy descent, the word/shift
+        tables for the C kernel -- each engine builds only its own.  The
+        :class:`~.kernel.Program` view is what the descent consumes; the
+        scratch buffer makes steady-state list packing allocation-free.
         """
-        word, shift = _kernel.shift_arrays(self._np_f_var, self.num_vars)
-        self._np_f_word = word
-        self._np_f_shift = shift
+        if self.backend == NATIVE_BACKEND:
+            word, shift = _kernel.shift_arrays(self._np_f_var, self.num_vars)
+            tables = {"f_word": word, "f_shift": shift}
+        else:
+            bit2, child2 = _kernel.doubled_tables(
+                self._np_f_var, self._np_f_child, self.num_vars
+            )
+            tables = {"bit2": bit2, "child2": child2}
         self._program = _kernel.Program(
             width=_kernel.words_per_header(self.num_vars),
-            f_word=word,
-            f_shift=shift,
             f_child=self._np_f_child,
             f_atom=self._np_f_atom,
             num_sinks=self._num_sinks,
             f_root=self._f_root,
+            **tables,
         )
         self._scratch = _kernel.KernelScratch()
 
@@ -1141,7 +1147,7 @@ class CompiledAPTree:
             if not isinstance(headers, _np.ndarray):
                 headers = _as_int_list(headers)
             return self.classify_batch_array(headers).tolist()
-        headers = _as_int_list(headers)
+        headers = _header_ints(headers, self.num_vars)
         if len(headers) < _MIN_BATCH:
             classify = self.classify
             return [classify(h) for h in headers]
@@ -1152,12 +1158,10 @@ class CompiledAPTree:
 
         ``headers`` is either a ``uint64`` word array (``(n,)`` for
         <=64-variable layouts, ``(n, W)`` for wider -- adopted with zero
-        copies) or a Python sequence (packed once, no intermediate bit
-        matrix).  ``out`` may supply a reusable ``int64[n]`` result
-        buffer; one is allocated when absent.  Lane/cursor/packing
-        scratch is leased from the engine's :class:`~.kernel.KernelScratch`
-        when uncontended, so a steady-state serving loop performs no
-        per-batch allocations beyond numpy's gather temporaries.
+        copies) or a Python sequence (packed once).  ``out`` may supply a reusable ``int64[n]`` result
+        buffer; one is allocated when absent.  The list packing buffer
+        is leased from the engine's :class:`~.kernel.KernelScratch` when
+        uncontended.
 
         The numpy descent pays a fixed cost per fused-program level
         however few headers it carries, so below ``_MIN_BATCH`` headers
@@ -1188,7 +1192,7 @@ class CompiledAPTree:
             if self.backend == NATIVE_BACKEND:
                 _kernel.descend_native(self._program, words, out)
             else:
-                _kernel.descend_numpy(self._program, words, out, lease)
+                _kernel.descend_numpy(self._program, words, out)
         finally:
             if leased:
                 scratch.release()

@@ -1,34 +1,28 @@
 """Zero-copy batch kernel: word-packed headers, reusable scratch, descent.
 
-The original numpy batch path materialized an ``n x num_vars`` uint8 bit
-matrix per batch (one byte per header bit, built by a per-header Python
-``to_bytes`` loop) and reallocated every lane/cursor array on every
-call.  At serving batch sizes that plumbing costs more than the descent
-itself.  This module replaces it:
-
 * **Word packing** (:func:`pack_headers`).  Headers live as little-endian
   ``uint64`` words -- ``ceil(num_vars / 64)`` words per header, word
   ``w`` holding header bits ``64w .. 64w+63`` of the packed integer.
   For the common ``num_vars <= 64`` case a caller-supplied numpy
   ``uint64`` array *is already* the packed form, so array-in callers pay
-  zero packing work; list-in callers get one ``np.fromiter`` pass, no
-  intermediate bit matrix.  Variable ``v`` of a header is bit
-  ``num_vars - 1 - v`` of the packed integer, so its word index and
-  in-word shift are compile-time constants per program node
-  (:func:`shift_arrays`).
-* **Scratch reuse** (:class:`KernelScratch`).  The descent's lane,
-  cursor, base, word, and output buffers are allocated once per engine
-  and reused across batches; a non-blocking lock hands the buffers to
-  one caller at a time and concurrent callers (multi-threaded engines
-  shared outside the serve loop) silently fall back to fresh
-  allocations -- correctness never depends on winning the lock.
+  zero packing work; list-in callers get one ``np.fromiter`` pass.
+  Variable ``v`` of a header is bit ``num_vars - 1 - v`` of the packed
+  integer, so where each program node reads its bit is a compile-time
+  constant (:func:`doubled_tables` for numpy, :func:`shift_arrays` for
+  the C kernel).
+* **Scratch reuse** (:class:`KernelScratch`).  The list packing buffer
+  is allocated once per engine and reused across batches; a
+  non-blocking lock hands it to one caller at a time and concurrent
+  callers (multi-threaded engines shared outside the serve loop)
+  silently fall back to fresh allocations -- correctness never depends
+  on winning the lock.
 * **Descent** (:func:`descend_numpy` / :func:`descend_native`).  The
   same fused branching program either advanced batch-wide with numpy
-  gathers (three ``take``/shift ops per node visit, finished lanes
-  compacted away) or handed to the optional C kernel
-  (:mod:`repro._native`), which walks each packet's path in a tight
-  scalar loop over the identical little-endian arrays -- including
-  arrays mmapped straight out of a binary artifact.
+  (header bits unpacked once per batch, then two gathers and a child
+  lookup per fused level, finished lanes compacted away) or handed to
+  the optional C kernel (:mod:`repro._native`), which walks each
+  packet's path in a tight scalar loop over the word-packed headers --
+  including arrays mmapped straight out of a binary artifact.
 
 Engine resolution lives in :func:`resolve_backend`: explicit ``backend=``
 arguments fail loudly when the engine is unavailable, while the
@@ -60,6 +54,7 @@ __all__ = [
     "Program",
     "available_backends",
     "default_backend",
+    "doubled_tables",
     "native_available",
     "numpy_available",
     "pack_headers",
@@ -155,12 +150,11 @@ def words_per_header(num_vars: int) -> int:
 
 
 def shift_arrays(f_var, num_vars: int):
-    """Per-program-node ``(word, shift)`` int32 arrays for bit extraction.
+    """Per-program-node ``(word, shift)`` int32 arrays for the C kernel.
 
     Variable ``v`` is bit ``num_vars - 1 - v`` of the packed header, so
     node ``i`` testing ``f_var[i]`` reads word ``shift >> 6`` at in-word
-    shift ``shift & 63``.  Precomputed once at compile/load time; the
-    descents index these instead of recomputing shifts per visit.
+    shift ``shift & 63``.  Precomputed once at compile/load time.
     """
     shifts = (num_vars - 1) - _np.asarray(f_var, dtype=_np.int64)
     # Sinks carry var 0 placeholders; clamp so derived indices stay valid.
@@ -168,6 +162,25 @@ def shift_arrays(f_var, num_vars: int):
     word = (shifts >> 6).astype(_np.int32)
     shift = (shifts & 63).astype(_np.int32)
     return _np.ascontiguousarray(word), _np.ascontiguousarray(shift)
+
+
+def doubled_tables(f_var, f_child, num_vars: int):
+    """Per-program-node ``(bit2, child2)`` intp tables for the numpy descent.
+
+    Its cursors hold ``2 * node``: ``bit2[2i]`` is the bit column node
+    ``i`` tests (variable ``v`` is column ``num_vars - 1 - v``; cursors
+    are always even, so odd slots are never read), and
+    ``child2 = 2 * f_child``, so ``child2[cur + bit]`` is already the
+    next doubled cursor.
+    """
+    bit2 = _np.zeros(2 * len(f_var), dtype=_np.intp)
+    column = bit2[0::2]
+    _np.subtract(num_vars - 1, f_var, out=column)
+    # Sinks carry var 0 placeholders; clamp so derived indices stay valid.
+    _np.maximum(column, 0, out=column)
+    child2 = f_child.astype(_np.intp)
+    child2 <<= 1
+    return bit2, child2
 
 
 def pack_headers(headers, num_vars: int, scratch: "KernelScratch | None" = None):
@@ -227,16 +240,19 @@ class Program:
     """The fused branching program as the descents consume it.
 
     A thin, immutable bundle of the little-endian arrays (built once at
-    compile/load time) so both descents -- and the C kernel's buffer
-    handoff -- see one canonical layout: ``f_child`` interleaved int32
-    (``child[2i]`` = low, ``child[2i+1]`` = high), ``f_word``/``f_shift``
-    int32 per node, ``f_atom`` int64 per sink.
+    compile/load time): ``f_child`` interleaved int32 (``child[2i]`` =
+    low, ``child[2i+1]`` = high) and ``f_atom`` int64 per sink, plus the
+    bit-lookup tables of the engine's descent -- ``bit2``/``child2``
+    (:func:`doubled_tables`) for numpy, ``f_word``/``f_shift``
+    (:func:`shift_arrays`) for the C kernel.
     """
 
     __slots__ = (
         "width",
         "f_word",
         "f_shift",
+        "bit2",
+        "child2",
         "f_child",
         "f_atom",
         "num_sinks",
@@ -244,11 +260,14 @@ class Program:
     )
 
     def __init__(
-        self, *, width, f_word, f_shift, f_child, f_atom, num_sinks, f_root
+        self, *, width, f_child, f_atom, num_sinks, f_root,
+        f_word=None, f_shift=None, bit2=None, child2=None,
     ) -> None:
         self.width = width
         self.f_word = f_word
         self.f_shift = f_shift
+        self.bit2 = bit2
+        self.child2 = child2
         self.f_child = f_child
         self.f_atom = f_atom
         self.num_sinks = num_sinks
@@ -256,13 +275,13 @@ class Program:
 
 
 class KernelScratch:
-    """Per-engine descent buffers, reused across batches.
+    """Per-engine packing buffer, reused across batches.
 
-    One instance lives on each compiled engine; :meth:`lease` hands the
-    buffers to exactly one caller at a time (non-blocking -- a second
-    concurrent caller gets ``None`` and allocates fresh temporaries).
-    Buffers grow geometrically and never shrink: the steady state of a
-    serving loop is zero allocations per batch.
+    One instance lives on each compiled engine; :meth:`acquire` hands the
+    buffer to exactly one caller at a time (non-blocking -- a second
+    concurrent caller gets ``False`` and allocates fresh temporaries).
+    The buffer grows geometrically and never shrinks: the steady state
+    of a serving loop packs list batches without allocating.
 
     The lock matters because engines outlive the asyncio serve loop:
     the multi-worker pool, benchmark harnesses, and user code may share
@@ -271,16 +290,11 @@ class KernelScratch:
     artifact.
     """
 
-    __slots__ = ("_lock", "_capacity", "_words", "_out", "_cur", "_lanes", "_base")
+    __slots__ = ("_lock", "_words")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._capacity = 0
         self._words = None
-        self._out = None
-        self._cur = None
-        self._lanes = None
-        self._base = None
 
     def acquire(self) -> bool:
         return self._lock.acquire(blocking=False)
@@ -288,29 +302,12 @@ class KernelScratch:
     def release(self) -> None:
         self._lock.release()
 
-    def _grow(self, n: int) -> None:
-        if n > self._capacity:
-            capacity = max(256, 1 << (n - 1).bit_length())
-            self._capacity = capacity
-            self._words = _np.empty(capacity, dtype=_np.uint64)
-            self._out = _np.empty(capacity, dtype=_np.int64)
-            self._cur = _np.empty(capacity, dtype=_np.int32)
-            self._lanes = _np.empty(capacity, dtype=_np.int32)
-            self._base = _np.empty(capacity, dtype=_np.int64)
-
     def words(self, n: int):
         """A ``uint64[n]`` packing buffer (W == 1 fast path)."""
-        self._grow(n)
+        if self._words is None or n > self._words.shape[0]:
+            capacity = max(256, 1 << (n - 1).bit_length())
+            self._words = _np.empty(capacity, dtype=_np.uint64)
         return self._words[:n]
-
-    def out(self, n: int):
-        self._grow(n)
-        return self._out[:n]
-
-    def cursors(self, n: int):
-        """``(cur, lanes, base)`` int32/int32/int64 views of length n."""
-        self._grow(n)
-        return self._cur[:n], self._lanes[:n], self._base[:n]
 
 
 # ----------------------------------------------------------------------
@@ -318,66 +315,43 @@ class KernelScratch:
 # ----------------------------------------------------------------------
 
 
-def descend_numpy(program, words, out, scratch: KernelScratch | None):
+def descend_numpy(program, words, out):
     """Vectorized fused-program descent over word-packed headers.
 
     ``program`` is the compiled engine's kernel view (built by
-    :meth:`repro.core.compiled.CompiledAPTree._init_kernel`); every
-    iteration gathers each active lane's in-word shift and next node,
-    and fully-sunk lanes are compacted away every ``_COMPACT_BLOCK``
-    steps.  ``out`` is filled with atom ids and returned.
+    :meth:`repro.core.compiled.CompiledAPTree._init_kernel`).  The
+    batch's header bits are unpacked once into one ``uint8`` per bit --
+    ``64 * W`` columns a header, column ``j`` holding bit ``j`` of the
+    packed integer -- and each lane's cursor holds ``2 * node``, so one
+    fused level is two gathers plus a child lookup,
+    ``cur = child2[cur + bits[base + bit2[cur]]]``, whatever the header
+    width.  Lanes that reached a sink are compacted away every
+    ``_COMPACT_BLOCK`` levels.  ``out`` is filled with atom ids and
+    returned.
     """
     n = out.shape[0]
     if n == 0:
         return out
-    width = program.width
-    child = program.f_child
-    shift_of = program.f_shift
-    word_of = program.f_word
-    atom = program.f_atom
-    num_sinks = program.num_sinks
-    if scratch is not None:
-        cur, lanes, _base = scratch.cursors(n)
-        cur[:] = program.f_root
-        lanes[:] = _np.arange(n, dtype=_np.int32)
-    else:
-        cur = _np.full(n, program.f_root, dtype=_np.int32)
-        lanes = _np.arange(n, dtype=_np.int32)
-    if width == 1:
-        hdr = words  # lanes start as arange(n): the packed array itself
-        while True:
-            for _ in range(_COMPACT_BLOCK):
-                s = shift_of.take(cur)
-                b = ((hdr >> s.astype(_np.uint64)) & 1).astype(_np.int32)
-                cur = child.take(2 * cur + b)
-            done = cur < num_sinks
-            if done.any():
-                out[lanes[done]] = atom.take(cur[done])
-                keep = ~done
-                if not keep.any():
-                    break
-                lanes = lanes[keep]
-                cur = cur[keep]
-                hdr = hdr[keep]
-    else:
-        flat = words.ravel()
-        base = lanes.astype(_np.int64) * width
-        while True:
-            for _ in range(_COMPACT_BLOCK):
-                w = word_of.take(cur)
-                s = shift_of.take(cur)
-                limbs = flat.take(base + w)
-                b = ((limbs >> s.astype(_np.uint64)) & 1).astype(_np.int32)
-                cur = child.take(2 * cur + b)
-            done = cur < num_sinks
-            if done.any():
-                out[lanes[done]] = atom.take(cur[done])
-                keep = ~done
-                if not keep.any():
-                    break
-                lanes = lanes[keep]
-                cur = cur[keep]
-                base = base[keep]
+    stride = 64 * program.width
+    bits = _np.unpackbits(
+        words.astype("<u8", copy=False).view(_np.uint8), bitorder="little"
+    )
+    bit2 = program.bit2
+    child2 = program.child2
+    sunk = 2 * program.num_sinks
+    base = _np.arange(0, n * stride, stride, dtype=_np.intp)
+    cur = _np.full(n, 2 * program.f_root, dtype=_np.intp)
+    while True:
+        for _ in range(_COMPACT_BLOCK):
+            cur = child2.take(cur + bits.take(base + bit2.take(cur)))
+        done = cur < sunk
+        if done.any():
+            out[base[done] // stride] = program.f_atom.take(cur[done] >> 1)
+            keep = ~done
+            if not keep.any():
+                break
+            cur = cur[keep]
+            base = base[keep]
     return out
 
 

@@ -174,6 +174,136 @@ class TestWideHeaders:
         assert packed[0, 0] == 3 and packed[0, 1] == 1
 
 
+def assert_engine_agrees(compiled, batch, expected):
+    """One engine answers ``expected`` through lists, words and ``out=``."""
+    backend = compiled.backend
+    assert compiled.classify_batch(batch) == expected, backend
+    if not kernel.numpy_available():
+        return  # REPRO_DISABLE_NUMPY leg: no array paths
+    words = kernel.pack_headers(batch, compiled.num_vars)
+    assert compiled.classify_batch(words) == expected, backend
+    if backend == STDLIB_BACKEND:
+        return
+    assert compiled.classify_batch_array(words).tolist() == expected, backend
+    out = np.empty(len(batch), dtype=np.int64)
+    assert compiled.classify_batch_array(words, out=out) is out
+    assert out.tolist() == expected, backend
+
+
+class TestDoubledDescent:
+    """The numpy descent's unpacked bits and doubled cursors, at the edges:
+    three-word headers, read-only wire buffers, patched programs."""
+
+    THREE_WORD_VARS = 130
+    #: Packed-integer bit positions on both sides of each word boundary,
+    #: plus the lowest and the top bit; variable ``v`` is bit
+    #: ``num_vars - 1 - v``.
+    EDGE_BITS = (0, 63, 64, 127, 128, 129)
+
+    def _three_word_tree(self):
+        top = self.THREE_WORD_VARS - 1
+        var = {bit: top - bit for bit in self.EDGE_BITS}
+        manager = BDDManager(self.THREE_WORD_VARS)
+        specs = [
+            {var[0]: True},
+            {var[63]: True, var[64]: False},
+            {var[127]: True, var[128]: True},
+            {var[129]: True, var[0]: False},
+            {var[64]: True, var[127]: False, var[63]: False},
+        ]
+        predicates = [
+            LabeledPredicate(
+                pid=pid, kind="forward", box="sim", port="sim",
+                fn=Function.cube(manager, literals),
+            )
+            for pid, literals in enumerate(specs)
+        ]
+        universe = AtomicUniverse.compute(manager, predicates)
+        return universe, build_tree(universe, strategy="oapt").tree
+
+    def test_three_word_headers(self):
+        import random
+
+        universe, tree = self._three_word_tree()
+        assert kernel.words_per_header(self.THREE_WORD_VARS) == 3
+        rng = random.Random(17)
+        batch = [rng.getrandbits(self.THREE_WORD_VARS) for _ in range(300)]
+        expected = [tree.classify(header) for header in batch]
+        assert expected == [universe.classify(header) for header in batch]
+        assert len(set(expected)) == len(universe.atom_ids())
+        for backend in available_backends():
+            compiled = CompiledAPTree.compile(tree, backend=backend)
+            for n in (127, 128, 300):
+                assert_engine_agrees(compiled, batch[:n], expected[:n])
+
+    @pytest.mark.skipif(
+        not kernel.numpy_available(),
+        reason="wire word views are numpy-backed (REPRO_DISABLE_NUMPY set)",
+    )
+    @pytest.mark.parametrize(
+        "num_vars", [NUM_VARS, TestWideHeaders.WIDE_VARS, THREE_WORD_VARS]
+    )
+    def test_read_only_wire_words(self, num_vars):
+        import random
+
+        from repro.serve import proto
+
+        if num_vars == self.THREE_WORD_VARS:
+            _, tree = self._three_word_tree()
+        elif num_vars == TestWideHeaders.WIDE_VARS:
+            _, tree = TestWideHeaders()._tree()
+        else:
+            _, tree = build_universe_tree([{0: True}, {1: False, 6: True}])
+        width = kernel.words_per_header(num_vars)
+        rng = random.Random(num_vars)
+        batch = [rng.getrandbits(num_vars) for _ in range(200)]
+        expected = [tree.classify(header) for header in batch]
+        payload = proto.encode_classify(
+            kernel.pack_headers(batch, num_vars), width=width
+        )
+        words, got_width = proto.decode_classify(payload)
+        assert got_width == width and not words.flags.writeable
+        for backend in available_backends():
+            compiled = CompiledAPTree.compile(tree, backend=backend)
+            assert compiled.classify_batch(words) == expected, backend
+            if backend != STDLIB_BACKEND:
+                got = compiled.classify_batch_array(words)
+                assert got.tolist() == expected, backend
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_patched_programs_refresh_their_tables(self, backend):
+        import random
+
+        from repro.core.incremental import IncrementalEngine
+        from repro.datasets import internet2_like, rule_update_stream
+        from repro.datasets import uniform_over_atoms
+
+        classifier = APClassifier.build(
+            internet2_like(prefixes_per_router=4), maintenance="incremental"
+        )
+        classifier.compile(backend=backend)
+        engine = classifier._engine
+        assert isinstance(engine, IncrementalEngine)
+        rng = random.Random(23)
+        patched = {"insert": 0, "remove": 0}
+        for update in rule_update_stream(classifier.dataplane.network, 24, rng):
+            compiled, patches = classifier.compiled, engine.patches
+            if update.kind == "insert":
+                classifier.insert_rule(update.box, update.rule)
+            else:
+                classifier.remove_rule(update.box, update.rule)
+            assert classifier.compiled_fresh
+            if classifier.compiled is compiled and engine.patches > patches:
+                patched[update.kind] += 1
+            batch = list(
+                uniform_over_atoms(classifier.universe, 160, rng).headers
+            )
+            expected = [classifier.tree.classify(h) for h in batch]
+            assert_engine_agrees(classifier.compiled, batch, expected)
+        # Both patch kinds ran in place on the engine that then answered.
+        assert patched["insert"] > 0 and patched["remove"] > 0, patched
+
+
 @pytest.mark.skipif(
     not kernel.numpy_available(),
     reason="packing is numpy-backed (REPRO_DISABLE_NUMPY set)",

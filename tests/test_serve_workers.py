@@ -15,6 +15,7 @@ import random
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,42 +109,79 @@ class TestPool:
 
 
 class TestCLI:
-    def test_serve_workers_liveness(self, tmp_path):
-        """`repro serve --serve-workers 2` answers over TCP."""
-        port = _free_port()
-        env = dict(os.environ, PYTHONPATH="src")
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "serve",
-                "--dataset",
-                "toy",
-                "--port",
-                str(port),
-                "--serve-workers",
-                "2",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
+    def test_serve_workers_liveness(self):
+        """`repro serve --serve-workers 2` answers over TCP, and SIGTERM
+        on the parent stops its workers too."""
+        _serve_then_terminate(
+            {"op": "classify", "packet": {"dst_ip": "10.2.0.1"}},
+            "--serve-workers", "2",
         )
+
+    def test_serve_shards_stop_on_sigterm(self):
+        """`repro serve --shards 2` likewise leaves no replica behind."""
+        # The front tier routes on the packed header, not a packet.
+        _serve_then_terminate({"op": "classify", "header": 5}, "--shards", "2")
+
+
+def _serve_then_terminate(classify: dict, *options: str) -> None:
+    port = _free_port()
+    env = dict(os.environ, PYTHONPATH="src")
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--dataset", "toy", "--port", str(port), *options,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+        text=True,
+    )
+    children: list[int] = []
+    try:
+        _wait_for_port("127.0.0.1", port)
+        assert ask("127.0.0.1", port, {"op": "ping"})["ok"] is True
+        assert ask("127.0.0.1", port, classify)["ok"] is True
+        children = _children_of(process.pid)
+        assert len(children) >= 2 or not Path("/proc").is_dir()
+    finally:
+        process.terminate()
         try:
-            _wait_for_port("127.0.0.1", port)
-            assert ask("127.0.0.1", port, {"op": "ping"})["ok"] is True
-            response = ask(
-                "127.0.0.1", port, {"op": "classify", "packet": {"dst_ip": "10.2.0.1"}}
-            )
-            assert response["ok"] is True
-        finally:
-            process.terminate()
-            try:
-                process.wait(timeout=TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=TIMEOUT_S)
+            process.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait(timeout=TIMEOUT_S)
+    _assert_all_exit(children)
+
+
+def _stat(pid) -> tuple[str, int] | None:
+    """``(state, ppid)`` of a process from /proc, or None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = text.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def _children_of(pid: int) -> list[int]:
+    """Running child pids of ``pid`` (empty where there is no /proc)."""
+    return [
+        int(entry.name)
+        for entry in Path("/proc").glob("[0-9]*")
+        if (stat := _stat(entry.name)) and stat[1] == pid and stat[0] != "Z"
+    ]
+
+
+def _assert_all_exit(pids: list[int], timeout_s: float = TIMEOUT_S) -> None:
+    import time
+
+    # A zombie has exited; it only waits for whoever adopted it to reap it.
+    deadline = time.monotonic() + timeout_s
+    alive = pids
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [p for p in alive if (s := _stat(p)) and s[0] != "Z"]
+    assert not alive, f"children outlived the serve parent: {alive}"
 
 
 def _free_port() -> int:
