@@ -73,8 +73,10 @@ __all__ = [
 class ChangedClass:
     """One cell of the common refinement whose behavior changed.
 
-    ``region`` lives in the *before* generation's manager; ``volume`` is
-    its exact model count over the full header width.
+    ``region`` lives in the manager the sweep ran in -- the *before*
+    generation's for :func:`diff_generations`, the shadow's for
+    :func:`what_if`; ``volume`` is its exact model count over the full
+    header width.
     """
 
     before_atom: int
@@ -229,30 +231,51 @@ def diff_generations(
     :class:`repro.obs.Recorder`; the comparison lands in its ``diff``
     section.
     """
+    return _sweep(
+        before, after, ingress_box, in_port, rng, recorder,
+        before.dataplane.manager,
+    )
+
+
+def _atoms_in(manager, classifier: APClassifier) -> list[tuple[int, Function]]:
+    """``classifier``'s atoms, sorted by id, as functions of ``manager``."""
+    atoms = sorted(classifier.universe.atoms().items())
+    if classifier.dataplane.manager is manager:
+        return atoms
+    nodes = load_image(
+        manager,
+        dump_image(classifier.dataplane.manager, [fn.node for _, fn in atoms]),
+    )
+    return [
+        (atom_id, Function(manager, node))
+        for (atom_id, _), node in zip(atoms, nodes)
+    ]
+
+
+def _sweep(
+    before: APClassifier,
+    after: APClassifier,
+    ingress_box: str,
+    in_port: str | None,
+    rng: random.Random | None,
+    recorder,
+    manager,
+) -> GenerationDiff:
+    """:func:`diff_generations`, building every BDD in ``manager``.
+
+    ``manager`` is one of the two generations' managers; the other
+    side's atoms are transferred into it.  The manager is append-only,
+    so the sweep's nodes stay there for the manager's lifetime.
+    """
     if before.dataplane.layout != after.dataplane.layout:
         raise ValueError(
             "cannot diff generations over different header layouts"
         )
     started = time.perf_counter()
-    manager = before.dataplane.manager
-    cross_manager = manager is not after.dataplane.manager
-    before_atoms = sorted(before.universe.atoms().items())
-    after_atoms = sorted(after.universe.atoms().items())
-
-    transfer_s = 0.0
-    if cross_manager:
-        transfer_started = time.perf_counter()
-        transferred = load_image(
-            manager,
-            dump_image(
-                after.dataplane.manager, [fn.node for _, fn in after_atoms]
-            ),
-        )
-        after_atoms = [
-            (atom_id, Function(manager, node))
-            for (atom_id, _), node in zip(after_atoms, transferred)
-        ]
-        transfer_s = time.perf_counter() - transfer_started
+    cross_manager = before.dataplane.manager is not after.dataplane.manager
+    before_atoms = _atoms_in(manager, before)
+    after_atoms = _atoms_in(manager, after)
+    transfer_s = time.perf_counter() - started if cross_manager else 0.0
 
     before_fns = dict(before_atoms)
     before_cache: dict[int, Behavior] = {}
@@ -371,8 +394,9 @@ def what_if(
     """Answer "what would change if these rules were applied?".
 
     Candidate changes are applied to a shadow fork (:func:`fork_shadow`)
-    -- the live ``classifier`` is never touched, bit for bit -- and the
-    shadow is diffed against the live generation.  ``add``/``remove``
+    -- the live ``classifier`` is never touched, bit for bit, and its BDD
+    manager gains no nodes -- and the shadow is diffed against the live
+    generation in the shadow's manager.  ``add``/``remove``
     are ``(box, rule)`` pairs; build them directly or via
     :func:`parse_rule_spec`.
     """
@@ -392,18 +416,18 @@ def what_if(
         applied.append(f"-{format_rule_spec(box, rule, shadow.dataplane.layout)}")
     apply_s = time.perf_counter() - apply_started
 
-    report = diff_generations(
+    # The sweep runs in the shadow's manager, which dies with the report.
+    # In the live manager, which never frees a node, each what-if would
+    # leave its overlaps behind: ~20k nodes a call on acl-heavy.
+    report = _sweep(
         classifier,
         shadow,
         ingress_box,
         in_port,
-        rng=rng,
-        recorder=recorder,
+        rng,
+        recorder,
+        shadow.dataplane.manager,
     )
-    # The diff ran in the live manager; its memo entries pair live atoms
-    # with shadow atoms that die with the shadow.  Left behind they cost
-    # the serving side tens of MB per what-if until the size trigger.
-    classifier.dataplane.manager.clear_caches()
     if recorder is not None:
         recorder.diff.record_whatif()
     return WhatIfReport(

@@ -254,6 +254,24 @@ class TestWhatIfShadow:
         assert live.classify_batch(range(0, 1 << 16, 997)) == baseline_atoms
         assert live.tree.version == baseline_version
 
+    def test_live_manager_gains_no_nodes(self):
+        """The sweep builds in the shadow's manager: BDD managers never
+        free a node, so one built in the live manager stays for good."""
+        live = APClassifier.build(toy_network())
+        nodes = len(live.dataplane.manager)
+        report = what_if(
+            live,
+            "b1",
+            add=[parse_rule_spec(
+                "b1:dst_ip=10.2.0.0/16->drop@99", live.dataplane.layout
+            )],
+        )
+        assert report.diff.cross_manager
+        assert report.diff.changed_volume == 1 << 16
+        assert len(live.dataplane.manager) == nodes
+        for entry in report.diff.entries:
+            assert entry.region.evaluate(entry.witness)
+
     def test_fork_shadow_is_isolated(self):
         live = APClassifier.build(toy_network())
         shadow = fork_shadow(live)
