@@ -88,10 +88,9 @@ from repro.obs import Recorder
 from repro.serve import (
     QueryService,
     QueryShed,
-    ShardCluster,
+    ServeGrid,
     ShardRouter,
     proto,
-    start_front_server,
     start_tcp_server,
 )
 
@@ -867,8 +866,8 @@ async def run_shard_topology(
     every shard and keeps serving: the measured traffic must complete
     entirely through fail-over to the surviving replicas.
     """
-    router = ShardRouter.from_cluster(cluster)
-    server = await start_front_server(router)
+    router = ShardRouter.from_grid(cluster)
+    server = await start_tcp_server(router)
     port = server.sockets[0].getsockname()[1]
     try:
         await wire_bit_identity("127.0.0.1", port, headers, expected)
@@ -926,7 +925,7 @@ def test_shard_scaling(quick, shards):
 
     runs = []
     for n_shards, n_replicas in topologies:
-        cluster = ShardCluster(
+        cluster = ServeGrid(
             classifier,
             shards=n_shards,
             replicas=n_replicas,

@@ -40,7 +40,7 @@ from repro.analysis.reporting import render_table
 from repro.artifact import load_serving
 from repro.core.classifier import APClassifier
 from repro.obs import Recorder
-from repro.serve import ServeWorkerPool, closed_loop_qps
+from repro.serve import ServeGrid, closed_loop_qps
 
 RESULT_JSON = Path(__file__).parent.parent / "BENCH_warm_start.json"
 
@@ -118,7 +118,7 @@ def test_warm_start(stan, tmp_path):
     cpu_count = os.cpu_count() or 1
     pool_stats = {}
     for workers in POOL_WORKERS:
-        with ServeWorkerPool(cold, workers=workers, recorder=recorder) as pool:
+        with ServeGrid(cold, replicas=workers, recorder=recorder) as pool:
             stats = closed_loop_qps(
                 "127.0.0.1",
                 pool.port,

@@ -496,9 +496,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Builds the classifier for the selected dataset/snapshot, wires a
     :class:`repro.obs.Recorder` (so the ``metrics`` op reports live
-    ``serve`` counters), and serves newline-JSON requests until
-    interrupted.  See ``docs/serving.md`` for the wire protocol and the
-    batching/backpressure knobs.
+    ``serve`` counters), and serves framed and newline-JSON requests
+    until interrupted -- in this process, or across a process grid with
+    ``--serve-workers``/``--shards``.  See ``docs/serving.md`` for the
+    wire protocol and the batching/backpressure knobs.
     """
     import asyncio
 
@@ -513,23 +514,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     classifier = _build(args)
+    service_options = {
+        "max_batch": args.max_batch,
+        "max_delay_s": args.max_delay_ms / 1e3,
+        "queue_limit": args.queue_limit,
+        "overflow": args.overflow,
+        "timeout_s": args.timeout_ms / 1e3 if args.timeout_ms else None,
+        "cache_size": args.cache_size,
+    }
     if args.shards > 0:
         if serve_workers > 1:
             raise CLIError("--shards and --serve-workers are exclusive")
-        return _serve_sharded(args, classifier)
+        return _serve_grid(args, classifier, service_options, args.replicas)
     if serve_workers > 1:
-        return _serve_multi(args, classifier, serve_workers)
-    recorder = Recorder()
+        return _serve_grid(args, classifier, service_options, serve_workers)
     service = QueryService(
         classifier,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1e3,
-        queue_limit=args.queue_limit,
-        overflow=args.overflow,
-        timeout_s=args.timeout_ms / 1e3 if args.timeout_ms else None,
-        recorder=recorder,
+        recorder=Recorder(),
         backend=args.engine,
-        cache_size=args.cache_size,
+        **service_options,
     )
     try:
         asyncio.run(serve_forever(service, args.host, args.port))
@@ -538,110 +541,72 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stop_on_sigterm() -> None:
-    """Route SIGTERM into the ``KeyboardInterrupt`` shutdown path.
-
-    Called once the serving children are up, so ``kill`` on the parent
-    stops them the way Ctrl-C does instead of orphaning them.
-    """
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
-
-
-def _serve_multi(
-    args: argparse.Namespace, classifier: APClassifier, serve_workers: int
+def _serve_grid(
+    args: argparse.Namespace,
+    classifier: APClassifier,
+    service_options: dict,
+    replicas: int,
 ) -> int:
-    """``serve --serve-workers N``: the shared-memory worker pool."""
+    """``serve --serve-workers N`` / ``--shards S [--replicas R]``.
+
+    Unsharded, N workers accept on the public port themselves and this
+    process only announces it and waits.  Sharded, an ``S x R`` grid of
+    slice replicas answers the router this process runs as the framed +
+    newline-JSON front tier.  SIGTERM stops the grid the way Ctrl-C
+    does, so no member outlives this process.
+    """
+    import asyncio
     import time
 
     from .artifact import ArtifactError
-    from .serve import ServeWorkerPool
-
-    try:
-        pool = ServeWorkerPool(
-            classifier,
-            workers=serve_workers,
-            host=args.host,
-            port=args.port,
-            backend=args.engine,
-            service_options={
-                "max_batch": args.max_batch,
-                "max_delay_s": args.max_delay_ms / 1e3,
-                "queue_limit": args.queue_limit,
-                "overflow": args.overflow,
-                "timeout_s": args.timeout_ms / 1e3 if args.timeout_ms else None,
-                "cache_size": args.cache_size,
-            },
-        )
-    except ArtifactError as exc:
-        raise CLIError(f"cannot build serving artifact: {exc}") from exc
-    try:
-        port = pool.start()
-    except (RuntimeError, OSError) as exc:
-        raise CLIError(f"cannot start serve workers: {exc}") from exc
-    print(json.dumps({
-        "listening": [args.host, port],
-        "workers": pool.workers,
-        "protocols": ["framed", "json"],
-    }), flush=True)
-    try:
-        _stop_on_sigterm()
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        print("interrupted; shutting down")
-    finally:
-        pool.stop()
-    return 0
-
-
-def _serve_sharded(args: argparse.Namespace, classifier: APClassifier) -> int:
-    """``serve --shards N [--replicas R]``: router + shard backends.
-
-    Spawns an ``N x R`` grid of replica processes each serving its
-    shard's slice artifact out of shared memory, then runs the framed +
-    newline-JSON front tier routing over the AP Tree prefix.  The bound
-    front address is announced as one JSON line on stdout.
-    """
-    import asyncio
-
-    from .artifact import ArtifactError
     from .obs import Recorder
-    from .serve import ShardCluster, ShardRouter, serve_front_forever
+    from .serve import ServeGrid, ShardRouter, serve_forever
 
-    if args.replicas < 1:
-        raise CLIError("--replicas must be >= 1")
-    recorder = Recorder()
     try:
-        cluster = ShardCluster(
+        grid = ServeGrid(
             classifier,
             shards=args.shards,
-            replicas=args.replicas,
+            replicas=replicas,
+            # Shard replicas are private backends of the router.
+            host=args.host if args.shards == 0 else "127.0.0.1",
+            port=args.port,
             depth=args.shard_depth,
-            host="127.0.0.1",
             backend=args.engine,
-            recorder=recorder,
+            service_options=service_options,
+            recorder=Recorder(),
         )
     except (ArtifactError, ValueError) as exc:
-        raise CLIError(f"cannot build shard slices: {exc}") from exc
-    try:
-        cluster.start()
-    except (RuntimeError, OSError) as exc:
-        raise CLIError(f"cannot start shard replicas: {exc}") from exc
+        raise CLIError(f"cannot build the serving grid: {exc}") from exc
 
-    async def _run() -> None:
-        router = ShardRouter.from_cluster(cluster)
+    async def _front() -> None:
+        router = ShardRouter.from_grid(grid)
         try:
-            await serve_front_forever(router, args.host, args.port)
+            await serve_forever(router, args.host, args.port)
         finally:
             await router.close()
 
     try:
-        _stop_on_sigterm()
-        asyncio.run(_run())
+        # Before the first member exists, so a SIGTERM that arrives
+        # while the grid starts still stops it.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            grid.start()
+        except (RuntimeError, OSError) as exc:
+            raise CLIError(f"cannot start the serving grid: {exc}") from exc
+        if args.shards:
+            asyncio.run(_front())
+        else:
+            print(json.dumps({
+                "listening": [args.host, grid.port],
+                "workers": replicas,
+                "protocols": ["framed", "json"],
+            }), flush=True)
+            while True:
+                time.sleep(3600)
     except KeyboardInterrupt:
         print("interrupted; shutting down")
     finally:
-        cluster.stop()
+        grid.stop()
     return 0
 
 

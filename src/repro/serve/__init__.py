@@ -6,32 +6,26 @@ engine's batch path, with bounded admission (backpressure or shedding),
 per-request deadlines, and graceful degradation while the data plane
 churns and reconstructions swap trees underneath the queries.  An
 optional generation-keyed :class:`ResultCache` answers repeated hot
-headers synchronously at admission.  See ``docs/serving.md`` for the
-operations guide and the TCP wire protocol.
+headers synchronously at admission.  Every serving process -- single
+node, :class:`ServeGrid` member, :class:`ShardRouter` front -- runs the
+one connection loop of :mod:`repro.serve.tcp`.  See ``docs/serving.md``
+for the operations guide and the TCP wire protocol.
 """
 
 from .cache import ResultCache
+from .grid import ServeGrid, closed_loop_qps
 from .service import QueryService, QueryShed, ServiceClosed
-from .shard import (
-    ShardCluster,
-    ShardRouter,
-    serve_front_forever,
-    start_front_server,
-)
+from .shard import ShardRouter
 from .tcp import serve_forever, start_tcp_server
-from .workers import ServeWorkerPool, closed_loop_qps
 
 __all__ = [
     "QueryService",
     "QueryShed",
     "ResultCache",
+    "ServeGrid",
     "ServiceClosed",
-    "ServeWorkerPool",
-    "ShardCluster",
     "ShardRouter",
     "closed_loop_qps",
     "serve_forever",
-    "serve_front_forever",
-    "start_front_server",
     "start_tcp_server",
 ]

@@ -1,8 +1,8 @@
-"""Multi-node sharded serving: router, replica pool, and handoff.
+"""Sharded serving: the header-space router and the replica endpoint.
 
-One serving process holds the whole compiled classifier; this module
-splits it across *N* shard backends along the AP Tree's own geometry.
-A shallow prefix of the tree (:class:`~repro.core.compiled.TreePrefix`)
+One serving process holds the whole compiled classifier; sharding splits
+it across *N* shard backends along the AP Tree's own geometry.  A
+shallow prefix of the tree (:class:`~repro.core.compiled.TreePrefix`)
 becomes the **router**: descending it maps a header to a *frontier*
 subtree, the shard plan maps frontiers to shards, and each shard serves
 a slice artifact holding only its subtrees' programs, flat-BDD nodes,
@@ -17,40 +17,38 @@ Topology (``--shards 2 --replicas 2``)::
                                             +--> shard 1 replica a
                                                  shard 1 replica b
 
-* each shard is replicated ``R`` ways; every replica of a shard maps
-  the *same* shared-memory slice blob.  The router keeps a persistent
-  framed connection per replica and rotates across them; on a connect
-  error, reset, or timeout it retries the next replica (fail-over);
+* the replicas are a :class:`~repro.serve.ServeGrid`: every replica of
+  a shard maps the *same* shared-memory slice blob and answers through
+  a :class:`SliceEndpoint`.  The router keeps a persistent framed
+  connection per replica and rotates across them; on a connect error,
+  reset, or timeout it retries the next replica (fail-over);
 * queries travel as :mod:`repro.serve.proto` frames -- one
   ``SHARD_CLASSIFY`` frame carries a whole routed sub-batch in the
   kernel's word-packed form, so a replica classifies straight off the
   wire bytes;
-* generation handoff extends the multi-worker publish protocol
-  cluster-wide: the parent writes every shard's new slice into fresh
-  shared memory and sends ``prepare``; replicas attach, load, and ack
-  while still answering the old generation; only after **every**
-  replica acked does the router flip its routing tables -- a plain
-  in-loop assignment, atomic with respect to batches -- and each
-  ``SHARD_CLASSIFY`` frame carries the generation it was routed under,
-  answered strictly from that generation.  Replicas keep the last two
-  generations mapped until ``commit``, so in-flight frames tagged with
-  the previous generation still answer and no batch ever mixes
-  generations.
+* generation handoff is the grid's two-phase publish: replicas map and
+  ack the new slices while still answering the old generation; only
+  after **every** replica acked does the router flip its routing tables
+  -- a plain in-loop assignment, atomic with respect to batches -- and
+  each ``SHARD_CLASSIFY`` frame carries the generation it was routed
+  under, answered strictly from that generation.  Replicas keep the
+  previous generation mapped after ``commit``, so in-flight frames
+  tagged with it still answer and no batch ever mixes generations.
+
+The router is itself an :class:`~repro.serve.tcp.Endpoint`: the front
+tier is the same connection loop every other serving process runs.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import multiprocessing
 import os
 import time
 
 from .. import config
-from ..artifact import load_shard_buffer, make_shard_plan, shard_artifact_bytes
 from ..obs.recorder import ServeCounters
 from . import proto
-from .workers import CONTROL_TIMEOUT_S, _Generation
+from .tcp import Endpoint, _BadRequest
 
 try:  # pragma: no cover - exercised via the CI matrix
     if config.numpy_disabled():
@@ -65,13 +63,7 @@ if _np is not None:
 else:  # pragma: no cover
     _kernel = None
 
-__all__ = [
-    "ROUTER_TIMEOUT_S",
-    "ShardCluster",
-    "ShardRouter",
-    "serve_front_forever",
-    "start_front_server",
-]
+__all__ = ["ROUTER_TIMEOUT_S", "ShardRouter", "SliceEndpoint"]
 
 #: Per-attempt deadline for one routed sub-batch; a dead replica's
 #: connection usually fails fast (ECONNREFUSED/RST), the timeout covers
@@ -84,459 +76,47 @@ _RETRYABLE = (ConnectionError, OSError, asyncio.IncompleteReadError,
               asyncio.TimeoutError)
 
 
-# ----------------------------------------------------------------------
-# Replica process (one shard slice, framed protocol only)
-# ----------------------------------------------------------------------
+class SliceEndpoint(Endpoint):
+    """A shard replica: answers ``SHARD_CLASSIFY`` from the generation
+    each frame was routed under.
 
-
-def _load_slice(shm_name: str, backend: str | None):
-    """(generation-block, serving) restored from a shared-memory slice."""
-    block = _Generation(shm_name)
-    serving = load_shard_buffer(
-        block.shm.buf, backend=backend, source=f"shm:{shm_name}"
-    )
-    return block, serving
-
-
-async def _replica_connection(state: dict, reader, writer) -> None:
-    """One framed client (normally the router) against this replica."""
-    generations = state["generations"]
-    try:
-        while True:
-            try:
-                ftype, payload = await proto.read_frame(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                break
-            except proto.FrameError as exc:
-                # Desynchronized stream: report once, then drop it.
-                writer.write(proto.pack_frame(proto.ERROR, str(exc).encode()))
-                await writer.drain()
-                break
-            try:
-                if ftype == proto.PING:
-                    response = proto.pack_frame(proto.PONG)
-                elif ftype == proto.SHARD_CLASSIFY:
-                    gen, frontiers, headers, _w = proto.decode_shard_classify(
-                        payload
-                    )
-                    entry = generations.get(gen)
-                    if entry is None:
-                        raise proto.FrameError(
-                            f"unknown generation {gen} "
-                            f"(have {sorted(generations)})"
-                        )
-                    serving = entry[1]
-                    if _np is not None:
-                        atoms = serving.classify_batch_array(frontiers, headers)
-                    else:
-                        atoms = serving.classify_batch(
-                            list(frontiers), headers
-                        )
-                    state["served"] += len(headers)
-                    response = proto.pack_frame(
-                        proto.SHARD_RESULT, proto.encode_shard_result(gen, atoms)
-                    )
-                elif ftype == proto.METRICS:
-                    newest = max(generations)
-                    info = {
-                        "shard": generations[newest][1].shard_id,
-                        "shards": generations[newest][1].shards,
-                        "generations": sorted(generations),
-                        "served": state["served"],
-                        "pid": os.getpid(),
-                    }
-                    response = proto.pack_frame(
-                        proto.METRICS_RESULT,
-                        json.dumps(info, allow_nan=False).encode(),
-                    )
-                else:
-                    raise proto.FrameError(
-                        f"unsupported frame type {ftype:#04x}"
-                    )
-            except (proto.FrameError, KeyError, ValueError) as exc:
-                # Per-frame contract: answer ERROR, keep the connection.
-                response = proto.pack_frame(
-                    proto.ERROR, (str(exc) or repr(exc)).encode()
-                )
-            writer.write(response)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                break
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def _replica_serve(conn, shm_name: str, host: str,
-                         options: dict) -> None:
-    backend = options.pop("backend", None)
-    block, serving = _load_slice(shm_name, backend)
-    # generation id -> (shm block, ShardServing); answers are strictly
-    # by the generation a frame was routed under.
-    state: dict = {"generations": {0: (block, serving)}, "served": 0}
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    control: asyncio.Queue[tuple] = asyncio.Queue()
-
-    def on_control() -> None:
-        while conn.poll():
-            try:
-                message = conn.recv()
-            except EOFError:
-                stop.set()
-                return
-            if message[0] == "stop":
-                stop.set()
-            else:
-                control.put_nowait(message)
-
-    async def control_loop() -> None:
-        generations = state["generations"]
-        while True:
-            message = await control.get()
-            if message[0] == "prepare":
-                _tag, gen, name = message
-                try:
-                    generations[gen] = _load_slice(name, backend)
-                except Exception as exc:
-                    conn.send(
-                        ("prepare_failed", gen,
-                         f"{type(exc).__name__}: {exc}")
-                    )
-                    continue
-                conn.send(("prepared", gen))
-            elif message[0] == "commit":
-                gen = message[1]
-                # Keep the committed generation and its predecessor:
-                # frames routed just before the flip may still arrive.
-                for old in [g for g in generations if g < gen - 1]:
-                    old_block, _serving = generations.pop(old)
-                    old_block.close()
-                conn.send(("committed", gen))
-
-    active: set = set()
-
-    async def handler(reader, writer) -> None:
-        active.add(writer)
-        try:
-            await _replica_connection(state, reader, writer)
-        finally:
-            active.discard(writer)
-
-    server = await asyncio.start_server(handler, host, 0)
-    port = server.sockets[0].getsockname()[1]
-    controller = loop.create_task(control_loop())
-    loop.add_reader(conn.fileno(), on_control)
-    conn.send(("ready", os.getpid(), port))
-    try:
-        await stop.wait()
-    finally:
-        loop.remove_reader(conn.fileno())
-        controller.cancel()
-        server.close()
-        await server.wait_closed()
-        for writer in list(active):
-            writer.close()
-        for _ in range(100):
-            if not active:
-                break
-            await asyncio.sleep(0.01)
-    try:
-        conn.send(("stopped", state["served"]))
-    except (BrokenPipeError, OSError):
-        pass
-    conn.close()
-    generations = state.pop("generations")
-    del serving
-    for gen in list(generations):
-        gen_block, gen_serving = generations.pop(gen)
-        del gen_serving
-        gen_block.close()
-
-
-def _replica_main(conn, shm_name: str, host: str, options: dict) -> None:
-    """Process entry point; module-level so every start method works."""
-    try:
-        asyncio.run(_replica_serve(conn, shm_name, host, options))
-    except KeyboardInterrupt:
-        pass
-
-
-# ----------------------------------------------------------------------
-# Parent-side cluster controller
-# ----------------------------------------------------------------------
-
-
-class ShardCluster:
-    """Spawn and publish to a shard x replica grid of serving processes.
-
-    Usage::
-
-        cluster = ShardCluster(classifier, shards=4, replicas=2)
-        cluster.start()                # all replicas listening
-        router = ShardRouter.from_cluster(cluster)
-        ...
-        cluster.publish(new_classifier, router=router)   # ack'd handoff
-        cluster.stop()
-
-    The controller is synchronous like :class:`ServeWorkerPool` (it runs
-    in the CLI process or a benchmark driver); :meth:`publish_async` is
-    the in-event-loop variant that keeps the router flip atomic with
-    respect to running batches.
+    ``generations`` maps a generation id to ``(shared-memory block,
+    ShardServing)``; the owning grid member adds and retires entries.
     """
 
-    def __init__(
-        self,
-        classifier,
-        *,
-        shards: int = 2,
-        replicas: int = 1,
-        depth: int | None = None,
-        host: str = "127.0.0.1",
-        backend: str | None = None,
-        start_method: str | None = None,
-        recorder=None,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.plan = make_shard_plan(
-            classifier, shards, depth=depth, backend=backend
-        )
-        self.shards = self.plan.shards
-        self.replicas = replicas
-        self.host = host
-        self.backend = backend
-        self.start_method = config.mp_start(start_method)
-        self.recorder = recorder
-        self.generation = 0
-        self._depth = depth
-        self._blobs: list[bytes] | None = [
-            shard_artifact_bytes(classifier, self.plan, s, backend=backend)
-            for s in range(self.shards)
-        ]
-        self._blocks: list = []
-        self._processes: list[list] = []
-        self._conns: list[list] = []
-        #: ``endpoints[shard]`` -> list of ``(host, port)`` per replica.
-        self.endpoints: list[list[tuple[str, int]]] = []
+    def __init__(self, generations: dict) -> None:
+        super().__init__(ServeCounters())
+        self.generations = generations
 
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _new_block(blob: bytes):
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=len(blob))
-        shm.buf[: len(blob)] = blob
-        return shm
-
-    def _expect(self, conn, kinds: tuple[str, ...], what: str):
-        if not conn.poll(CONTROL_TIMEOUT_S):
-            raise RuntimeError(f"shard replica did not answer ({what})")
-        try:
-            message = conn.recv()
-        except EOFError:
-            raise RuntimeError(f"shard replica died during {what}") from None
-        if message[0] not in kinds:
-            raise RuntimeError(f"shard replica failed during {what}: {message}")
-        return message
-
-    def start(self) -> list[list[tuple[str, int]]]:
-        """Spawn the grid; returns ``endpoints`` once every replica listens."""
-        if self._processes:
-            raise RuntimeError("cluster already started")
-        blobs, self._blobs = self._blobs, None
-        if blobs is None:
-            raise RuntimeError("cluster was stopped; build a new one")
-        self._blocks = [self._new_block(blob) for blob in blobs]
-        context = multiprocessing.get_context(self.start_method)
-        try:
-            for shard in range(self.shards):
-                procs, conns = [], []
-                for _replica in range(self.replicas):
-                    parent_conn, child_conn = context.Pipe()
-                    process = context.Process(
-                        target=_replica_main,
-                        args=(
-                            child_conn,
-                            self._blocks[shard].name,
-                            self.host,
-                            {"backend": self.backend},
-                        ),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    procs.append(process)
-                    conns.append(parent_conn)
-                self._processes.append(procs)
-                self._conns.append(conns)
-            for shard in range(self.shards):
-                ports = []
-                for conn in self._conns[shard]:
-                    message = self._expect(conn, ("ready",), "startup")
-                    ports.append((self.host, message[2]))
-                self.endpoints.append(ports)
-        except BaseException:
-            self.stop()
-            raise
-        if self.recorder is not None:
-            self.recorder.serve.shard_shards = self.shards
-            self.recorder.serve.shard_replicas = self.replicas
-        return self.endpoints
-
-    # -- generation handoff --------------------------------------------
-
-    def prepare(self, classifier) -> dict:
-        """Stage a new generation on every replica (ack'd); no flip yet.
-
-        Writes each shard's new slice into fresh shared memory, signals
-        every replica, and waits for all ``prepared`` acks.  Returns the
-        pending-generation handle for :meth:`commit`.  Replicas keep
-        answering the old generation throughout.
-        """
-        if not self._processes:
-            raise RuntimeError("cluster is not running")
-        started = time.perf_counter()
-        generation = self.generation + 1
-        plan = make_shard_plan(
-            classifier, self.shards, depth=self._depth, backend=self.backend
-        )
-        blocks = [
-            self._new_block(
-                shard_artifact_bytes(classifier, plan, s, backend=self.backend)
-            )
-            for s in range(self.shards)
-        ]
-        try:
-            for shard in range(self.shards):
-                for conn in self._conns[shard]:
-                    conn.send(("prepare", generation, blocks[shard].name))
-            failures = []
-            for conns in self._conns:
-                for conn in conns:
-                    message = self._expect(
-                        conn, ("prepared", "prepare_failed"),
-                        "generation prepare",
-                    )
-                    if message[0] == "prepare_failed":
-                        failures.append(message[2])
-            if failures:
-                raise RuntimeError(
-                    f"generation prepare failed in {len(failures)} "
-                    f"replica(s): {failures[0]}"
-                )
-        except BaseException:
-            for block in blocks:
-                block.close()
-                try:
-                    block.unlink()
-                except FileNotFoundError:
-                    pass
-            raise
+    def metrics(self) -> dict:
+        newest = self.generations[max(self.generations)][1]
         return {
-            "generation": generation,
-            "plan": plan,
-            "blocks": blocks,
-            "started": started,
+            "shard": newest.shard_id,
+            "shards": newest.shards,
+            "generations": sorted(self.generations),
+            "served": self.counters.served,
+            "pid": os.getpid(),
         }
 
-    def commit(self, pending: dict) -> None:
-        """Finish a handoff: replicas retire generations older than
-        ``gen - 1`` and the previous shared-memory blocks are unlinked.
-        Call only after the router flipped to ``pending``."""
-        generation = pending["generation"]
-        for conns in self._conns:
-            for conn in conns:
-                conn.send(("commit", generation))
-        for conns in self._conns:
-            for conn in conns:
-                self._expect(conn, ("committed",), "generation commit")
-        old = self._blocks
-        self._blocks = pending["blocks"]
-        self.plan = pending["plan"]
-        self.generation = generation
-        for block in old:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:
-                pass
-        elapsed = time.perf_counter() - pending["started"]
-        if self.recorder is not None:
-            self.recorder.serve.record_handoff(elapsed)
-
-    def publish(self, classifier, router: "ShardRouter | None" = None) -> int:
-        """Full ack'd handoff from synchronous code; returns the new
-        generation id.  With a ``router`` the flip happens between
-        prepare and commit -- only safe when no event loop is
-        concurrently routing (tests, CLI swaps); inside a loop use
-        :meth:`publish_async`."""
-        pending = self.prepare(classifier)
-        if router is not None:
-            router.flip(pending["plan"], pending["generation"])
-        self.commit(pending)
-        return pending["generation"]
-
-    async def publish_async(self, classifier, router: "ShardRouter") -> int:
-        """Handoff driven from inside the router's event loop.
-
-        The blocking prepare/commit pipe work runs in the default
-        executor; the router flip itself is a plain in-loop call, so no
-        batch observes a half-swapped routing table.
-        """
-        loop = asyncio.get_running_loop()
-        pending = await loop.run_in_executor(None, self.prepare, classifier)
-        router.flip(pending["plan"], pending["generation"])
-        await loop.run_in_executor(None, self.commit, pending)
-        return pending["generation"]
-
-    # -- fault injection / shutdown ------------------------------------
-
-    def kill_replica(self, shard: int, replica: int) -> None:
-        """Hard-kill one replica process (fail-over testing)."""
-        process = self._processes[shard][replica]
-        process.terminate()
-        process.join(timeout=5)
-
-    def stop(self) -> None:
-        """Stop every replica and release OS resources. Idempotent."""
-        for conns in self._conns:
-            for conn in conns:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for procs in self._processes:
-            for process in procs:
-                process.join(timeout=CONTROL_TIMEOUT_S)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5)
-        for conns in self._conns:
-            for conn in conns:
-                conn.close()
-        self._processes = []
-        self._conns = []
-        self.endpoints = []
-        for block in self._blocks:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:
-                pass
-        self._blocks = []
-
-    def __enter__(self) -> "ShardCluster":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    async def frame(self, ftype: int, payload: bytes) -> bytes:
+        if ftype != proto.SHARD_CLASSIFY:
+            return await super().frame(ftype, payload)
+        started = time.perf_counter()
+        gen, frontiers, headers, _w = proto.decode_shard_classify(payload)
+        entry = self.generations.get(gen)
+        if entry is None:
+            raise proto.FrameError(
+                f"unknown generation {gen} (have {sorted(self.generations)})"
+            )
+        serving = entry[1]
+        if _np is not None:
+            atoms = serving.classify_batch_array(frontiers, headers)
+        else:
+            atoms = serving.classify_batch(list(frontiers), headers)
+        self.counters.record_frame(len(headers), time.perf_counter() - started)
+        return proto.pack_frame(
+            proto.SHARD_RESULT, proto.encode_shard_result(gen, atoms)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +165,7 @@ class _ReplicaConn:
                 pass
 
 
-class ShardRouter:
+class ShardRouter(Endpoint):
     """Route header batches across shard replicas; flip generations.
 
     The routing state is one ``(prefix, assignment, generation)`` tuple
@@ -593,7 +173,13 @@ class ShardRouter:
     :meth:`flip` -- a batch runs entirely under the tuple it grabbed,
     and replicas answer strictly by the generation stamped into each
     ``SHARD_CLASSIFY`` frame, so answers never mix generations.
+
+    As an :class:`~repro.serve.tcp.Endpoint` it is the front tier:
+    ``CLASSIFY`` frames and the JSON ``classify``-by-header op (the full
+    JSON API lives on single-node and multi-worker servers).
     """
+
+    mode = "shard-router"
 
     def __init__(
         self,
@@ -608,7 +194,7 @@ class ShardRouter:
             raise ValueError(
                 f"{len(endpoints)} endpoint groups for {plan.shards} shards"
             )
-        self.counters = counters if counters is not None else ServeCounters()
+        super().__init__(counters if counters is not None else ServeCounters())
         self.counters.shard_shards = plan.shards
         self.counters.shard_replicas = max(len(group) for group in endpoints)
         self.timeout = timeout
@@ -620,19 +206,22 @@ class ShardRouter:
         self._routing = self._routing_state(plan, generation)
 
     @classmethod
-    def from_cluster(
+    def from_grid(
         cls,
-        cluster: ShardCluster,
+        grid,
         *,
         counters: ServeCounters | None = None,
         timeout: float = ROUTER_TIMEOUT_S,
     ) -> "ShardRouter":
-        if counters is None and cluster.recorder is not None:
-            counters = cluster.recorder.serve
+        """A router over a started, sharded :class:`~repro.serve.ServeGrid`."""
+        if grid.plan is None:
+            raise ValueError("an unsharded grid has no shard plan to route by")
+        if counters is None and grid.recorder is not None:
+            counters = grid.recorder.serve
         return cls(
-            plan=cluster.plan,
-            endpoints=cluster.endpoints,
-            generation=cluster.generation,
+            plan=grid.plan,
+            endpoints=grid.endpoints,
+            generation=grid.generation,
             counters=counters,
             timeout=timeout,
         )
@@ -656,7 +245,8 @@ class ShardRouter:
         Plain attribute assignment in the event loop: concurrent
         batches either read the old tuple or the new one, never a mix.
         Call only after every replica acked ``prepare`` for
-        ``generation`` (:meth:`ShardCluster.prepare` guarantees this).
+        ``generation`` (:meth:`ServeGrid.prepare <repro.serve.ServeGrid.prepare>`
+        guarantees this).
         """
         self._routing = self._routing_state(plan, generation)
 
@@ -764,168 +354,24 @@ class ShardRouter:
             f"all {len(replicas)} replica(s) of shard {shard} failed"
         ) from last_exc
 
-    def metrics(self) -> dict:
-        return self.counters.summary()
+    async def frame(self, ftype: int, payload: bytes) -> bytes:
+        if ftype == proto.CLASSIFY:
+            headers, _width = proto.decode_classify(payload)
+            atoms = await self.classify_batch(headers)
+            return proto.pack_frame(proto.RESULT, proto.encode_result(atoms))
+        return await super().frame(ftype, payload)
+
+    async def request(self, op, request: dict) -> dict:
+        if op == "classify":
+            header = request.get("header")
+            if not isinstance(header, int) or isinstance(header, bool):
+                raise _BadRequest(
+                    "front-tier 'classify' needs an integer 'header'"
+                )
+            return {"ok": True, "atom": int(await self.classify(header))}
+        return await super().request(op, request)
 
     async def close(self) -> None:
         for group in self._replicas:
             for conn in group:
                 await conn.close()
-
-
-# ----------------------------------------------------------------------
-# Front server (framed + newline-JSON shim, one port)
-# ----------------------------------------------------------------------
-
-
-async def _front_framed(router: ShardRouter, reader, writer) -> None:
-    """Framed loop; the leading magic byte was consumed by the peek."""
-    first = True
-    while True:
-        try:
-            if first:
-                ftype, payload = await proto.read_rest_of_frame(reader)
-                first = False
-            else:
-                ftype, payload = await proto.read_frame(reader)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return
-        except proto.FrameError as exc:
-            writer.write(proto.pack_frame(proto.ERROR, str(exc).encode()))
-            await writer.drain()
-            return
-        try:
-            if ftype == proto.PING:
-                response = proto.pack_frame(proto.PONG)
-            elif ftype == proto.CLASSIFY:
-                headers, _width = proto.decode_classify(payload)
-                atoms = await router.classify_batch(headers)
-                response = proto.pack_frame(
-                    proto.RESULT, proto.encode_result(atoms)
-                )
-            elif ftype == proto.METRICS:
-                response = proto.pack_frame(
-                    proto.METRICS_RESULT,
-                    json.dumps(router.metrics(), allow_nan=False).encode(),
-                )
-            else:
-                raise proto.FrameError(f"unsupported frame type {ftype:#04x}")
-        except (proto.FrameError, proto.RemoteError, ConnectionError,
-                ValueError) as exc:
-            response = proto.pack_frame(
-                proto.ERROR, (str(exc) or repr(exc)).encode()
-            )
-        writer.write(response)
-        try:
-            await writer.drain()
-        except ConnectionError:
-            return
-
-
-async def _front_json(router: ShardRouter, reader, writer,
-                      initial: bytes) -> None:
-    """Newline-JSON compat shim: ping / classify-by-header / metrics.
-
-    The full JSON API (packet objects, behavior queries) lives on the
-    single-node server; the front tier only classifies.
-    """
-    from .tcp import _read_line
-
-    pending = initial
-    while True:
-        try:
-            line, overflow = await _read_line(reader)
-        except (ConnectionError, OSError):
-            return
-        line = pending + line
-        pending = b""
-        if overflow:
-            writer.write(b'{"ok": false, "error": "request too large"}\n')
-            try:
-                await writer.drain()
-            except ConnectionError:
-                return
-            continue
-        if not line:
-            return
-        if not line.strip():
-            continue
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            op = request.get("op")
-            if op == "ping":
-                response = {"ok": True, "pong": True}
-            elif op == "metrics":
-                response = {"ok": True, "metrics": router.metrics()}
-            elif op == "classify":
-                header = request.get("header")
-                if not isinstance(header, int) or isinstance(header, bool):
-                    raise ValueError(
-                        "front-tier 'classify' needs an integer 'header'"
-                    )
-                atom = await router.classify(header)
-                response = {"ok": True, "atom": int(atom)}
-            else:
-                raise ValueError(f"unknown op {op!r}")
-        except Exception as exc:
-            response = {"ok": False, "error": str(exc) or repr(exc)}
-        writer.write((json.dumps(response, allow_nan=False) + "\n").encode())
-        try:
-            await writer.drain()
-        except ConnectionError:
-            return
-
-
-async def _front_connection(router: ShardRouter, reader, writer) -> None:
-    try:
-        first = await reader.read(1)
-        if not first:
-            return
-        if first[0] == proto.FRAME_MAGIC:
-            await _front_framed(router, reader, writer)
-        else:
-            await _front_json(router, reader, writer, first)
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def start_front_server(
-    router: ShardRouter, host: str = "127.0.0.1", port: int = 0
-) -> asyncio.AbstractServer:
-    """Bind the dual-protocol front endpoint; ``port=0`` picks a port."""
-    from .tcp import MAX_LINE_BYTES
-
-    handler = lambda reader, writer: _front_connection(router, reader, writer)
-    return await asyncio.start_server(handler, host, port, limit=MAX_LINE_BYTES)
-
-
-async def serve_front_forever(
-    router: ShardRouter, host: str, port: int, *, announce=None
-) -> None:
-    """``repro serve --shards`` driver: run the front tier until cancelled.
-
-    Announces the bound address as one machine-readable JSON line so
-    scripts (and tests) binding ``port=0`` can discover the port.
-    """
-    if announce is None:
-        from .tcp import _announce_line
-
-        announce = _announce_line
-    server = await start_front_server(router, host, port)
-    bound = server.sockets[0].getsockname()
-    announce(json.dumps({
-        "listening": [bound[0], bound[1]],
-        "mode": "shard-router",
-        "protocols": ["framed", "json"],
-    }))
-    try:
-        async with server:
-            await server.serve_forever()
-    except asyncio.CancelledError:
-        pass

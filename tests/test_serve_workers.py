@@ -1,9 +1,9 @@
-"""Multi-worker serving: shared-memory pool, handoff, CLI liveness.
+"""Multi-worker serving: the unsharded grid, handoff, CLI liveness.
 
 Workers are real OS processes mapping one shared artifact, so these
 tests exercise the full path: fork, SO_REUSEPORT accept, newline-JSON
 round trips, generation handoff acks, and clean teardown.  Kept small --
-the pool's value is parallelism, but its *correctness* contract is that
+the grid's value is parallelism, but its *correctness* contract is that
 every worker answers exactly like the classifier that was published.
 """
 
@@ -22,7 +22,7 @@ import pytest
 from repro.core.classifier import APClassifier
 from repro.datasets import internet2_like, random_headers, rule_update_stream, toy_network
 from repro.obs import Recorder
-from repro.serve import ServeWorkerPool, closed_loop_qps
+from repro.serve import ServeGrid, closed_loop_qps
 
 TIMEOUT_S = 10.0
 
@@ -49,7 +49,7 @@ class TestPool:
         rng = random.Random(5)
         headers = random_headers(toy_classifier.dataplane.layout, 32, rng)
         expected = [toy_classifier.tree.classify(h) for h in headers]
-        with ServeWorkerPool(toy_classifier, workers=2) as pool:
+        with ServeGrid(toy_classifier, replicas=2) as pool:
             assert ask("127.0.0.1", pool.port, {"op": "ping"}) == {
                 "ok": True,
                 "pong": True,
@@ -65,7 +65,7 @@ class TestPool:
         classifier = APClassifier.build(network)
         rng = random.Random(2)
         headers = random_headers(classifier.dataplane.layout, 48, rng)
-        with ServeWorkerPool(classifier, workers=2) as pool:
+        with ServeGrid(classifier, replicas=2) as pool:
             for update in rule_update_stream(network, 8, rng):
                 if update.kind == "insert":
                     classifier.insert_rule(update.box, update.rule)
@@ -81,14 +81,14 @@ class TestPool:
 
     def test_recorder_counts_workers_and_generations(self, toy_classifier):
         recorder = Recorder()
-        pool = ServeWorkerPool(toy_classifier, workers=2, recorder=recorder)
+        pool = ServeGrid(toy_classifier, replicas=2, recorder=recorder)
         with pool:
             pool.publish(toy_classifier)
         assert recorder.serve.workers == 2
         assert recorder.serve.generations == 1
 
     def test_stop_is_idempotent(self, toy_classifier):
-        pool = ServeWorkerPool(toy_classifier, workers=1)
+        pool = ServeGrid(toy_classifier, replicas=1)
         pool.start()
         pool.stop()
         pool.stop()
@@ -96,7 +96,7 @@ class TestPool:
     def test_closed_loop_driver(self, toy_classifier):
         rng = random.Random(9)
         headers = random_headers(toy_classifier.dataplane.layout, 16, rng)
-        with ServeWorkerPool(toy_classifier, workers=2) as pool:
+        with ServeGrid(toy_classifier, replicas=2) as pool:
             stats = closed_loop_qps(
                 "127.0.0.1", pool.port, headers, connections=2, duration_s=0.3
             )
@@ -105,7 +105,67 @@ class TestPool:
 
     def test_rejects_bad_worker_count(self, toy_classifier):
         with pytest.raises(ValueError):
-            ServeWorkerPool(toy_classifier, workers=0)
+            ServeGrid(toy_classifier, replicas=0)
+
+    def test_failed_prepare_keeps_serving_the_old_generation(
+        self, toy_classifier, monkeypatch
+    ):
+        import repro.serve.grid as grid_module
+
+        rng = random.Random(3)
+        headers = random_headers(toy_classifier.dataplane.layout, 16, rng)
+        expected = [toy_classifier.tree.classify(h) for h in headers]
+        real_new_block = grid_module._new_block
+
+        def vanishing_block(blob):
+            # The parent writes the block, then it disappears before any
+            # member can map it: every member's prepare fails.
+            block = real_new_block(blob)
+            block.unlink()
+            return block
+
+        with ServeGrid(toy_classifier, replicas=2) as grid:
+            monkeypatch.setattr(grid_module, "_new_block", vanishing_block)
+            with pytest.raises(RuntimeError, match=r"prepare failed in 2 member"):
+                grid.publish(toy_classifier)
+            monkeypatch.undo()
+            assert grid.generation == 0
+            got = [
+                ask("127.0.0.1", grid.port, {"op": "classify", "header": h})
+                for h in headers
+            ]
+            assert got == [{"ok": True, "atom": a} for a in expected]
+            # The failed attempt left nothing behind that blocks the next.
+            assert grid.publish(toy_classifier) == 1
+
+    def test_stop_closes_open_connections(self, toy_classifier):
+        import time
+
+        grid = ServeGrid(toy_classifier, replicas=1)
+        grid.start()
+        try:
+            sock = socket.create_connection(("127.0.0.1", grid.port), timeout=TIMEOUT_S)
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(sock.makefile().readline())["pong"] is True
+        finally:
+            started = time.monotonic()
+            grid.stop()
+        # The member hung up on the idle client on its way out, promptly
+        # (not after the parent's join timeout).
+        assert time.monotonic() - started < TIMEOUT_S
+        with sock:
+            assert sock.recv(1) == b""
+
+    def test_unsharded_grid_has_no_router(self, toy_classifier):
+        from repro.serve import ShardRouter
+
+        with pytest.raises(ValueError):
+            ServeGrid(toy_classifier, shards=-1)
+        with ServeGrid(toy_classifier, replicas=1) as grid:
+            assert grid.plan is None
+            assert grid.endpoints == [[("127.0.0.1", grid.port)]]
+            with pytest.raises(ValueError, match="unsharded"):
+                ShardRouter.from_grid(grid)
 
 
 class TestCLI:
@@ -150,7 +210,12 @@ def _serve_then_terminate(classify: dict, *options: str) -> None:
         except subprocess.TimeoutExpired:
             process.kill()
             process.wait(timeout=TIMEOUT_S)
+        with process.stdout:
+            output = process.stdout.read()
     _assert_all_exit(children)
+    # Every process, members included, shuts its connections down
+    # without an asyncio callback logging a traceback.
+    assert "Traceback" not in output, output
 
 
 def _stat(pid) -> tuple[str, int] | None:

@@ -10,6 +10,7 @@ generation, never mixed), and across replica fail-over.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import random
 
@@ -31,7 +32,8 @@ from repro.datasets import (
     toy_network,
     uniform_over_atoms,
 )
-from repro.serve import ShardCluster, ShardRouter, proto
+from repro.serve import ServeGrid, ShardRouter, proto
+from repro.serve.shard import SliceEndpoint
 
 try:
     from hypothesis import given, settings
@@ -270,12 +272,12 @@ class TestCluster:
     def test_router_matches_direct(self, i2_classifier):
         headers = sample_headers(i2_classifier, 128)
         expected = i2_classifier.classify_batch(headers)
-        with ShardCluster(i2_classifier, shards=2, replicas=2) as cluster:
+        with ServeGrid(i2_classifier, shards=2, replicas=2) as cluster:
             assert len(cluster.endpoints) == 2
             assert all(len(group) == 2 for group in cluster.endpoints)
 
             async def scenario():
-                router = ShardRouter.from_cluster(cluster)
+                router = ShardRouter.from_grid(cluster)
                 try:
                     batch = await router.classify_batch(headers)
                     singles = [await router.classify(h) for h in headers[:8]]
@@ -296,10 +298,10 @@ class TestCluster:
         headers = sample_headers(classifier, 96, seed=17)
         updates = list(rule_update_stream(network, 10, rng))
 
-        with ShardCluster(classifier, shards=2, replicas=1) as cluster:
+        with ServeGrid(classifier, shards=2, replicas=1) as cluster:
 
             async def scenario():
-                router = ShardRouter.from_cluster(cluster)
+                router = ShardRouter.from_grid(cluster)
                 allowed = {tuple(classifier.classify_batch(headers))}
                 observed: list[tuple] = []
                 done = asyncio.Event()
@@ -347,10 +349,10 @@ class TestCluster:
     def test_failover_after_replica_kill(self, i2_classifier):
         headers = sample_headers(i2_classifier, 64, seed=23)
         expected = i2_classifier.classify_batch(headers)
-        with ShardCluster(i2_classifier, shards=2, replicas=2) as cluster:
+        with ServeGrid(i2_classifier, shards=2, replicas=2) as cluster:
 
             async def scenario():
-                router = ShardRouter.from_cluster(cluster)
+                router = ShardRouter.from_grid(cluster)
                 try:
                     warm = await router.classify_batch(headers)
                     cluster.kill_replica(0, 0)
@@ -372,10 +374,10 @@ class TestCluster:
 
     def test_all_replicas_down_raises(self, toy_classifier):
         headers = sample_headers(toy_classifier, 16)
-        with ShardCluster(toy_classifier, shards=1, replicas=1) as cluster:
+        with ServeGrid(toy_classifier, shards=1, replicas=1) as cluster:
 
             async def scenario():
-                router = ShardRouter.from_cluster(cluster)
+                router = ShardRouter.from_grid(cluster)
                 try:
                     await router.classify_batch(headers)  # warm
                     cluster.kill_replica(0, 0)
@@ -511,17 +513,17 @@ class TestFrontTier:
 
     @pytest.fixture(scope="class")
     def cluster(self, toy_classifier):
-        with ShardCluster(toy_classifier, shards=2, replicas=1) as cluster:
+        with ServeGrid(toy_classifier, shards=2, replicas=1) as cluster:
             yield cluster
 
     @staticmethod
     def with_front(cluster, client):
         """Run ``client(host, port)`` against a front server on ``cluster``."""
-        from repro.serve import start_front_server
+        from repro.serve import start_tcp_server
 
         async def scenario():
-            router = ShardRouter.from_cluster(cluster)
-            server = await start_front_server(router)
+            router = ShardRouter.from_grid(cluster)
+            server = await start_tcp_server(router)
             try:
                 return await client(*server.sockets[0].getsockname()[:2])
             finally:
@@ -635,15 +637,13 @@ class TestFrontTier:
         assert answer == {"ok": True, "atom": expected}
 
     def test_serve_front_forever_announces_strict_json(self, cluster):
-        from repro.serve import serve_front_forever
+        from repro.serve import serve_forever
 
         async def scenario():
-            router = ShardRouter.from_cluster(cluster)
+            router = ShardRouter.from_grid(cluster)
             lines: list[str] = []
             task = asyncio.ensure_future(
-                serve_front_forever(
-                    router, "127.0.0.1", 0, announce=lines.append
-                )
+                serve_forever(router, "127.0.0.1", 0, announce=lines.append)
             )
             try:
                 while not lines:
@@ -669,6 +669,216 @@ class TestFrontTier:
         assert info["listening"][0] == "127.0.0.1"
         assert isinstance(info["listening"][1], int) and info["listening"][1] > 0
         assert pong == {"ok": True, "pong": True}
+
+
+class TestOneConnectionLoop:
+    """Single node, shard replica and shard front run one connection
+    loop, so they keep one error contract.  The replicas here are
+    in-process :class:`SliceEndpoint` servers on the test's own loop."""
+
+    @staticmethod
+    async def in_process_front(classifier, shards=2):
+        """(router, replica endpoints, servers) with no child processes."""
+        from repro.serve import start_tcp_server
+
+        plan = make_shard_plan(classifier, shards)
+        replicas, servers, endpoints = [], [], []
+        for shard in range(shards):
+            serving = load_shard_buffer(
+                shard_artifact_bytes(classifier, plan, shard)
+            )
+            replica = SliceEndpoint({0: (None, serving)})
+            server = await start_tcp_server(replica)
+            replicas.append(replica)
+            servers.append(server)
+            endpoints.append([server.sockets[0].getsockname()[:2]])
+        return ShardRouter(plan=plan, endpoints=endpoints), replicas, servers
+
+    @staticmethod
+    async def exchange(port, lines, frames):
+        """JSON replies to ``lines`` on one connection, then ``(type,
+        payload)`` replies to ``frames`` on a second one."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        replies = []
+        for line in lines:
+            writer.write(line + b"\n")
+            await writer.drain()
+            replies.append(json.loads(await reader.readline()))
+        writer.close()
+        await writer.wait_closed()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        answers = []
+        for frame in frames:
+            writer.write(frame)
+            await writer.drain()
+            answers.append(await proto.read_frame(reader))
+        writer.close()
+        await writer.wait_closed()
+        return replies, answers
+
+    @pytest.mark.parametrize("kind", ["service", "replica", "front"])
+    def test_every_endpoint_keeps_one_error_contract(self, toy_classifier, kind):
+        from repro.serve import QueryService, start_tcp_server
+        from repro.serve.tcp import MAX_LINE_BYTES, stop_server
+
+        lines = [
+            b'{"op": "ping"}',
+            b"[1, 2, 3]",
+            b"x" * (2 * MAX_LINE_BYTES),
+            b'{"op": "teleport"}',
+            b"not json",
+            b'{"op": "metrics"}',
+        ]
+        frames = [
+            proto.pack_frame(proto.PING),
+            proto.pack_frame(0x55),
+            proto.pack_frame(proto.METRICS),
+        ]
+
+        async def scenario():
+            async with contextlib.AsyncExitStack() as stack:
+                if kind == "service":
+                    service = QueryService(toy_classifier, max_delay_s=0)
+                    await stack.enter_async_context(service)
+                    endpoint = service
+                    counters = service.counters
+                else:
+                    router, replicas, servers = await self.in_process_front(
+                        toy_classifier
+                    )
+                    for replica, server in zip(replicas, servers):
+                        stack.push_async_callback(stop_server, server, replica)
+                    stack.push_async_callback(router.close)
+                    endpoint = router if kind == "front" else replicas[0]
+                    counters = endpoint.counters
+                server = await start_tcp_server(endpoint)
+                try:
+                    port = server.sockets[0].getsockname()[1]
+                    replies, answers = await self.exchange(port, lines, frames)
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                return replies, answers, counters.rejected
+
+        replies, answers, rejected = run(scenario())
+        pong, not_object, too_large, unknown, not_json, metrics = replies
+        assert pong == {"ok": True, "pong": True}
+        assert not_object == {
+            "ok": False, "error": "request must be a JSON object"
+        }
+        assert too_large == {"ok": False, "error": "request too large"}
+        assert unknown == {"ok": False, "error": "unknown op 'teleport'"}
+        assert not_json["ok"] is False and not_json["error"]
+        assert metrics["ok"] is True and isinstance(metrics["metrics"], dict)
+        (pong_type, _), (bad_type, bad_body), (metrics_type, body) = answers
+        assert pong_type == proto.PONG
+        assert (bad_type, bad_body) == (proto.ERROR, b"unsupported frame type 0x55")
+        assert metrics_type == proto.METRICS_RESULT
+        assert isinstance(json.loads(body), dict)
+        # Every malformed request counts once, whoever answered it.
+        assert rejected == 5
+
+    def test_cancelled_server_closes_idle_connections(self, toy_classifier):
+        from repro.serve import QueryService, serve_forever
+
+        async def scenario():
+            service = QueryService(toy_classifier, max_delay_s=0)
+            lines: list[str] = []
+            task = asyncio.ensure_future(
+                serve_forever(service, "127.0.0.1", 0, announce=lines.append)
+            )
+            while not lines:
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(
+                *json.loads(lines[0])["listening"]
+            )
+            writer.write(b'{"op": "ping"}\n')
+            await writer.drain()
+            pong = json.loads(await reader.readline())
+            task.cancel()
+            await asyncio.wait_for(asyncio.gather(task, return_exceptions=True), 5)
+            # The server hung up on the idle client instead of leaving
+            # its handler parked on a read.
+            eof = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            return pong, eof, service.running
+
+        pong, eof, running = run(scenario())
+        assert pong == {"ok": True, "pong": True}
+        assert eof == b""
+        assert running is False
+
+    def test_in_process_front_matches_direct(self, toy_classifier):
+        from repro.serve import start_tcp_server
+        from repro.serve.tcp import stop_server
+
+        headers = sample_headers(toy_classifier, 64, seed=13)
+        expected = toy_classifier.classify_batch(headers)
+
+        async def scenario():
+            router, replicas, servers = await self.in_process_front(
+                toy_classifier
+            )
+            front = await start_tcp_server(router)
+            try:
+                port = front.sockets[0].getsockname()[1]
+                _replies, answers = await self.exchange(
+                    port, [],
+                    [proto.pack_frame(
+                        proto.CLASSIFY, proto.encode_classify(headers)
+                    )],
+                )
+                return answers[0], [r.counters.served for r in replicas]
+            finally:
+                front.close()
+                await front.wait_closed()
+                await router.close()
+                for replica, server in zip(replicas, servers):
+                    await stop_server(server, replica)
+
+        (ftype, payload), served = run(scenario())
+        assert ftype == proto.RESULT
+        assert [int(a) for a in proto.decode_result(payload)] == expected
+        assert sum(served) == len(headers)
+
+    def test_replica_refuses_unknown_generation_and_survives(
+        self, toy_classifier
+    ):
+        from repro.serve import start_tcp_server
+
+        plan = make_shard_plan(toy_classifier, 1)
+        serving = load_shard_buffer(shard_artifact_bytes(toy_classifier, plan, 0))
+        headers = sample_headers(toy_classifier, 16, seed=29)
+        frontiers = [plan.prefix.route(h) for h in headers]
+
+        def shard_frame(generation):
+            return proto.pack_frame(
+                proto.SHARD_CLASSIFY,
+                proto.encode_shard_classify(generation, frontiers, headers),
+            )
+
+        async def scenario():
+            replica = SliceEndpoint({0: (None, serving)})
+            server = await start_tcp_server(replica)
+            try:
+                port = server.sockets[0].getsockname()[1]
+                _replies, answers = await self.exchange(
+                    port, [], [shard_frame(5), shard_frame(0)]
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+            return answers, replica.metrics()
+
+        ((bad_type, bad_body), (ftype, payload)), metrics = run(scenario())
+        assert bad_type == proto.ERROR
+        assert bad_body == b"unknown generation 5 (have [0])"
+        assert ftype == proto.SHARD_RESULT
+        generation, atoms = proto.decode_shard_result(payload)
+        assert generation == 0
+        assert [int(a) for a in atoms] == toy_classifier.classify_batch(headers)
+        assert metrics["served"] == len(headers)
+        assert metrics["generations"] == [0]
 
 
 # ----------------------------------------------------------------------
