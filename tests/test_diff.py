@@ -365,6 +365,32 @@ class TestServeDiff:
         assert answer["applied"] == ["+b1:dst_ip=10.2.0.0/16->drop@99"]
         assert atom == classifier.classify(parse_ipv4("10.2.0.1"))
 
+    def test_service_diff_sees_service_updates(self, tmp_path):
+        classifier = APClassifier.build(toy_network())
+        path = tmp_path / "gen.apc"
+        persist.save(classifier, path)
+        drop = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 16), (), 99
+        )
+
+        async def scenario():
+            async with QueryService(
+                classifier, max_delay_s=0, maintenance="incremental"
+            ) as service:
+                before = await service.diff_generation(str(path), "b1")
+                await service.insert_rule("b1", drop)
+                after = await service.diff_generation(str(path), "b1")
+                # Out of band: only the generation stamp can notice.
+                service.classifier.remove_rule("b1", drop)
+                reverted = await service.diff_generation(str(path), "b1")
+                return before, after, reverted
+
+        before, after, reverted = run(scenario())
+        assert before["changed_volume"] == 0
+        # The cached live snapshot was retired with the generation.
+        assert after["changed_volume"] == 1 << 16
+        assert reverted["changed_volume"] == 0
+
     def test_json_line_ops(self, tmp_path):
         classifier = APClassifier.build(toy_network())
         path = tmp_path / "gen.apc"
