@@ -53,7 +53,13 @@ from ..core.atomic import AtomicUniverse
 from ..core.compiled import CompiledAPTree
 from ..network.dataplane import DataPlane
 from ..network.serialize import network_from_json, network_to_json
-from ..parallel.snapshot import restore_tree, snapshot_tree
+from ..parallel.snapshot import (
+    _LEAF,
+    ghost_pids,
+    restore_tree,
+    snapshot_tree,
+    tree_ghosts,
+)
 from .container import (
     Artifact,
     ArtifactMismatch,
@@ -78,8 +84,6 @@ __all__ = [
 
 CLASSIFIER_KIND = "repro.classifier"
 PAYLOAD_VERSION = 2
-
-_LEAF = -1  # mirrors repro.parallel.snapshot's leaf sentinel
 
 
 def _network_digest(network_bytes: bytes) -> str:
@@ -109,30 +113,13 @@ def _manifest_and_sections(
         )
     tree_records = snapshot_tree(classifier.tree, universe)
 
-    # The tree can reference *tombstoned* predicates: after an update
-    # removes a predicate, its internal nodes keep evaluating the old
-    # BDD until the next rebuild, but the universe and data plane no
-    # longer hold its function.  Persist those "ghost" functions from
-    # the tree nodes themselves so a restored tree classifies
-    # bit-identically to the live one.
-    ghost_fns: dict[int, int] = {}
-    stack = [classifier.tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        assert node.pid is not None
-        if node.pid not in live_pids:
-            prior = ghost_fns.setdefault(node.pid, node.fn_node)
-            if prior != node.fn_node:
-                raise ArtifactMismatch(
-                    f"tree nodes disagree on tombstoned predicate "
-                    f"{node.pid}'s function; reconstruct() before saving"
-                )
-        assert node.low is not None and node.high is not None
-        stack.append(node.low)
-        stack.append(node.high)
-    ghost_pids = sorted(ghost_fns)
+    # The tree can reference *tombstoned* predicates; persist their
+    # functions beside the live ones (see ``tree_ghosts``).
+    try:
+        ghost_fns = tree_ghosts(classifier.tree, universe)
+    except ValueError as exc:
+        raise ArtifactMismatch(f"{exc}; reconstruct() before saving") from None
+    ghosts = sorted(ghost_fns)
 
     network_bytes = network_to_json(dataplane.network).encode()
 
@@ -141,7 +128,7 @@ def _manifest_and_sections(
         manager,
         [p.fn.node for p in predicates]
         + [universe.atom_fn(a).node for a in atom_ids]
-        + [ghost_fns[pid] for pid in ghost_pids],
+        + [ghost_fns[pid] for pid in ghosts],
     )
     r_values: list[int] = []
     r_offsets = [0]
@@ -169,13 +156,13 @@ def _manifest_and_sections(
             "atoms": len(atom_ids),
             "tree_records": len(tree_records),
             "fused_nodes": len(arrays["f_var"]),
-            "ghosts": len(ghost_pids),
+            "ghosts": len(ghosts),
         },
         "predicates": {
             "pids": [p.pid for p in predicates],
             "slots": [[p.kind, p.box, p.port] for p in predicates],
         },
-        "ghosts": {"pids": ghost_pids},
+        "ghosts": {"pids": ghosts},
         "compiled": {
             "num_vars": arrays["num_vars"],
             "num_sinks": arrays["num_sinks"],
@@ -402,13 +389,7 @@ def _restore_classifier(
 
     # Ghost predicates: functions the tree still evaluates but the
     # universe no longer holds (tombstoned by updates before the save).
-    # They get fresh *negative* pids so they can never collide with a
-    # pid the restored data plane mints now or later (-1 is the leaf
-    # sentinel, so ghosts start at -2).
-    ghost_pid_map = {
-        stored: -(index + 2)
-        for index, stored in enumerate(stored_ghost_pids)
-    }
+    ghost_pid_map = ghost_pids(stored_ghost_pids)
     if set(ghost_pid_map) & set(pid_map):
         raise ArtifactMismatch(
             "ghost predicate pids overlap the live predicate pids"

@@ -43,12 +43,13 @@ _OP_NAMES = {_OP_AND: "and", _OP_OR: "or", _OP_XOR: "xor", _OP_DIFF: "diff"}
 
 _TERMINAL_VAR = 1 << 30  # sentinel "variable" for terminals; orders last
 
-#: Entries allowed in each memo cache (apply / ite / not / relation) before a
-#: size-triggered :meth:`BDDManager.clear_caches`.  The memo caches are
-#: pure accelerators -- unlike the unique table they carry no canonicity
-#: obligation -- but they referenced every operand pair ever combined, so
-#: long dynamic-update runs grew them without bound.  At roughly 200
-#: bytes per entry this bounds each cache to ~100 MB worst case.
+#: Entries the four memo caches (apply / ite / not / relation) may hold
+#: *together* before a size-triggered :meth:`BDDManager.clear_caches`.
+#: The memo caches are pure accelerators -- unlike the unique table they
+#: carry no canonicity obligation -- but they referenced every operand
+#: pair ever combined, so long dynamic-update runs grew them without
+#: bound.  At roughly 200 bytes per entry this bounds them to ~100 MB
+#: worst case.
 DEFAULT_CACHE_LIMIT = 1 << 19
 
 
@@ -69,8 +70,8 @@ class BDDManager:
         if cache_limit <= 0:
             raise ValueError(f"cache_limit must be positive, got {cache_limit}")
         self.num_vars = num_vars
-        #: Per-memo-cache entry budget; crossing it on a top-level
-        #: operation clears all the memo caches (see ``clear_caches``).
+        #: Entry budget shared by the four memo caches; crossing it on a
+        #: top-level operation clears them all (see ``clear_caches``).
         self.cache_limit = cache_limit
         #: Optional :class:`repro.obs.Recorder`.  ``None`` (the default)
         #: keeps every hot path on its uninstrumented branch; the off
@@ -167,7 +168,7 @@ class BDDManager:
         wrappers route through here, so the budget check and the per-op
         clock run once per user-visible operation, not once per node.
         """
-        if len(self._apply_cache) >= self.cache_limit:
+        if self._memo_entries() >= self.cache_limit:
             self.clear_caches()
         rec = self.recorder
         if rec is None or not rec.time_bdd_ops:
@@ -260,7 +261,7 @@ class BDDManager:
 
     def negate(self, u: int) -> int:
         """Logical NOT, via a memoized terminal swap."""
-        if len(self._not_cache) >= self.cache_limit:
+        if self._memo_entries() >= self.cache_limit:
             self.clear_caches()
         rec = self.recorder
         if rec is None or not rec.time_bdd_ops:
@@ -292,7 +293,7 @@ class BDDManager:
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``(f AND g) OR (NOT f AND h)``."""
-        if len(self._ite_cache) >= self.cache_limit:
+        if self._memo_entries() >= self.cache_limit:
             self.clear_caches()
         rec = self.recorder
         if rec is None or not rec.time_bdd_ops:
@@ -344,7 +345,7 @@ class BDDManager:
         soon as both bits are set; unlike ``apply_and``/``apply_diff`` it
         never calls :meth:`_mk`, so a test leaves the node table alone.
         """
-        if len(self._relation_cache) >= self.cache_limit:
+        if self._memo_entries() >= self.cache_limit:
             self.clear_caches()
         rec = self.recorder
         if rec is None or not rec.time_bdd_ops:
@@ -715,6 +716,15 @@ class BDDManager:
 
         yield from walk(u)
 
+    def _memo_entries(self) -> int:
+        """Entries held by the four memo caches together."""
+        return (
+            len(self._apply_cache)
+            + len(self._not_cache)
+            + len(self._ite_cache)
+            + len(self._relation_cache)
+        )
+
     def cache_stats(self) -> dict[str, int]:
         """Sizes of the internal caches, for memory accounting."""
         return {
@@ -724,12 +734,7 @@ class BDDManager:
             "not_cache": len(self._not_cache),
             "ite_cache": len(self._ite_cache),
             "relation_cache": len(self._relation_cache),
-            "cache_entries": (
-                len(self._apply_cache)
-                + len(self._not_cache)
-                + len(self._ite_cache)
-                + len(self._relation_cache)
-            ),
+            "cache_entries": self._memo_entries(),
             "cache_limit": self.cache_limit,
             "cache_clears": self._cache_clears,
         }
@@ -739,10 +744,11 @@ class BDDManager:
 
         The *unique table* is untouched -- node ids are immortal and every
         previously returned id stays canonical -- so clearing costs only
-        recomputation, never correctness.  Called automatically when any
-        memo cache crosses :attr:`cache_limit` (long dynamic-update runs
-        otherwise grow them without bound), and available to callers that
-        want a deterministic memory floor between phases.
+        recomputation, never correctness.  Called automatically when the
+        memo caches *together* cross :attr:`cache_limit` (long
+        dynamic-update runs otherwise grow them without bound), and
+        available to callers that want a deterministic memory floor
+        between phases.
         """
         self._apply_cache.clear()
         self._not_cache.clear()

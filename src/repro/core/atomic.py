@@ -17,12 +17,23 @@ that real-time updates need (Section VI-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..bdd import TRUE, BDDManager, Function
 from ..network.dataplane import LabeledPredicate
 
-__all__ = ["AtomMerge", "AtomicUniverse", "LeafSplit"]
+if TYPE_CHECKING:  # aptree imports this module
+    from .aptree import APTree, APTreeNode
+
+__all__ = ["AtomMerge", "AtomicUniverse", "LeafSplit", "TreeMismatch"]
+
+# How one AP Tree label decides a subtree in ``AtomicUniverse._touched``.
+_LOW, _HIGH, _HIGH_INSIDE, _BOTH = range(4)
+
+
+class TreeMismatch(ValueError):
+    """An AP Tree handed to :meth:`AtomicUniverse.add_predicate` is not
+    over the universe's live atoms."""
 
 
 @dataclass(frozen=True)
@@ -357,24 +368,46 @@ class AtomicUniverse:
     # Incremental updates (Section VI-A)
     # ------------------------------------------------------------------
 
-    def add_predicate(self, pid: int, fn: Function) -> list[LeafSplit]:
+    def add_predicate(
+        self, pid: int, fn: Function, tree: APTree | None = None
+    ) -> list[LeafSplit]:
         """Refine the universe by one new predicate.
 
-        Every live atom ``a`` is classified against ``p`` by one
-        :meth:`BDDManager.relation` test, which builds nothing; only the
-        atoms ``p`` cuts pay for ``a & p`` and ``a & ~p`` and are replaced
-        by two fresh atoms (inheriting all their ``R`` memberships), the
-        others keep their id.  Returns one :class:`LeafSplit` per atom so
-        the AP Tree can mirror the change on its leaves.
+        ``tree`` is the live AP Tree over this universe, if there is one.
+        Its labels rule out most atoms before any atom is looked at (see
+        :meth:`_touched`); without a tree every live atom is a candidate.
+        Each candidate ``a`` not already known to lie inside ``p`` gets
+        one :meth:`BDDManager.relation` test, which builds nothing; only
+        the atoms ``p`` cuts pay for ``a & p`` and ``a & ~p`` and are
+        replaced by two fresh atoms (inheriting all their ``R``
+        memberships), the others keep their id.  Candidates are visited
+        in ascending atom id, so ids, BDD nodes and ``R`` sets come out
+        the same with or without a tree.
+
+        Returns one :class:`LeafSplit` per candidate so the AP Tree can
+        mirror the change on its leaves: with a tree, only for the atoms
+        the descent could not rule out -- every atom ``p`` meets, and no
+        atom its labels prove disjoint from ``p``.  Raises
+        :class:`TreeMismatch` when ``tree`` does not hold one leaf per
+        live atom.
         """
+        if tree is None:
+            candidates = dict.fromkeys(self._atoms, 0)
+        elif len(tree._leaf_index) != len(self._atoms):
+            raise TreeMismatch(
+                f"the tree has {len(tree._leaf_index)} leaves for "
+                f"{len(self._atoms)} live atoms"
+            )
+        else:
+            candidates = self._touched(tree.root, fn.node)
         self._register_predicate(pid, fn)
         relation = self.manager.relation
         p = fn.node
         splits: list[LeafSplit] = []
         r_set = self._r[pid]
-        for atom_id in list(self._atoms):
+        for atom_id in sorted(candidates):
             atom = self._atoms[atom_id]
-            rel = relation(atom.node, p)
+            rel = candidates[atom_id] or relation(atom.node, p)
             if rel == 2:  # disjoint from p
                 splits.append(LeafSplit(atom_id, None, atom_id))
                 continue
@@ -397,6 +430,56 @@ class AtomicUniverse:
             self._drop_atom(atom_id)
             splits.append(LeafSplit(atom_id, in_id, out_id))
         return splits
+
+    def _touched(self, root: APTreeNode, p: int) -> dict[int, int]:
+        """The atoms ``p`` may meet, found by descending the AP Tree.
+
+        Every node's packets lie inside its label ``q`` on the high side
+        and outside it on the low side, so one test of ``p`` against
+        ``q`` (memoised per label for the call) decides a whole subtree:
+        ``p`` disjoint from ``q`` keeps only the low child, ``p`` inside
+        ``q`` only the high child, and ``q`` inside ``p`` puts every atom
+        of the high subtree inside ``p`` with no BDD operation on them.
+        Returns atom id -> ``1`` for the atoms known to lie inside ``p``
+        and ``0`` for the leaves still undecided; atoms absent from the
+        map are disjoint from ``p``.
+        """
+        relation = self.manager.relation
+        verdicts: dict[int, int] = {}
+        touched: dict[int, int] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.pid is None:
+                touched[node.atom_id] = 0
+                continue
+            q = node.fn_node
+            verdict = verdicts.get(q)
+            if verdict is None:
+                rel = relation(p, q)
+                if rel & 1 == 0:  # p misses q: nothing on the high side
+                    verdict = _LOW
+                elif rel == 1:  # p inside q: nothing on the low side
+                    verdict = _HIGH
+                elif relation(q, p) == 1:  # the high side is inside p
+                    verdict = _HIGH_INSIDE
+                else:
+                    verdict = _BOTH
+                verdicts[q] = verdict
+            if verdict != _HIGH:
+                stack.append(node.low)
+            if verdict == _HIGH or verdict == _BOTH:
+                stack.append(node.high)
+            elif verdict == _HIGH_INSIDE:
+                inside = [node.high]
+                while inside:
+                    below = inside.pop()
+                    if below.pid is None:
+                        touched[below.atom_id] = 1
+                    else:
+                        inside.append(below.low)
+                        inside.append(below.high)
+        return touched
 
     def remove_predicate(self, pid: int) -> None:
         """Forget a predicate (tombstone semantics, Section VI-A).

@@ -7,7 +7,7 @@ is bounded below by a whole rebuild.  This module closes that gap by
 maintaining the atomic-predicate universe itself under churn:
 
 * **Addition** is already a delta operation (``a & p`` / ``a & ~p`` per
-  atom, Section VI-A); the engine additionally patches the *compiled*
+  atom the predicate cuts, Section VI-A); the engine additionally patches the *compiled*
   program in place (:meth:`CompiledAPTree.patch_apply_splits`) so the
   fast path stays hot instead of falling back to the interpreted tree.
 * **Removal** no longer tombstones: the atoms the predicate's ``R`` set
@@ -120,7 +120,7 @@ class IncrementalEngine(UpdateEngine):
     def add_predicate(self, labeled: LabeledPredicate) -> int:
         tree = self.tree
         version_before = tree.version if tree is not None else 0
-        splits = self.universe.add_predicate(labeled.pid, labeled.fn)
+        splits = self.universe.add_predicate(labeled.pid, labeled.fn, tree)
         if self.counter is not None:
             for split in splits:
                 if split.is_split:

@@ -26,7 +26,13 @@ from ..bdd import Function
 from ..bdd.serialize import dump_image, load_image
 from ..network.dataplane import DataPlane
 from ..network.serialize import network_from_json, network_to_json
-from ..parallel.snapshot import restore_tree, snapshot_tree
+from ..parallel.snapshot import (
+    _LEAF,
+    ghost_pids,
+    restore_tree,
+    snapshot_tree,
+    tree_ghosts,
+)
 from .atomic import AtomicUniverse
 from .classifier import APClassifier
 
@@ -45,6 +51,10 @@ def _save_json(classifier: APClassifier) -> str:
     universe = classifier.universe
     pids = universe.predicate_ids()
     atom_ids = sorted(universe.atom_ids())
+    # Tombstoned labels the tree still evaluates: their functions ride
+    # after the atoms, and only a tree that has any carries the key.
+    ghost_fns = tree_ghosts(classifier.tree, universe)
+    ghosts = sorted(ghost_fns)
     payload = {
         "version": FORMAT_VERSION,
         "strategy": classifier.strategy,
@@ -60,14 +70,18 @@ def _save_json(classifier: APClassifier) -> str:
             for labeled in map(dataplane.predicate, pids)
         ],
         "atom_ids": atom_ids,
-        # One image; its roots are the predicates above, then the atoms.
+        # One image; its roots are the predicates above, then the atoms,
+        # then the ghosts.
         "image": dump_image(
             dataplane.manager,
             [universe.predicate_fn(pid).node for pid in pids]
-            + [universe.atom_fn(atom_id).node for atom_id in atom_ids],
+            + [universe.atom_fn(atom_id).node for atom_id in atom_ids]
+            + [ghost_fns[pid] for pid in ghosts],
         ),
         "tree": snapshot_tree(classifier.tree, universe),
     }
+    if ghosts:
+        payload["ghosts"] = ghosts
     return json.dumps(payload)
 
 
@@ -89,14 +103,15 @@ def _load_json(text: str) -> APClassifier:
 
     entries = payload["predicates"]
     atom_ids = payload["atom_ids"]
+    stored_ghosts = payload.get("ghosts", [])
     try:
         nodes = load_image(manager, payload["image"])
     except (TypeError, ValueError) as exc:
         raise SnapshotMismatch(f"BDD image is inconsistent: {exc}") from None
-    if len(nodes) != len(entries) + len(atom_ids):
+    if len(nodes) != len(entries) + len(atom_ids) + len(stored_ghosts):
         raise SnapshotMismatch(
-            f"{len(nodes)} stored BDD roots for {len(entries)} predicates "
-            f"and {len(atom_ids)} atoms"
+            f"{len(nodes)} stored BDD roots for {len(entries)} predicates, "
+            f"{len(atom_ids)} atoms and {len(stored_ghosts)} ghosts"
         )
 
     # Match stored predicates to recompiled ones by slot (pids depend on
@@ -122,22 +137,32 @@ def _load_json(text: str) -> APClassifier:
         )
 
     # Reassemble the universe without refinement, then the tree over it.
+    ghost_start = len(entries) + len(atom_ids)
     atoms = {
         atom_id: Function(manager, node)
-        for atom_id, node in zip(atom_ids, nodes[len(entries):])
+        for atom_id, node in zip(atom_ids, nodes[len(entries):ghost_start])
     }
     try:
         universe = AtomicUniverse.assemble_with_ids(manager, pred_fns, atoms, r)
     except ValueError as exc:
         raise SnapshotMismatch(str(exc)) from None
+    ghost_map = ghost_pids(stored_ghosts)
+    if set(ghost_map) & set(pid_map):
+        raise SnapshotMismatch("ghost pids overlap the live predicate pids")
+    pid_map.update(ghost_map)
     try:
         tree = restore_tree(
             [
-                # Real pids are non-negative; the leaf marker passes through.
-                [pid_map[pid] if pid >= 0 else pid, first, second]
+                # The leaf marker passes through; a reloaded ghost's pid
+                # is negative and maps like any other.
+                [pid if pid == _LEAF else pid_map[pid], first, second]
                 for pid, first, second in payload["tree"]
             ],
             universe,
+            extra_fn_nodes={
+                ghost_map[pid]: node
+                for pid, node in zip(stored_ghosts, nodes[ghost_start:])
+            },
         )
     except (IndexError, KeyError, ValueError) as exc:
         raise SnapshotMismatch(f"tree is inconsistent: {exc!r}") from None

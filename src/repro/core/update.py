@@ -6,8 +6,9 @@ Data plane changes arrive as :class:`PredicateChange` diffs from the
 * **removal** tombstones the predicate -- the AP Tree keeps evaluating it
   (removing internal nodes would require merging subtrees), but stage 2 and
   the ``R`` mapping forget it immediately;
-* **addition** refines every atom against the new predicate (``a & p`` /
-  ``a & ~p``) and mirrors the splits onto the tree's leaves.
+* **addition** refines the atoms the new predicate cuts (``a & p`` /
+  ``a & ~p``), found by descending the tree's labels, and mirrors the
+  splits onto the tree's leaves.
 
 Both operations are local and fast; they degrade tree balance over time,
 which is what periodic reconstruction (Section VI-B) repairs.
@@ -101,7 +102,9 @@ class UpdateEngine:
 
         Returns the number of atoms that were split in two.
         """
-        splits = self.universe.add_predicate(labeled.pid, labeled.fn)
+        splits = self.universe.add_predicate(
+            labeled.pid, labeled.fn, self.tree
+        )
         split_count = 0
         if self.counter is not None:
             for split in splits:

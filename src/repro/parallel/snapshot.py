@@ -26,6 +26,8 @@ __all__ = [
     "restore_universe",
     "snapshot_tree",
     "restore_tree",
+    "tree_ghosts",
+    "ghost_pids",
 ]
 
 _LEAF = -1
@@ -99,6 +101,46 @@ def snapshot_tree(tree: APTree, universe: AtomicUniverse) -> list[list[int]]:
             stack.append((node.high, index, 2))
             stack.append((node.low, index, 1))
     return records
+
+
+def tree_ghosts(tree: APTree, universe: AtomicUniverse) -> dict[int, int]:
+    """pid -> BDD node of every tombstoned label the tree still evaluates.
+
+    After an update removes a predicate, its internal nodes keep
+    evaluating the old BDD until the next rebuild, but the universe no
+    longer holds its function; a snapshot carries these "ghost"
+    functions from the tree nodes themselves so a restored tree
+    classifies bit-identically to the live one.  Raises ``ValueError``
+    when two nodes disagree on one dead pid's function.
+    """
+    ghosts: dict[int, int] = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        assert node.pid is not None
+        if not universe.has_predicate(node.pid):
+            prior = ghosts.setdefault(node.pid, node.fn_node)
+            if prior != node.fn_node:
+                raise ValueError(
+                    f"tree nodes disagree on tombstoned predicate "
+                    f"{node.pid}'s function"
+                )
+        assert node.low is not None and node.high is not None
+        stack.append(node.low)
+        stack.append(node.high)
+    return ghosts
+
+
+def ghost_pids(stored: list[int]) -> dict[int, int]:
+    """Stored ghost pid -> the pid its restored tree nodes carry.
+
+    Fresh *negative* pids, so a ghost can never collide with a pid the
+    restored data plane mints now or later (``-1`` is the leaf marker,
+    so ghosts start at ``-2``).
+    """
+    return {pid: -(index + 2) for index, pid in enumerate(stored)}
 
 
 def restore_tree(

@@ -222,6 +222,24 @@ class TestRelation:
         assert mgr.cache_stats()["relation_cache"] == 0
         assert mgr.cache_stats()["cache_entries"] == 0
 
+    def test_one_budget_for_all_memos(self):
+        mgr = BDDManager(8)
+        a, b = cutting_pair(mgr)
+        mgr.clear_caches()
+        mgr.apply_and(a, b)
+        mgr.relation(a, b)
+        stats = mgr.cache_stats()
+        applies, relations = stats["apply_cache"], stats["relation_cache"]
+        # Each memo is under the limit; only their sum reaches it.
+        mgr.cache_limit = max(applies, relations) + 1
+        assert applies + relations >= mgr.cache_limit
+        clears = stats["cache_clears"]
+        assert mgr.relation(b, a) == 3
+        assert mgr.cache_stats()["cache_clears"] == clears + 1
+        assert mgr.cache_stats()["apply_cache"] == 0
+        mgr.negate(a)
+        assert mgr.cache_stats()["cache_clears"] == clears + 1
+
     def test_counts_into_apply_counters_and_times_as_relation(self):
         from repro.obs import Recorder
 

@@ -391,6 +391,36 @@ class TestServeDiff:
         assert after["changed_volume"] == 1 << 16
         assert reverted["changed_volume"] == 0
 
+    def test_service_diff_sees_tombstone_updates(self, tmp_path):
+        """The default ``maintenance="tombstone"`` twin of the test above:
+        after an update the live tree carries a dead label, and the
+        service's snapshot of it must still load."""
+        classifier = APClassifier.build(toy_network())
+        path = tmp_path / "gen.apc"
+        persist.save(classifier, path)
+        drop = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 16), (), 99
+        )
+
+        async def scenario():
+            async with QueryService(classifier, max_delay_s=0) as service:
+                before = await service.diff_generation(str(path), "b1")
+                await service.insert_rule("b1", drop)
+                after = await service.diff_generation(str(path), "b1")
+                answer = await service.what_if(
+                    "b1", add=["b1:dst_ip=10.3.0.0/16->drop@98"]
+                )
+                # Out of band: only the generation stamp can notice.
+                service.classifier.remove_rule("b1", drop)
+                reverted = await service.diff_generation(str(path), "b1")
+                return before, after, answer, reverted
+
+        before, after, answer, reverted = run(scenario())
+        assert before["changed_volume"] == 0
+        assert after["changed_volume"] == 1 << 16
+        assert answer["applied"] == ["+b1:dst_ip=10.3.0.0/16->drop@98"]
+        assert reverted["changed_volume"] == 0
+
     def test_json_line_ops(self, tmp_path):
         classifier = APClassifier.build(toy_network())
         path = tmp_path / "gen.apc"

@@ -66,6 +66,50 @@ class TestRoundTrip:
                 header
             )
 
+    def test_tree_with_tombstoned_labels(self):
+        from repro.headerspace.fields import parse_ipv4
+        from repro.network.rules import ForwardingRule, Match
+
+        original = APClassifier.build(toy_network())
+        drop = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 16), (), 99
+        )
+        original.insert_rule("b1", drop)
+        text = classifier_to_json(original)
+        assert json.loads(text)["ghosts"]
+        restored = classifier_from_json(text)
+        assert_same_answers(original, restored)
+        assert restored.universe.atom_ids() == original.universe.atom_ids()
+
+    def test_many_tombstoned_labels_survive_two_reloads(self):
+        from repro.datasets.registry import get_scenario
+
+        scenario = get_scenario("internet2")
+        original = APClassifier.build(scenario.network())
+        for update in scenario.update_stream(60):
+            apply = (
+                original.insert_rule if update.kind == "insert"
+                else original.remove_rule
+            )
+            apply(update.box, update.rule)
+        assert len(json.loads(classifier_to_json(original))["ghosts"]) > 1
+        once = classifier_from_json(classifier_to_json(original))
+        twice = classifier_from_json(classifier_to_json(once))
+        rng = random.Random(3)
+        width = original.dataplane.layout.total_width
+        for _ in range(500):
+            header = rng.getrandbits(width)
+            expected = original.tree.classify(header)
+            assert once.tree.classify(header) == expected
+            assert twice.tree.classify(header) == expected
+
+    def test_no_ghosts_key_without_dead_labels(self):
+        original = APClassifier.build(internet2_like(prefixes_per_router=2))
+        payload = json.loads(classifier_to_json(original))
+        assert "ghosts" not in payload
+        roots = payload["image"][2]
+        assert len(roots) == len(payload["predicates"]) + len(payload["atom_ids"])
+
     def test_load_performs_no_atom_refinement(self, monkeypatch):
         """Warm restart skips atom computation: the saved partition is
         reassembled, never refined again.  (A wall-clock race against a
