@@ -139,10 +139,14 @@ def _manifest_and_sections(
     for record in tree_records:
         tree_flat.extend(record)
 
-    if classifier.compiled_fresh:
-        compiled = classifier.compiled
-    else:
+    compiled = classifier.compiled
+    if not classifier.compiled_fresh:
         compiled = CompiledAPTree.compile(classifier.tree, backend=backend)
+    elif compiled.patched:
+        # Compact first: an artifact carries no patch history (spare
+        # sinks, redundant tests, ``-1`` atoms), so it is byte-identical
+        # to one saved right after a compile of the same tree.
+        compiled = classifier.compile(backend=compiled.backend)
     arrays = compiled.to_arrays()
 
     manifest = {
@@ -210,7 +214,8 @@ def save_artifact(
     """Write the classifier to ``path`` atomically; returns bytes written.
 
     Compiles the tree first if no fresh compiled engine exists (the
-    artifact's point is feeding the compiled fast path on load).
+    artifact's point is feeding the compiled fast path on load), and
+    compacts (recompiles) a fresh one that incremental patches changed.
     """
     start = time.perf_counter()
     manifest, sections = _manifest_and_sections(classifier, backend=backend)

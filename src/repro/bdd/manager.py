@@ -48,9 +48,13 @@ _TERMINAL_VAR = 1 << 30  # sentinel "variable" for terminals; orders last
 #: The memo caches are pure accelerators -- unlike the unique table they
 #: carry no canonicity obligation -- but they referenced every operand
 #: pair ever combined, so long dynamic-update runs grew them without
-#: bound.  At roughly 200 bytes per entry this bounds them to ~100 MB
-#: worst case.
-DEFAULT_CACHE_LIMIT = 1 << 19
+#: bound.  At roughly 200 bytes per entry this bounds them to ~50 MB
+#: worst case.  Builds stay below it (stanford at the ``coldstart``
+#: size reaches ~215k entries, acl-heavy ~237k); under rule churn a
+#: budget twice as large re-ran ~11 % fewer ``relation`` steps but held
+#: ~36 MB more at its peak, most of it the relation cache's dict
+#: doubling to 2^20 slots just before each clear.
+DEFAULT_CACHE_LIMIT = 1 << 18
 
 
 class BDDManager:

@@ -567,23 +567,34 @@ class CompiledAPTree:
         del self._tree_nodes  # the arrays are a snapshot; drop live refs
         self._scalar_ready = True
         #: Engines compiled from a live tree keep enough indices
-        #: (atom -> row/sink, node entries) for in-place patching;
-        #: artifact-restored engines (:meth:`from_arrays`) do not.
+        #: (atom -> rows/sinks, each sink's source slice) for in-place
+        #: patching; artifact-restored engines (:meth:`from_arrays`) do not.
         self._patchable = True
-        #: Fused nodes orphaned by collapse patches (degradation metric).
-        self._dead_patches = 0
+        #: Has a patch changed the arrays since the compile?
+        self.patched = False
+        #: Fused-program size at the compile (the compaction yardstick).
+        self.compiled_nodes = len(self._f_var)
         self._refresh_accelerated()
 
-    def _refresh_accelerated(self) -> None:
-        """(Re)build the numpy mirrors + kernel view from the list arrays."""
+    def _refresh_accelerated(self, capacity: int = 0) -> None:
+        """(Re)build the numpy mirrors + kernel view from the list arrays.
+
+        The node mirrors are capacity buffers of ``max(capacity, size)``
+        nodes: a patch appends into the spare room and writes only the
+        entries it changed (:meth:`_flush`).  A fresh compile has no
+        spare room, so its arrays are exactly the program.
+        """
         if self.backend in (NUMPY_BACKEND, NATIVE_BACKEND):
-            self._np_f_var = _np.asarray(self._f_var, dtype=_np.int32)
-            child = _np.empty(2 * len(self._f_var), dtype=_np.int32)
-            child[0::2] = self._f_low
-            child[1::2] = self._f_high
+            size = len(self._f_var)
+            cap = max(capacity, size)
+            f_var = _np.zeros(cap, dtype=_np.int32)
+            f_var[:size] = self._f_var
+            child = _np.zeros(2 * cap, dtype=_np.int32)
+            child[0 : 2 * size : 2] = self._f_low
+            child[1 : 2 * size : 2] = self._f_high
             self._np_f_child = child
             self._np_f_atom = _np.asarray(self._f_atom, dtype=_np.int64)
-            self._init_kernel()
+            self._init_kernel(f_var)
 
     @classmethod
     def compile(
@@ -603,7 +614,7 @@ class CompiledAPTree:
         straight into ``_np_f_child`` without a shuffle.
         """
         if self.backend in (NUMPY_BACKEND, NATIVE_BACKEND):
-            f_child = self._np_f_child
+            f_child = self._program.f_child
         else:
             f_child = [0] * (2 * len(self._f_var))
             f_child[0::2] = _as_int_list(self._f_low)
@@ -652,7 +663,8 @@ class CompiledAPTree:
             else (tree_version or 0)
         )
         self._patchable = False
-        self._dead_patches = 0
+        self.patched = False
+        self.compiled_nodes = len(arrays["f_var"])
         self.backend = _resolve_backend(backend)
         self.num_vars = int(arrays["num_vars"])
         self._num_sinks = int(arrays["num_sinks"])
@@ -666,16 +678,16 @@ class CompiledAPTree:
             self._bdd_low = arrays["bdd_low"]
             self._bdd_high = arrays["bdd_high"]
             self._bdd_shift = None  # derived with the scalar lists
-            self._np_f_var = _np.asarray(arrays["f_var"], dtype=_np.int32)
+            f_var = _np.asarray(arrays["f_var"], dtype=_np.int32)
             child = _np.asarray(arrays["f_child"], dtype=_np.int32)
             self._np_f_child = child
             self._np_f_atom = _np.asarray(arrays["f_atom"], dtype=_np.int64)
-            self._f_var = self._np_f_var
+            self._f_var = f_var
             self._f_low = child[0::2]  # strided views, enough for stats
             self._f_high = child[1::2]
             self._f_atom = self._np_f_atom
             self._scalar_ready = False
-            self._init_kernel()
+            self._init_kernel(f_var)
         else:
             self.pred_entry = _as_int_list(arrays["pred_entry"])
             self.low_idx = _as_int_list(arrays["low_idx"])
@@ -713,33 +725,50 @@ class CompiledAPTree:
             self._bdd_shift = [shift - v for v in self._bdd_var]
         self._scalar_ready = True
 
-    def _init_kernel(self) -> None:
+    def _init_kernel(self, f_var) -> None:
         """Precompute the descent's bit-lookup tables and scratch.
 
-        Derived once from ``_np_f_var`` (for artifact loads this is the
-        only consumer of ``f_var`` on the batch path): the doubled-cursor
-        ``bit2``/``child2`` tables for the numpy descent, the word/shift
-        tables for the C kernel -- each engine builds only its own.  The
-        :class:`~.kernel.Program` view is what the descent consumes; the
-        scratch buffer makes steady-state list packing allocation-free.
+        Derived from the node variables ``f_var`` (for artifact loads
+        this is the only consumer of ``f_var`` on the batch path): the
+        doubled-cursor ``bit2``/``child2`` tables for the numpy descent,
+        the word/shift tables for the C kernel -- each engine builds only
+        its own.  The scratch buffer makes steady-state list packing
+        allocation-free.
         """
         if self.backend == NATIVE_BACKEND:
-            word, shift = _kernel.shift_arrays(self._np_f_var, self.num_vars)
-            tables = {"f_word": word, "f_shift": shift}
-        else:
-            bit2, child2 = _kernel.doubled_tables(
-                self._np_f_var, self._np_f_child, self.num_vars
+            self._f_word, self._f_shift = _kernel.shift_arrays(
+                f_var, self.num_vars
             )
-            tables = {"bit2": bit2, "child2": child2}
+        else:
+            self._bit2, self._child2 = _kernel.doubled_tables(
+                f_var, self._np_f_child, self.num_vars
+            )
+        self._scratch = _kernel.KernelScratch()
+        self._sync_program()
+
+    def _sync_program(self) -> None:
+        """The :class:`~.kernel.Program` view the descents consume: the
+        program's prefix of each (capacity) buffer, current sink count
+        and root."""
+        size = len(self._f_var)
+        if self.backend == NATIVE_BACKEND:
+            tables = {
+                "f_word": self._f_word[:size],
+                "f_shift": self._f_shift[:size],
+            }
+        else:
+            tables = {
+                "bit2": self._bit2[: 2 * size],
+                "child2": self._child2[: 2 * size],
+            }
         self._program = _kernel.Program(
             width=_kernel.words_per_header(self.num_vars),
-            f_child=self._np_f_child,
+            f_child=self._np_f_child[: 2 * size],
             f_atom=self._np_f_atom,
             num_sinks=self._num_sinks,
             f_root=self._f_root,
             **tables,
         )
-        self._scratch = _kernel.KernelScratch()
 
     # -- construction ----------------------------------------------------
 
@@ -779,10 +808,6 @@ class CompiledAPTree:
         self.low_idx = low_idx
         self.high_idx = high_idx
         self.atom_id = atom_id
-        # atom id -> leaf row, so patches can find a leaf in O(1).
-        self._atom_row = {
-            aid: i for i, aid in enumerate(atom_id) if aid >= 0
-        }
         self._tree_nodes = nodes
 
     def _build_fused(self, tree: APTree) -> None:
@@ -828,9 +853,17 @@ class CompiledAPTree:
         f_low = list(range(size))
         f_high = list(range(size))
         # Pass 2: fill slices; every child entry is already assigned.
+        # A sink is entered only from its parent row's slice: record that
+        # extent, where a split patch finds the edges to redirect.
+        sink_lo = [0] * num_sinks
+        sink_hi = [0] * num_sinks
         for i, base, reach in reaches:
             low_entry = entries[self.low_idx[i]]
             high_entry = entries[self.high_idx[i]]
+            for child in (low_entry, high_entry):
+                if child < num_sinks:
+                    sink_lo[child] = base
+                    sink_hi[child] = base + len(reach)
             index = {u: base + offset for offset, u in enumerate(reach)}
             for u in reach:
                 k = index[u]
@@ -851,13 +884,15 @@ class CompiledAPTree:
         self._f_high = f_high
         self._num_sinks = num_sinks
         self._f_root = entries[0]
-        # Per tree-row fused entry (sink index for leaves, slice base for
-        # internal rows) and atom id -> sink index: the bookkeeping the
-        # in-place patches below navigate by.
-        self._f_entry = entries
-        self._atom_sink = {
-            self._f_atom[sink]: sink for sink in range(num_sinks)
-        }
+        # The bookkeeping the in-place patches below navigate by: each
+        # sink's source slice ``[lo, hi)``, the free sink slots (a fresh
+        # compile has none spare) and, from the first patch on, each
+        # atom's sinks and leaf rows (:meth:`_index_atoms`).
+        self._sink_lo = sink_lo
+        self._sink_hi = sink_hi
+        self._free_sinks: list[int] = []
+        self._atom_sinks: dict[int, list[int]] | None = None
+        self._atom_rows: dict[int, list[int]] | None = None
         if __debug__:
             for u in range(num_sinks, size):
                 assert f_low[u] < num_sinks or f_low[u] > u
@@ -865,210 +900,245 @@ class CompiledAPTree:
 
     # -- in-place patches (incremental maintenance) ----------------------
     #
-    # Both patches keep the compiled program *exact* for the mutated tree
-    # and finish by re-stamping ``tree_version``, so the fast path never
-    # drops into stale-fallback for a leaf-local update.  They only apply
-    # to engines compiled from a live tree (``_patchable``); artifact
-    # views return False and the caller recompiles.
+    # Both patches are append-only and keep one invariant: for every
+    # header, ``f_atom[descent(h)]`` is the atom the universe assigns it
+    # (and likewise ``atom_id`` at the scalar walk's final row).  The
+    # program computes the atom function exactly; it need not mirror the
+    # tree's shape.  Both finish by re-stamping ``tree_version``, so the
+    # fast path never drops into stale-fallback.  They apply only to
+    # engines compiled from a live tree (``patchable``); the caller
+    # recompiles when the program has grown past twice
+    # ``compiled_nodes`` (:mod:`repro.core.incremental`).
 
     @property
     def patchable(self) -> bool:
         return self._patchable
 
-    def patch_apply_splits(self, fn_node: int, splits) -> bool:
+    @property
+    def node_count(self) -> int:
+        """Fused-program nodes, spare sink slots included."""
+        return len(self._f_var)
+
+    def _index_atoms(self) -> None:
+        """Map each atom to its sinks and leaf rows (one of each on a
+        fresh compile; merges concatenate them).  Built by the first
+        patch, so a compile that is never patched does not pay for it."""
+        if self._atom_sinks is None:
+            self._atom_sinks = {
+                atom: [sink] for sink, atom in enumerate(self._f_atom)
+            }
+            self._atom_rows = {
+                aid: [row] for row, aid in enumerate(self.atom_id) if aid >= 0
+            }
+
+    def patch_splits(self, fn_node: int, splits) -> None:
         """Mirror :meth:`APTree.apply_splits` onto the compiled arrays.
 
-        Predicate addition is always leaf-local: each split leaf becomes
-        an internal node testing the new predicate, with the inside atom
-        on the high branch.  The patch grows the sink region by one per
-        split (the descent's termination test is ``cur < num_sinks``, so
-        new sinks must join the contiguous low region: every non-sink
-        index shifts up by the split count), appends one copy of the new
-        predicate's flattened slice per split with its terminals rewired
-        to the two child sinks, and redirects the old atom's sink into
-        that slice.  Returns True when patched (compiled stays fresh).
+        For each split atom, one copy of the new predicate's flattened
+        slice is appended with TRUE going to the atom's first sink
+        (reused for the inside atom) and FALSE to a fresh sink (the
+        outside atom), and the edges that entered any of the atom's
+        sinks -- each sink's are inside its recorded source slice --
+        move to the copy's root.  Every new edge points forward.  The
+        atom's other sinks (merges leave several) are now unreachable
+        and become free slots: dead self-loops with atom ``-1``.  When
+        no free slot is left the sink region doubles
+        (:meth:`_grow_sinks`).  Likewise every leaf row of a split atom
+        becomes an internal row testing the predicate, over one new pair
+        of leaf rows.
         """
-        if not self._patchable or self.tree is None:
-            return False
         real = [s for s in splits if s.is_split]
-        if not real:
-            # Absorbed-only addition: no atom changed id, no leaf moved --
-            # the program is already exact, only the version stamp aged.
-            self.tree_version = self.tree.version
-            return True
-        # --- shared predicate slice for the scalar tree arrays --------
-        var, low, high, entry_of = flatten_bdds(self.tree.manager, [fn_node])
-        offset = len(self._bdd_var) - 2
-        shift = self.num_vars - 1
-        for j in range(2, len(var)):
-            self._bdd_var.append(var[j])
-            self._bdd_shift.append(shift - var[j])
-            lo, hi = low[j], high[j]
-            self._bdd_low.append(lo if lo <= TRUE else lo + offset)
-            self._bdd_high.append(hi if hi <= TRUE else hi + offset)
-        entry = entry_of[fn_node] + offset
-        root_offset = entry_of[fn_node] - 2  # slice-relative root position
-        slice_len = len(var) - 2
-
-        # --- fused program: grow sinks, shift, append slice copies ----
-        old_size = len(self._f_var)
-        num_sinks = self._num_sinks
-        k = len(real)
-        # Old sink of each split atom redirects into its slice copy.
-        redirect: dict[int, int] = {}
-        sinks: list[tuple[int, int]] = []  # (inside sink, outside sink)
-        for t, split in enumerate(real):
-            s_in = self._atom_sink.pop(split.old_id)
-            self._f_atom[s_in] = split.inside_id
-            self._atom_sink[split.inside_id] = s_in
-            s_out = num_sinks + t
-            self._f_atom.append(split.outside_id)
-            self._atom_sink[split.outside_id] = s_out
-            sinks.append((s_in, s_out))
-            redirect[s_in] = old_size + k + t * slice_len + root_offset
-        # Sinks other than the redirected ones keep their index; every
-        # non-sink shifts by k to make room for the new sinks.
-        def remap(v: int) -> int:
-            mapped = redirect.get(v)
-            if mapped is not None:
-                return mapped
-            return v if v < num_sinks else v + k
-
-        nf_var = [0] * (num_sinks + k)
-        nf_low = list(range(num_sinks + k))
-        nf_high = list(range(num_sinks + k))
-        f_var, f_low, f_high = self._f_var, self._f_low, self._f_high
-        for u in range(num_sinks, old_size):
-            nf_var.append(f_var[u])
-            nf_low.append(remap(f_low[u]))
-            nf_high.append(remap(f_high[u]))
-        for t, (s_in, s_out) in enumerate(sinks):
-            base = old_size + k + t * slice_len
+        if real:
+            self._index_atoms()
+            self.patched = True
+            # --- shared predicate slice for the scalar tree arrays ----
+            var, low, high, entry_of = flatten_bdds(
+                self.tree.manager, [fn_node]
+            )
+            offset = len(self._bdd_var) - 2
+            shift = self.num_vars - 1
             for j in range(2, len(var)):
-                nf_var.append(var[j])
+                self._bdd_var.append(var[j])
+                self._bdd_shift.append(shift - var[j])
                 lo, hi = low[j], high[j]
-                nf_low.append(
-                    s_in if lo == TRUE
-                    else s_out if lo == 0
-                    else base + (lo - 2)
-                )
-                nf_high.append(
-                    s_in if hi == TRUE
-                    else s_out if hi == 0
-                    else base + (hi - 2)
-                )
-        self._f_var = nf_var
-        self._f_low = nf_low
-        self._f_high = nf_high
-        self._num_sinks = num_sinks + k
-        self._f_root = remap(self._f_root)
-        # remap() sends a split leaf row's old sink straight to its slice
-        # entry, which is exactly the row's new meaning as internal node.
-        self._f_entry = [remap(e) for e in self._f_entry]
+                self._bdd_low.append(lo if lo <= TRUE else lo + offset)
+                self._bdd_high.append(hi if hi <= TRUE else hi + offset)
+            entry = entry_of[fn_node] + offset
+            for split in real:
+                self._split_rows(entry, split)
+            # --- fused program: one slice copy per split atom ---------
+            grown = len(self._free_sinks) < len(real)
+            if grown:
+                self._grow_sinks(len(real))
+            body = list(zip(var[2:], low[2:], high[2:]))
+            root = entry_of[fn_node] - 2  # slice-relative root position
+            first = len(self._f_var)
+            redirected: list[int] = []
+            changed: list[int] = []
+            for split in real:
+                sinks = self._atom_sinks.pop(split.old_id)
+                fresh = self._split_sinks(sinks, body, root, redirected)
+                self._f_atom[sinks[0]] = split.inside_id
+                self._f_atom[fresh] = split.outside_id
+                self._atom_sinks[split.inside_id] = [sinks[0]]
+                self._atom_sinks[split.outside_id] = [fresh]
+                changed += sinks
+                changed.append(fresh)
+            self._flush(first, redirected, changed, grown)
+        self.tree_version = self.tree.version
 
-        # --- scalar tree arrays ---------------------------------------
-        for t, split in enumerate(real):
-            row = self._atom_row.pop(split.old_id)
-            in_row = len(self.pred_entry)
-            out_row = in_row + 1
+    def _split_rows(self, entry: int, split) -> None:
+        """Each leaf row of ``split.old_id`` tests the predicate at
+        ``entry``: high to a new inside leaf row, low to a new outside
+        one (rows of a merged atom share the pair)."""
+        in_row = len(self.pred_entry)
+        out_row = in_row + 1
+        for leaf_row, aid in ((in_row, split.inside_id),
+                              (out_row, split.outside_id)):
+            self.pred_entry.append(-1)
+            self.low_idx.append(leaf_row)
+            self.high_idx.append(leaf_row)
+            self.atom_id.append(aid)
+        for row in self._atom_rows.pop(split.old_id):
             self.pred_entry[row] = entry
             self.atom_id[row] = -1
             self.high_idx[row] = in_row
             self.low_idx[row] = out_row
-            for leaf_row, aid, sink in (
-                (in_row, split.inside_id, sinks[t][0]),
-                (out_row, split.outside_id, sinks[t][1]),
-            ):
-                self.pred_entry.append(-1)
-                self.low_idx.append(leaf_row)
-                self.high_idx.append(leaf_row)
-                self.atom_id.append(aid)
-                self._atom_row[aid] = leaf_row
-                self._f_entry.append(sink)
+        self._atom_rows[split.inside_id] = [in_row]
+        self._atom_rows[split.outside_id] = [out_row]
 
-        if __debug__:
-            ns, size = self._num_sinks, len(self._f_var)
-            for u in range(ns, size):
-                assert self._f_low[u] < ns or self._f_low[u] > u
-                assert self._f_high[u] < ns or self._f_high[u] > u
-        self._refresh_accelerated()
-        self.tree_version = self.tree.version
-        return True
+    def _split_sinks(self, sinks, body, root: int, redirected) -> int:
+        """Append one slice copy in front of ``sinks``; returns the fresh
+        sink its FALSE edges reach (TRUE reaches ``sinks[0]``).  Nodes
+        whose edges moved to the copy are added to ``redirected``."""
+        keep = sinks[0]
+        fresh = self._free_sinks.pop()
+        f_var, f_low, f_high = self._f_var, self._f_low, self._f_high
+        base = len(f_var)
+        for v, lo, hi in body:
+            f_var.append(v)
+            f_low.append(
+                keep if lo == TRUE else fresh if lo == 0 else base + lo - 2
+            )
+            f_high.append(
+                keep if hi == TRUE else fresh if hi == 0 else base + hi - 2
+            )
+        entry = base + root
+        for sink in sinks:
+            for u in range(self._sink_lo[sink], self._sink_hi[sink]):
+                if f_low[u] == sink:
+                    f_low[u] = entry
+                    redirected.append(u)
+                if f_high[u] == sink:
+                    f_high[u] = entry
+                    redirected.append(u)
+            if self._f_root == sink:
+                self._f_root = entry
+        for sink in sinks[1:]:
+            self._f_atom[sink] = -1
+            self._sink_hi[sink] = self._sink_lo[sink]
+            self._free_sinks.append(sink)
+        for sink in (keep, fresh):
+            self._sink_lo[sink] = base
+            self._sink_hi[sink] = len(f_var)
+        return fresh
 
-    def patch_leaf_merges(self, merges) -> bool:
-        """Collapse two-leaf internal nodes whose atoms merged.
+    def _grow_sinks(self, need: int) -> None:
+        """Double the sink region (or more, to free ``need`` slots).
 
-        ``merges`` is a sequence of ``(merged_id, (part_a, part_b))``
-        pairs (see :class:`~.atomic.AtomMerge`).  Each is applied only
-        when both parts are leaves under one shared parent -- the
-        leaf-local shape a removal splice produces.  The collapsed
-        node's slice stays in the arrays as dead weight (no edge reaches
-        it); ``_dead_patches`` counts the orphaned nodes so callers can
-        bound the drift.  All-or-nothing: returns False (arrays
-        untouched, compiled goes stale) unless *every* merge is
-        leaf-local.
+        The descent stops at ``cur < num_sinks``, so sinks must stay the
+        program's low region: every non-sink index shifts up by the
+        growth, one pass over the whole program per doubling.
         """
-        if not self._patchable or self.tree is None:
-            return False
-        if not merges:
-            # Structure unchanged (e.g. a removal whose predicate split
-            # nothing): the program still computes the same atom function,
-            # so just restamp against the bumped tree version.
-            self.tree_version = self.tree.version
-            return True
-        plan: list[tuple[int, int, int, int]] = []
+        old = self._num_sinks
+        new = max(2 * old, old + need)
+        delta = new - old
+        self._f_var = [0] * new + self._f_var[old:]
+        self._f_low = list(range(new)) + [
+            v if v < old else v + delta for v in self._f_low[old:]
+        ]
+        self._f_high = list(range(new)) + [
+            v if v < old else v + delta for v in self._f_high[old:]
+        ]
+        self._f_atom.extend([-1] * delta)
+        if self._f_root >= old:
+            self._f_root += delta
+        # Source slices shift with the program; empty ones stay empty.
+        self._sink_lo = [lo + delta for lo in self._sink_lo] + [0] * delta
+        self._sink_hi = [hi + delta for hi in self._sink_hi] + [0] * delta
+        self._free_sinks.extend(range(new - 1, old - 1, -1))
+        self._num_sinks = new
+
+    def _flush(self, first: int, nodes, sinks, refresh: bool) -> None:
+        """Carry a patch into the numpy mirrors and kernel view.
+
+        Writes only nodes ``first ..`` (appended), ``nodes`` (edges
+        moved) and the atoms of ``sinks``; a regrown sink region
+        (``refresh``) or exhausted capacity rebuilds the mirrors with
+        twice the room instead.
+        """
+        size = len(self._f_var)
+        changed = [*range(first, size), *nodes]
+        if __debug__:
+            f_low, f_high, ns = self._f_low, self._f_high, self._num_sinks
+            for u in changed:
+                assert f_low[u] < ns or f_low[u] > u
+                assert f_high[u] < ns or f_high[u] > u
+        if self.backend == STDLIB_BACKEND:
+            return
+        if refresh or 2 * size > len(self._np_f_child):
+            self._refresh_accelerated(2 * size)
+            return
+        idx = _np.asarray(changed, dtype=_np.intp)
+        low = _np.asarray([self._f_low[u] for u in changed], dtype=_np.intp)
+        high = _np.asarray([self._f_high[u] for u in changed], dtype=_np.intp)
+        column = (self.num_vars - 1) - _np.asarray(
+            [self._f_var[u] for u in changed], dtype=_np.intp
+        )
+        self._np_f_child[2 * idx] = low
+        self._np_f_child[2 * idx + 1] = high
+        if self.backend == NATIVE_BACKEND:
+            self._f_word[idx] = column >> 6
+            self._f_shift[idx] = column & 63
+        else:
+            self._bit2[2 * idx] = column
+            self._child2[2 * idx] = 2 * low
+            self._child2[2 * idx + 1] = 2 * high
+        self._np_f_atom[sinks] = [self._f_atom[sink] for sink in sinks]
+        self._sync_program()
+
+    def patch_merges(self, merges) -> None:
+        """Relabel the sinks and leaf rows of merged atoms.
+
+        ``merges`` is a sequence of ``(merged_id, parts)`` pairs (see
+        :class:`~.atomic.AtomMerge`).  Every sink and scalar row of each
+        part now answers ``merged_id``; the predicate test that used to
+        separate the parts stays in the program as a redundant test.  No
+        edge moves, so the merged atom owns all its parts' sinks and rows.
+        """
+        changed: list[int] = []
+        if merges:
+            self._index_atoms()
         for merged_id, parts in merges:
-            if len(parts) != 2:
-                return False
-            row_a = self._atom_row.get(parts[0])
-            row_b = self._atom_row.get(parts[1])
-            if row_a is None or row_b is None:
-                return False
-            parent = -1
-            for r, entry in enumerate(self.pred_entry):
-                if entry < 0:
-                    continue
-                if {self.low_idx[r], self.high_idx[r]} == {row_a, row_b}:
-                    parent = r
-                    break
-            if parent < 0:
-                return False
-            plan.append((merged_id, parts[0], parts[1], parent))
-        for merged_id, part_a, part_b, parent in plan:
-            row_a = self._atom_row.pop(part_a)
-            row_b = self._atom_row.pop(part_b)
-            entry = self._f_entry[parent]
-            s_keep = self._atom_sink.pop(part_a)
-            s_dead = self._atom_sink.pop(part_b)
-            self._f_atom[s_keep] = merged_id
-            self._f_atom[s_dead] = merged_id  # unreachable, kept benign
-            self._atom_sink[merged_id] = s_keep
-            # Every edge that entered the collapsed predicate test now
-            # lands directly on the surviving sink.
-            f_low, f_high = self._f_low, self._f_high
-            for u in range(self._num_sinks, len(f_low)):
-                if f_low[u] == entry:
-                    f_low[u] = s_keep
-                if f_high[u] == entry:
-                    f_high[u] = s_keep
-            if self._f_root == entry:
-                self._f_root = s_keep
-            # Parent row becomes the merged leaf; child rows go dead.
-            self.pred_entry[parent] = -1
-            self.low_idx[parent] = parent
-            self.high_idx[parent] = parent
-            self.atom_id[parent] = merged_id
-            self._atom_row[merged_id] = parent
-            self._f_entry[parent] = s_keep
-            for row in (row_a, row_b):
-                self.pred_entry[row] = -1
-                self.low_idx[row] = row
-                self.high_idx[row] = row
-                self.atom_id[row] = -1
-            self._dead_patches += 1
-        self._refresh_accelerated()
+            sinks: list[int] = []
+            rows: list[int] = []
+            for part in parts:
+                sinks += self._atom_sinks.pop(part)
+                rows += self._atom_rows.pop(part)
+            for sink in sinks:
+                self._f_atom[sink] = merged_id
+            for row in rows:
+                self.atom_id[row] = merged_id
+            self._atom_sinks[merged_id] = sinks
+            self._atom_rows[merged_id] = rows
+            changed += sinks
+        if changed:
+            self.patched = True
+            if self.backend != STDLIB_BACKEND:
+                self._np_f_atom[changed] = [
+                    self._f_atom[sink] for sink in changed
+                ]
         self.tree_version = self.tree.version
-        return True
 
     # -- staleness -------------------------------------------------------
 

@@ -7,18 +7,26 @@ is bounded below by a whole rebuild.  This module closes that gap by
 maintaining the atomic-predicate universe itself under churn:
 
 * **Addition** is already a delta operation (``a & p`` / ``a & ~p`` per
-  atom the predicate cuts, Section VI-A); the engine additionally patches the *compiled*
-  program in place (:meth:`CompiledAPTree.patch_apply_splits`) so the
-  fast path stays hot instead of falling back to the interpreted tree.
+  atom the predicate cuts, Section VI-A); the engine additionally patches
+  the *compiled* program in place (:meth:`CompiledAPTree.patch_splits`:
+  each cut atom gets one appended copy of the predicate's slice in front
+  of its sinks, the outside half a fresh sink) so the fast path stays
+  hot instead of falling back to the interpreted tree.
 * **Removal** no longer tombstones: the atoms the predicate's ``R`` set
   touched are re-examined, sibling atoms whose live memberships became
   identical are merged back (:meth:`AtomicUniverse.merge_siblings`),
   and the AP Tree is **spliced locally** -- only the subtrees rooted at
   nodes labeled by the removed predicate are rebuilt, over the merged
   atom set and the live candidate predicates; every other node keeps
-  its identity and every unaffected atom keeps its id.  When each
-  affected subtree was a two-leaf fringe, the compiled program is
-  collapsed in place as well (:meth:`CompiledAPTree.patch_leaf_merges`).
+  its identity and every unaffected atom keeps its id.  The compiled
+  program only relabels the merged atoms' sinks
+  (:meth:`CompiledAPTree.patch_merges`): the test that used to separate
+  them stays in the program, redundant.
+
+Both patches only append, so the program grows; once it is past
+``COMPACT_GROWTH`` times its size at the last compile the engine
+recompiles it (a *compaction*, counted as ``patch_fallbacks``).  That
+is the only recompile on the update path.
 
 Why the splice is globally complete: under pure incremental maintenance
 every tree label is a live predicate, so for any pair of atoms that a
@@ -50,6 +58,10 @@ from .update import UpdateEngine
 
 __all__ = ["IncrementalEngine"]
 
+#: A patched program is recompiled once it exceeds this multiple of its
+#: fused-node count at the last compile.
+COMPACT_GROWTH = 2
+
 
 def _leaf_atoms(node: APTreeNode) -> list[int]:
     """Atom ids of every leaf under ``node`` (including ``node`` itself)."""
@@ -73,8 +85,8 @@ class IncrementalEngine(UpdateEngine):
     Drop-in for the base engine (same ``apply``/``replay`` surface).
     ``classifier`` optionally hands the engine the owning
     :class:`~repro.core.classifier.APClassifier` so compiled artifacts
-    are patched in place (or eagerly recompiled when a change is not
-    leaf-local) instead of decaying into stale-fallback.
+    are patched in place (and compacted when patches have doubled them)
+    instead of decaying into stale-fallback.
 
     The depth budget ``depth_factor * ceil(log2(atoms)) + depth_slack``
     bounds how unbalanced splices may leave the tree before a full
@@ -134,11 +146,9 @@ class IncrementalEngine(UpdateEngine):
         split_count = tree.apply_splits(labeled.pid, labeled.fn.node, splits)
         compiled = self._compiled_for_patch(version_before)
         if compiled is not None:
-            if compiled.patch_apply_splits(labeled.fn.node, splits):
-                self._note_patch()
-            else:
-                self._note_patch_fallback()
-        self._maybe_rebuild()
+            compiled.patch_splits(labeled.fn.node, splits)
+            self._note_patch()
+        self._maybe_rebuild(compiled)
         return split_count
 
     # ------------------------------------------------------------------
@@ -185,7 +195,8 @@ class IncrementalEngine(UpdateEngine):
             # changes no structure and merges nothing.
             tree.touch()
             compiled = self._compiled_for_patch(version_before)
-            if compiled is not None and compiled.patch_leaf_merges(()):
+            if compiled is not None:
+                compiled.patch_merges(())
                 self._note_patch()
             return tombstoned
 
@@ -243,12 +254,11 @@ class IncrementalEngine(UpdateEngine):
 
         compiled = self._compiled_for_patch(version_before)
         if compiled is not None:
-            pairs = [(merge.merged_id, merge.parts) for merge in merges]
-            if compiled.patch_leaf_merges(pairs):
-                self._note_patch()
-            else:
-                self._note_patch_fallback()
-        self._maybe_rebuild()
+            compiled.patch_merges(
+                [(merge.merged_id, merge.parts) for merge in merges]
+            )
+            self._note_patch()
+        self._maybe_rebuild(compiled)
         return tombstoned
 
     # ------------------------------------------------------------------
@@ -311,12 +321,19 @@ class IncrementalEngine(UpdateEngine):
         atoms = max(self.universe.atom_count, 2)
         return self.depth_factor * math.ceil(math.log2(atoms)) + self.depth_slack
 
-    def _maybe_rebuild(self) -> None:
+    def _maybe_rebuild(self, compiled=None) -> None:
+        """Rebuild a tree past the depth budget; otherwise compact a
+        patched program (``compiled``) past ``COMPACT_GROWTH`` times its
+        compiled size."""
         tree = self.tree
         if tree is None:
             return
         if tree.max_depth() > self.depth_budget():
             self._full_rebuild()
+        elif compiled is not None and (
+            compiled.node_count > COMPACT_GROWTH * compiled.compiled_nodes
+        ):
+            self._note_patch_fallback()
 
     def _full_rebuild(self) -> None:
         """Coalesce the universe and rebuild the tree *in place*.
@@ -377,11 +394,12 @@ class IncrementalEngine(UpdateEngine):
             rec.updates.incremental_patches += 1
 
     def _note_patch_fallback(self) -> None:
-        """A fresh artifact could not be patched: recompile it eagerly.
+        """Compact the patched program: recompile it from the live tree.
 
-        The whole point of incremental maintenance at the serving layer
-        is never parking queries on the interpreted fallback; a synchronous
-        recompile costs one flatten, against an unbounded stale window.
+        Patches only append (slice copies, fresh sinks, redundant tests
+        left by merges), so the program grows with churn; a recompile
+        resets it to the tree's exact shape.  Counted as a patch
+        fallback, the one recompile left on the update path.
         """
         self.patch_fallbacks += 1
         rec = self.recorder

@@ -114,7 +114,14 @@ class Scenario:
         return random.Random(derive_seed(self.seed, purpose))
 
     def network(self) -> Network:
-        """The scenario's network (built once, cached)."""
+        """The scenario's network (built once, cached).
+
+        Every call returns the same :class:`Network` object, and rule
+        updates mutate it in place: two classifiers built from one
+        ``Scenario`` share forwarding tables, so an update applied
+        through one changes the other's network too.  Call
+        :func:`get_scenario` once per classifier to keep them apart.
+        """
         if self._network is None:
             kwargs = dict(self.params)
             if self._spec.seeded:
