@@ -1,8 +1,8 @@
 """Per-scenario bench axis: every workload the registry knows, one table.
 
 Until now every published number (BENCH_kernel, BENCH_serve_throughput,
-BENCH_shard_scaling, BENCH_fig13_incremental) was measured on the two
-friendly WAN-like datasets. This bench runs the whole registry catalog
+BENCH_fig13_incremental) was measured on the two friendly WAN-like
+datasets. This bench runs the whole registry catalog
 -- the WAN baselines plus the adversarial foundry scenarios (ACL-heavy,
 Clos/ECMP, IPv6-width, SDN-policy) -- through the same four-measurement
 harness:

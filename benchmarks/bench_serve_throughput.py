@@ -54,24 +54,12 @@ Results land in ``BENCH_serve_throughput.json`` at the repo root; with
 ``REPRO_OBS_SIDECAR=1`` an observed run writes
 ``benchmarks/results/serve_throughput.obs.json`` (including the
 ``serve.result_cache`` section of snapshot schema /5).
-
-A fifth experiment, ``test_shard_scaling``, measures the multi-node
-sharded topology (``repro.serve.shard``): framed closed-loop QPS
-through the shard router + replica grid versus the single-node framed
-batched path, over shard counts {1, 2, ``--shards``}.  Quick mode runs
-one 2-shard x 2-replica topology, performs a cluster generation
-handoff, then kills one replica per shard mid-run to prove fail-over.
-Every topology is checked bit-identical to ``classify_batch`` over the
-wire first.  Results land in ``BENCH_shard_scaling.json``; the >=
-2.5x scaling bar is asserted only on hosts with enough cores to show
-it (single-core CI records the numbers without gating).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import random
 import time
 from pathlib import Path
@@ -85,17 +73,9 @@ from repro.datasets import internet2_like, uniform_over_atoms
 from repro.headerspace.fields import parse_ipv4
 from repro.network.rules import ForwardingRule, Match
 from repro.obs import Recorder
-from repro.serve import (
-    QueryService,
-    QueryShed,
-    ServeGrid,
-    ShardRouter,
-    proto,
-    start_tcp_server,
-)
+from repro.serve import QueryService, QueryShed
 
 RESULT_JSON = Path(__file__).parent.parent / "BENCH_serve_throughput.json"
-SHARD_RESULT_JSON = Path(__file__).parent.parent / "BENCH_shard_scaling.json"
 
 MIN_BATCHED_SPEEDUP = 3.0
 CLIENTS = 512
@@ -749,278 +729,3 @@ def test_churn_storm_scenario(scenario_dataset, quick):
         },
     )
     emit_obs(f"serve_churn_{scenario.name}", recorder)
-
-
-# ----------------------------------------------------------------------
-# Multi-shard scaling (the sharded-serving tentpole's headline number)
-# ----------------------------------------------------------------------
-
-#: Required committed closed-loop QPS gain of the ``--shards`` topology
-#: over the single-node framed batched path.  Shard scaling needs real
-#: parallel hardware: the replicas are separate processes, so on a
-#: single-core host they time-slice one core and the bar is
-#: unreachable by construction.  The assertion therefore applies only
-#: when the host has at least as many cores as shards (mirroring
-#: bench_warm_start); the measured numbers are always recorded.
-MIN_SHARD_SPEEDUP = 2.5
-
-
-async def framed_closed_loop(host, port, headers, *, connections, frames, batch):
-    """Committed QPS of ``connections`` synchronous framed clients.
-
-    Each client keeps exactly one CLASSIFY frame of ``batch`` headers
-    outstanding (closed loop) and commits a frame only after decoding a
-    well-formed RESULT of the right length -- the counted number is
-    end-to-end answered work, not offered load.
-    """
-    per_conn = max(1, frames // connections)
-
-    async def client(cid: int) -> int:
-        reader, writer = await asyncio.open_connection(host, port)
-        committed = 0
-        try:
-            for index in range(per_conn):
-                start = (cid * 977 + index * batch) % len(headers)
-                chunk = [
-                    headers[(start + j) % len(headers)] for j in range(batch)
-                ]
-                writer.write(
-                    proto.pack_frame(
-                        proto.CLASSIFY, proto.encode_classify(chunk)
-                    )
-                )
-                await writer.drain()
-                ftype, payload = await proto.read_frame(reader)
-                assert ftype == proto.RESULT, f"unexpected frame 0x{ftype:02x}"
-                assert len(proto.decode_result(payload)) == batch
-                committed += batch
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        return committed
-
-    started = time.perf_counter()
-    served = sum(
-        await asyncio.gather(*(client(c) for c in range(connections)))
-    )
-    return served / (time.perf_counter() - started), served
-
-
-async def wire_bit_identity(host, port, headers, expected) -> None:
-    """One CLASSIFY frame of the whole trace must match classify_batch."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(
-            proto.pack_frame(proto.CLASSIFY, proto.encode_classify(headers))
-        )
-        await writer.drain()
-        ftype, payload = await proto.read_frame(reader)
-        assert ftype == proto.RESULT
-        atoms = [int(a) for a in proto.decode_result(payload)]
-        assert atoms == [int(a) for a in expected]
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def run_single_node_framed(
-    classifier, headers, expected, *, connections, frames, batch
-) -> dict:
-    """Single-node baseline: framed protocol into one batching service."""
-    async with QueryService(
-        classifier, max_batch=CLIENTS, max_delay_s=0.0002, backend=ENGINE
-    ) as service:
-        server = await start_tcp_server(service)
-        port = server.sockets[0].getsockname()[1]
-        await wire_bit_identity("127.0.0.1", port, headers, expected)
-        await framed_closed_loop(  # warm-up
-            "127.0.0.1", port, headers,
-            connections=connections,
-            frames=max(connections, frames // 4),
-            batch=batch,
-        )
-        qps, served = await framed_closed_loop(
-            "127.0.0.1", port, headers,
-            connections=connections, frames=frames, batch=batch,
-        )
-        server.close()
-        await server.wait_closed()
-    return {"qps": qps, "served": served}
-
-
-async def run_shard_topology(
-    cluster, classifier, headers, expected,
-    *, connections, frames, batch, exercise_failover=False,
-) -> dict:
-    """Measure one started cluster through its front router.
-
-    With ``exercise_failover`` the leg first publishes a fresh
-    generation (full ack'd handoff -- prepare needs every replica
-    alive, so this must precede the kill), then hard-kills replica 0 of
-    every shard and keeps serving: the measured traffic must complete
-    entirely through fail-over to the surviving replicas.
-    """
-    router = ShardRouter.from_grid(cluster)
-    server = await start_tcp_server(router)
-    port = server.sockets[0].getsockname()[1]
-    try:
-        await wire_bit_identity("127.0.0.1", port, headers, expected)
-        await framed_closed_loop(  # warm-up
-            "127.0.0.1", port, headers,
-            connections=connections,
-            frames=max(connections, frames // 4),
-            batch=batch,
-        )
-        if exercise_failover:
-            generation = await cluster.publish_async(classifier, router)
-            assert router.generation == generation
-            for shard in range(cluster.shards):
-                cluster.kill_replica(shard, 0)
-        qps, served = await framed_closed_loop(
-            "127.0.0.1", port, headers,
-            connections=connections, frames=frames, batch=batch,
-        )
-        if exercise_failover:
-            # Post-kill traffic still answers bit-identically.
-            await wire_bit_identity("127.0.0.1", port, headers, expected)
-    finally:
-        server.close()
-        await server.wait_closed()
-        await router.close()
-    return {
-        "qps": qps,
-        "served": served,
-        "failovers": router.counters.shard_failovers,
-        "handoffs": router.counters.shard_handoffs,
-        "routed": dict(router.counters.shard_routed),
-    }
-
-
-def test_shard_scaling(quick, shards):
-    classifier = fresh_classifier()
-    headers = trace_headers(classifier)
-    expected = classifier.classify_batch(headers)
-    cpu_count = os.cpu_count() or 1
-    recorder = Recorder()
-
-    if quick:
-        topologies = [(2, 2)]
-        connections, frames, batch = 8, 32, 64
-    else:
-        topologies = [(s, 1) for s in sorted({1, 2, max(2, shards)})]
-        connections, frames, batch = 64, 256, 256
-
-    single = asyncio.run(
-        run_single_node_framed(
-            classifier, headers, expected,
-            connections=connections, frames=frames, batch=batch,
-        )
-    )
-
-    runs = []
-    for n_shards, n_replicas in topologies:
-        cluster = ServeGrid(
-            classifier,
-            shards=n_shards,
-            replicas=n_replicas,
-            backend=ENGINE,
-            recorder=recorder,
-        )
-        cluster.start()
-        try:
-            result = asyncio.run(
-                run_shard_topology(
-                    cluster, classifier, headers, expected,
-                    connections=connections, frames=frames, batch=batch,
-                    exercise_failover=quick and n_replicas > 1,
-                )
-            )
-        finally:
-            cluster.stop()
-        result.update(
-            shards=cluster.shards,
-            replicas=n_replicas,
-            speedup=result["qps"] / single["qps"],
-        )
-        runs.append(result)
-
-    emit(
-        "serve_shard_scaling",
-        render_table(
-            "Sharded serving: committed closed-loop QPS "
-            f"({connections} framed clients, batch {batch}, "
-            f"{cpu_count} cores)",
-            ["topology", "throughput", "vs single node"],
-            [("single node (framed, batched)", format_qps(single["qps"]), "1.00x")]
-            + [
-                (
-                    f"{r['shards']} shards x {r['replicas']} replicas",
-                    format_qps(r["qps"]),
-                    f"{r['speedup']:.2f}x",
-                )
-                for r in runs
-            ],
-        ),
-    )
-
-    # Every topology answered bit-identically (checked over the wire
-    # inside each run) and committed every offered frame.
-    per_measurement = max(1, frames // connections) * connections * batch
-    assert single["served"] == per_measurement
-    for run in runs:
-        assert run["served"] == per_measurement
-        assert run["qps"] > 0
-    # Traffic genuinely spread: the atom-uniform trace must touch every
-    # shard of the top topology (uniform-random headers would all land
-    # in the miss-everything frontier and serialize on shard 0).
-    top = runs[-1]
-    assert len(top["routed"]) == top["shards"]
-    if quick:
-        # The quick leg is the CI fault-injection smoke: one full
-        # generation handoff, then every shard lost a replica mid-run
-        # and the router failed over without a single lost frame.
-        assert top["handoffs"] >= 1
-        assert top["failovers"] > 0
-    # The scaling bar itself needs cores for the replicas to run on.
-    top_speedup = top["speedup"]
-    gate_applied = not quick and cpu_count >= max(4, top["shards"])
-    if gate_applied:
-        assert top_speedup >= MIN_SHARD_SPEEDUP, (
-            f"{top['shards']}-shard topology gained only "
-            f"{top_speedup:.2f}x (bar: {MIN_SHARD_SPEEDUP}x)"
-        )
-
-    stats = classifier.stats()
-    payload = {
-        "dataset": "internet2-like",
-        "engine": ENGINE or "default",
-        "cpu_count": cpu_count,
-        "quick": quick,
-        "predicates": stats.predicates,
-        "atoms": stats.atoms,
-        "connections": connections,
-        "frames": frames,
-        "batch": batch,
-        "single_node": single,
-        "topologies": [
-            {
-                **run,
-                "routed": {str(k): v for k, v in run["routed"].items()},
-            }
-            for run in runs
-        ],
-        "min_shard_speedup_required": MIN_SHARD_SPEEDUP,
-        "speedup_gate_applied": gate_applied,
-    }
-    SHARD_RESULT_JSON.write_text(
-        json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    )
-
-    if OBS_SIDECARS:
-        emit_obs("shard_scaling", recorder)

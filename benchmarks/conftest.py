@@ -56,12 +56,6 @@ def pytest_addoption(parser):
         help="run benches with reduced iteration counts (CI smoke)",
     )
     parser.addoption(
-        "--shards",
-        type=int,
-        default=4,
-        help="top shard count for the multi-shard serving bench",
-    )
-    parser.addoption(
         "--scenario",
         default="",
         help="run scenario-aware benches on this registry scenario "
@@ -73,10 +67,6 @@ def pytest_addoption(parser):
 def quick(request) -> bool:
     return request.config.getoption("--quick")
 
-
-@pytest.fixture(scope="session")
-def shards(request) -> int:
-    return request.config.getoption("--shards")
 
 #: Instrumentation sidecars are opt-in: the figure benches replay a small
 #: observed workload *after* their measured sections and write

@@ -45,17 +45,6 @@ from .codec import (
     load_serving_buffer,
     save_artifact,
 )
-from .shard import (
-    SHARD_KIND,
-    SHARD_PAYLOAD_VERSION,
-    ShardPlan,
-    ShardServing,
-    load_shard,
-    load_shard_buffer,
-    make_shard_plan,
-    shard_artifact_bytes,
-    write_shard_split,
-)
 
 __all__ = [
     "MAGIC",
@@ -79,13 +68,4 @@ __all__ = [
     "open_artifact",
     "save_artifact",
     "write_artifact",
-    "SHARD_KIND",
-    "SHARD_PAYLOAD_VERSION",
-    "ShardPlan",
-    "ShardServing",
-    "load_shard",
-    "load_shard_buffer",
-    "make_shard_plan",
-    "shard_artifact_bytes",
-    "write_shard_split",
 ]

@@ -497,9 +497,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     Builds the classifier for the selected dataset/snapshot, wires a
     :class:`repro.obs.Recorder` (so the ``metrics`` op reports live
     ``serve`` counters), and serves framed and newline-JSON requests
-    until interrupted -- in this process, or across a process grid with
-    ``--serve-workers``/``--shards``.  See ``docs/serving.md`` for the
-    wire protocol and the batching/backpressure knobs.
+    until interrupted -- in this process, or across a worker pool with
+    ``--serve-workers``.  See ``docs/serving.md`` for the wire protocol
+    and the batching/backpressure knobs.
     """
     import asyncio
 
@@ -522,10 +522,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "timeout_s": args.timeout_ms / 1e3 if args.timeout_ms else None,
         "cache_size": args.cache_size,
     }
-    if args.shards > 0:
-        if serve_workers > 1:
-            raise CLIError("--shards and --serve-workers are exclusive")
-        return _serve_grid(args, classifier, service_options, args.replicas)
     if serve_workers > 1:
         return _serve_grid(args, classifier, service_options, serve_workers)
     service = QueryService(
@@ -547,43 +543,29 @@ def _serve_grid(
     service_options: dict,
     replicas: int,
 ) -> int:
-    """``serve --serve-workers N`` / ``--shards S [--replicas R]``.
-
-    Unsharded, N workers accept on the public port themselves and this
-    process only announces it and waits.  Sharded, an ``S x R`` grid of
-    slice replicas answers the router this process runs as the framed +
-    newline-JSON front tier.  SIGTERM stops the grid the way Ctrl-C
-    does, so no member outlives this process.
+    """``serve --serve-workers N``: N workers accept on the public port
+    themselves and this process only announces it and waits.  SIGTERM
+    stops the pool the way Ctrl-C does, so no worker outlives this
+    process.
     """
-    import asyncio
     import time
 
     from .artifact import ArtifactError
     from .obs import Recorder
-    from .serve import ServeGrid, ShardRouter, serve_forever
+    from .serve import ServeGrid
 
     try:
         grid = ServeGrid(
             classifier,
-            shards=args.shards,
             replicas=replicas,
-            # Shard replicas are private backends of the router.
-            host=args.host if args.shards == 0 else "127.0.0.1",
+            host=args.host,
             port=args.port,
-            depth=args.shard_depth,
             backend=args.engine,
             service_options=service_options,
             recorder=Recorder(),
         )
     except (ArtifactError, ValueError) as exc:
         raise CLIError(f"cannot build the serving grid: {exc}") from exc
-
-    async def _front() -> None:
-        router = ShardRouter.from_grid(grid)
-        try:
-            await serve_forever(router, args.host, args.port)
-        finally:
-            await router.close()
 
     try:
         # Before the first member exists, so a SIGTERM that arrives
@@ -593,16 +575,13 @@ def _serve_grid(
             grid.start()
         except (RuntimeError, OSError) as exc:
             raise CLIError(f"cannot start the serving grid: {exc}") from exc
-        if args.shards:
-            asyncio.run(_front())
-        else:
-            print(json.dumps({
-                "listening": [args.host, grid.port],
-                "workers": replicas,
-                "protocols": ["framed", "json"],
-            }), flush=True)
-            while True:
-                time.sleep(3600)
+        print(json.dumps({
+            "listening": [args.host, grid.port],
+            "workers": replicas,
+            "protocols": ["framed", "json"],
+        }), flush=True)
+        while True:
+            time.sleep(3600)
     except KeyboardInterrupt:
         print("interrupted; shutting down")
     finally:
@@ -630,27 +609,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard_split(args: argparse.Namespace) -> int:
-    """``shard-split``: write per-shard slice artifacts + cluster manifest."""
-    from .artifact import ArtifactError, write_shard_split
-
-    if args.shards < 1:
-        raise CLIError("--shards must be >= 1")
-    classifier = _build(args)
-    try:
-        summary = write_shard_split(
-            classifier,
-            args.out,
-            shards=args.shards,
-            depth=args.depth,
-            backend=args.engine,
-        )
-    except (ArtifactError, ValueError) as exc:
-        raise CLIError(f"cannot write shard split: {exc}") from exc
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ap-classifier",
@@ -668,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command",
         required=True,
         metavar="{stats,query,reachability,tree,verify,save,load,diff,whatif,"
-        "serve,shard-split,scenarios}",
+        "serve,scenarios}",
     )
 
     def common(sub_parser: argparse.ArgumentParser) -> None:
@@ -841,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the online query service (framed binary + newline-JSON "
-        "over TCP; --shards for the multi-node router)",
+        "over TCP)",
     )
     common(serve)
     serve.add_argument("--host", default="127.0.0.1")
@@ -872,37 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=0,
                        help="hot-header result cache capacity; 0 (default) "
                        "disables the cache")
-    serve.add_argument("--shards", type=int, default=0,
-                       help="shard the classifier across N backend "
-                       "processes behind a header-space router; 0 "
-                       "(default) serves single-node")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="replicas per shard; the router fails over "
-                       "between them (default: 1)")
-    serve.add_argument("--shard-depth", type=int, default=None,
-                       help="routing-prefix depth for --shards (default: "
-                       "shallowest cut with 4 frontiers per shard)")
     serve.set_defaults(func=_cmd_serve)
-
-    shard_split = sub.add_parser(
-        "shard-split",
-        help="write per-shard slice artifacts plus a cluster manifest",
-    )
-    common(shard_split)
-    shard_split.add_argument("--out", required=True,
-                             help="output directory for shard-NNN.apc "
-                             "slices and cluster.json")
-    shard_split.add_argument("--shards", type=int, required=True,
-                             help="number of shard slices to cut")
-    shard_split.add_argument("--depth", type=int, default=None,
-                             help="routing-prefix depth (default: "
-                             "shallowest cut with 4 frontiers per shard)")
-    shard_split.add_argument("--engine",
-                             choices=("native", "numpy", "stdlib"),
-                             default=None,
-                             help="engine slices are compiled with "
-                             "(default: REPRO_ENGINE, else best available)")
-    shard_split.set_defaults(func=_cmd_shard_split)
 
     scenarios = sub.add_parser(
         "scenarios",

@@ -21,7 +21,7 @@ Knob reference (also surfaced by :func:`describe` and
 
 ``REPRO_MP_START``
     Multiprocessing start method (``fork``/``spawn``/``forkserver``)
-    for the reconstruction process, serve workers and shard replicas.
+    for the reconstruction process and serve workers.
     Default: ``fork`` where available, else ``spawn``.
 ``REPRO_DISABLE_NUMPY``
     Truthy = never import numpy; the compiled engine and artifact loads

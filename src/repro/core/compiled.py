@@ -67,7 +67,7 @@ from typing import Callable, Sequence
 from .. import config
 from ..bdd.manager import BDDManager, TRUE
 from . import kernel as _kernel
-from .aptree import APTree, APTreeNode
+from .aptree import APTree
 from .kernel import (
     NATIVE_BACKEND,
     NUMPY_BACKEND,
@@ -90,12 +90,9 @@ __all__ = [
     "NATIVE_BACKEND",
     "NUMPY_BACKEND",
     "STDLIB_BACKEND",
-    "TreePrefix",
     "available_backends",
     "default_backend",
-    "extract_prefix",
     "flatten_bdds",
-    "prefix_depth_for",
 ]
 
 # Backend resolution (including the REPRO_ENGINE preference and the
@@ -1334,202 +1331,3 @@ class CompiledAPTree:
             f"CompiledAPTree({len(self.pred_entry)} tree nodes, "
             f"{len(self._f_var)} fused nodes, {self.backend}, {freshness})"
         )
-
-
-# ----------------------------------------------------------------------
-# Shard-prefix extraction (the repro.serve.shard routing substrate)
-# ----------------------------------------------------------------------
-
-
-def prefix_depth_for(tree: APTree, min_frontiers: int, max_depth: int = 24) -> int:
-    """Smallest cut depth whose frontier has >= ``min_frontiers`` targets.
-
-    The frontier at depth ``d`` is the set of internal nodes at depth
-    ``d`` plus every leaf shallower than ``d`` -- exactly the routing
-    targets a ``d``-level cut produces.  The tree is pruned (every
-    internal node has two real children), so the frontier grows
-    monotonically with ``d`` until the cut is all leaves; when the whole
-    tree has fewer leaves than requested, the deepest (all-leaf) cut is
-    returned instead.
-    """
-    if min_frontiers < 1:
-        raise ValueError("min_frontiers must be >= 1")
-    frontier = [tree.root]
-    depth = 0
-    while depth < max_depth and len(frontier) < min_frontiers:
-        nxt: list[APTreeNode] = []
-        grew = False
-        for node in frontier:
-            if node.pid is None:
-                nxt.append(node)
-            else:
-                grew = True
-                nxt.append(node.low)
-                nxt.append(node.high)
-        if not grew:
-            break  # all leaves: the frontier cannot widen further
-        frontier = nxt
-        depth += 1
-    return depth
-
-
-class TreePrefix:
-    """A depth-``k`` routing cut of a built AP Tree.
-
-    The top ``k`` levels are cloned with every cut point replaced by a
-    fresh leaf carrying its *frontier index*, and the clone is compiled
-    through :class:`CompiledAPTree` -- so routing a header is a (very
-    shallow) fused-program descent whose "atom id" is the frontier
-    index.  Sibling subtrees of an AP Tree hold disjoint packet sets,
-    so the frontier is a partition of the whole header space: every
-    header routes to exactly one frontier, and that frontier's subtree
-    alone decides its atom.  This is what makes the cut a shard router
-    (see :mod:`repro.serve.shard`).
-
-    A prefix extracted from a live tree keeps the frontier's original
-    nodes (:meth:`subtree` compiles per-frontier programs from them);
-    one rehydrated via :meth:`from_arrays` is routing-only.
-    """
-
-    __slots__ = (
-        "depth",
-        "program",
-        "tree",
-        "tree_version",
-        "frontier_nodes",
-        "num_frontiers",
-    )
-
-    def __init__(
-        self,
-        *,
-        depth: int,
-        program: CompiledAPTree,
-        tree: APTree | None = None,
-        frontier_nodes: list[APTreeNode] | None = None,
-        tree_version: int = 0,
-    ) -> None:
-        self.depth = depth
-        self.program = program
-        self.tree = tree
-        self.tree_version = tree_version
-        self.frontier_nodes = frontier_nodes
-        if frontier_nodes is not None:
-            self.num_frontiers = len(frontier_nodes)
-        else:
-            self.num_frontiers = int(program.to_arrays()["num_sinks"])
-
-    # -- routing ---------------------------------------------------------
-
-    def route(self, header: int) -> int:
-        """Frontier index for one packed header."""
-        return self.program.classify(header)
-
-    def route_batch(self, headers) -> list[int]:
-        """Frontier indices for a batch (list-in/list-out)."""
-        return self.program.classify_batch(headers)
-
-    def route_batch_array(self, headers, out=None):
-        """Frontier indices as an ``int64`` array (numpy end-to-end)."""
-        return self.program.classify_batch_array(headers, out=out)
-
-    # -- slicing ---------------------------------------------------------
-
-    def subtree(self, index: int) -> APTree:
-        """Frontier ``index``'s subtree as a standalone :class:`APTree`.
-
-        Shares nodes with the source tree (read-only view): compile it
-        immediately if the source may mutate.
-        """
-        if self.tree is None or self.frontier_nodes is None:
-            raise RuntimeError(
-                "routing-only prefix (rehydrated from arrays) has no "
-                "live subtrees"
-            )
-        return APTree(self.tree.manager, self.frontier_nodes[index])
-
-    def frontier_leaf_counts(self) -> list[int]:
-        """Leaves under each frontier node (shard balancing weights)."""
-        if self.frontier_nodes is None:
-            raise RuntimeError("routing-only prefix has no live subtrees")
-        counts: list[int] = []
-        for root in self.frontier_nodes:
-            leaves = 0
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node.pid is None:
-                    leaves += 1
-                else:
-                    stack.append(node.low)
-                    stack.append(node.high)
-            counts.append(leaves)
-        return counts
-
-    # -- persistence (cluster manifests / wire handoff) ------------------
-
-    def to_arrays(self) -> dict:
-        """Plain data to rebuild the *routing* side anywhere.
-
-        The frontier subtrees are not included -- they live in the
-        per-shard artifacts (:mod:`repro.artifact.shard`).
-        """
-        arrays = self.program.to_arrays()
-        return {
-            "depth": self.depth,
-            "num_frontiers": self.num_frontiers,
-            **{key: _as_int_list(value) for key, value in arrays.items()
-               if key not in ("num_vars", "num_sinks", "f_root")},
-            "num_vars": arrays["num_vars"],
-            "num_sinks": arrays["num_sinks"],
-            "f_root": arrays["f_root"],
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict, backend: str | None = None) -> "TreePrefix":
-        """Rehydrate a routing-only prefix from :meth:`to_arrays` data."""
-        program = CompiledAPTree.from_arrays(arrays, backend=backend)
-        return cls(depth=int(arrays["depth"]), program=program)
-
-    def __repr__(self) -> str:
-        kind = "routing-only" if self.frontier_nodes is None else "live"
-        return (
-            f"TreePrefix(depth={self.depth}, "
-            f"{self.num_frontiers} frontiers, {kind})"
-        )
-
-
-def extract_prefix(
-    tree: APTree, depth: int, backend: str | None = None
-) -> TreePrefix:
-    """Cut ``tree`` at ``depth`` and compile the cut for routing.
-
-    Nodes shallower than ``depth`` are cloned; each node *at* the cut
-    (or leaf above it) becomes a frontier target, replaced in the clone
-    by a leaf whose "atom id" is its frontier index.  The clone never
-    aliases the source tree's nodes, so compiling it cannot disturb
-    live serving structures.
-    """
-    if depth < 0:
-        raise ValueError("prefix depth must be >= 0")
-    frontier: list[APTreeNode] = []
-
-    def cut(node: APTreeNode, d: int) -> APTreeNode:
-        if node.pid is None or d >= depth:
-            leaf = APTreeNode.leaf(len(frontier))
-            frontier.append(node)
-            return leaf
-        return APTreeNode.internal(
-            node.pid, node.fn_node, cut(node.low, d + 1), cut(node.high, d + 1)
-        )
-
-    routing_root = cut(tree.root, 0)
-    routing_tree = APTree(tree.manager, routing_root)
-    program = CompiledAPTree.compile(routing_tree, backend=backend)
-    return TreePrefix(
-        depth=depth,
-        program=program,
-        tree=tree,
-        frontier_nodes=frontier,
-        tree_version=tree.version,
-    )

@@ -55,7 +55,9 @@ __all__ = [
 #: /7 added the serve ``frames`` counter (batched framed-protocol
 #: requests) and the serve ``shard`` block (multi-node router: topology,
 #: per-shard routed counts, retries/failovers, generation-handoff count
-#: and latency).
+#: and latency).  The router is gone: ``shards``/``replicas``/``routed``/
+#: ``retries``/``failovers`` are constant, the handoff keys count
+#: :class:`~repro.serve.ServeGrid` publishes.
 #: /8 added the "diff" section (differential/what-if queries: generation
 #: comparisons, shadow-fork builds and build time, atom pairs examined,
 #: model-counting time, and the changed-volume-share histogram).
@@ -300,14 +302,9 @@ class ServeCounters:
         "cache_invalidations",
         "cache_coalesced",
         "frames",
-        "shard_shards",
-        "shard_replicas",
-        "shard_routed",
-        "shard_retries",
-        "shard_failovers",
-        "shard_handoffs",
-        "shard_handoff_total_s",
-        "shard_handoff_last_s",
+        "handoffs",
+        "handoff_total_s",
+        "handoff_last_s",
         "latency_samples",
         "latency_total_s",
         "latency_count",
@@ -333,14 +330,9 @@ class ServeCounters:
         self.cache_invalidations = 0
         self.cache_coalesced = 0
         self.frames = 0
-        self.shard_shards = 0
-        self.shard_replicas = 0
-        self.shard_routed: dict[int, int] = {}
-        self.shard_retries = 0
-        self.shard_failovers = 0
-        self.shard_handoffs = 0
-        self.shard_handoff_total_s = 0.0
-        self.shard_handoff_last_s = 0.0
+        self.handoffs = 0
+        self.handoff_total_s = 0.0
+        self.handoff_last_s = 0.0
         self.latency_samples: list[float] = []
         self.latency_total_s = 0.0
         self.latency_count = 0
@@ -386,22 +378,11 @@ class ServeCounters:
             self.latency_samples.append(latency_s)
         self.record_batch(size)
 
-    def record_route(self, shard: int, size: int) -> None:
-        """``size`` queries routed to ``shard`` by the front-tier router."""
-        routed = self.shard_routed
-        routed[shard] = routed.get(shard, 0) + size
-
-    def record_retry(self, *, failover: bool = False) -> None:
-        """One replica retry (``failover`` when a different replica won)."""
-        self.shard_retries += 1
-        if failover:
-            self.shard_failovers += 1
-
     def record_handoff(self, seconds: float) -> None:
-        """One completed cluster-wide generation handoff."""
-        self.shard_handoffs += 1
-        self.shard_handoff_total_s += seconds
-        self.shard_handoff_last_s = seconds
+        """One completed grid-wide generation handoff."""
+        self.handoffs += 1
+        self.handoff_total_s += seconds
+        self.handoff_last_s = seconds
         self.generations += 1
 
     def summary(self) -> dict:
@@ -435,19 +416,18 @@ class ServeCounters:
                 "hit_rate": _rate(self.cache_hits, self.cache_misses),
             },
             "frames": self.frames,
+            # The sharded tier is gone; schema /9 still requires this
+            # block, so its topology and routing keys stay constant.
             "shard": {
-                "shards": self.shard_shards,
-                "replicas": self.shard_replicas,
-                "routed": {
-                    str(shard): self.shard_routed[shard]
-                    for shard in sorted(self.shard_routed)
-                },
-                "retries": self.shard_retries,
-                "failovers": self.shard_failovers,
-                "handoffs": self.shard_handoffs,
+                "shards": 0,
+                "replicas": 0,
+                "routed": {},
+                "retries": 0,
+                "failovers": 0,
+                "handoffs": self.handoffs,
                 "handoff_s": {
-                    "total": self.shard_handoff_total_s,
-                    "last": self.shard_handoff_last_s,
+                    "total": self.handoff_total_s,
+                    "last": self.handoff_last_s,
                 },
             },
             "latency_s": {

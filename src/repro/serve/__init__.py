@@ -7,15 +7,14 @@ per-request deadlines, and graceful degradation while the data plane
 churns and reconstructions swap trees underneath the queries.  An
 optional generation-keyed :class:`ResultCache` answers repeated hot
 headers synchronously at admission.  Every serving process -- single
-node, :class:`ServeGrid` member, :class:`ShardRouter` front -- runs the
-one connection loop of :mod:`repro.serve.tcp`.  See ``docs/serving.md``
+node or :class:`ServeGrid` worker -- runs the one connection loop of
+:mod:`repro.serve.tcp`.  See ``docs/serving.md``
 for the operations guide and the TCP wire protocol.
 """
 
 from .cache import ResultCache
 from .grid import ServeGrid, closed_loop_qps
 from .service import QueryService, QueryShed, ServiceClosed
-from .shard import ShardRouter
 from .tcp import serve_forever, start_tcp_server
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "ResultCache",
     "ServeGrid",
     "ServiceClosed",
-    "ShardRouter",
     "closed_loop_qps",
     "serve_forever",
     "start_tcp_server",

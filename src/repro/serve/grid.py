@@ -1,39 +1,27 @@
-"""One process grid for every multi-process serving mode.
+"""The multi-worker serving pool: ``repro serve --serve-workers N``.
 
 The compiled classifier is tiny (Section VII-B) and, persisted as a
 binary artifact, position-independent -- so serving processes can map
 *one* read-only copy out of :mod:`multiprocessing.shared_memory` instead
-of each rebuilding (or even copying) it.  ``repro serve --serve-workers
-N`` and ``repro serve --shards S --replicas R`` are the same machine, a
-:class:`ServeGrid` of ``rows x replicas`` member processes:
+of each rebuilding (or even copying) it.  A :class:`ServeGrid` is
+``replicas`` worker processes over that one copy:
 
-* the parent writes one blob per row into shared memory and spawns the
-  members; member ``(row, r)`` maps row ``row``'s blob;
-* every member serves through the one connection loop
+* the parent writes the artifact into shared memory, reserves the
+  public port and spawns the workers; each maps the block, runs a
+  :class:`~repro.serve.QueryService` and binds its own ``SO_REUSEPORT``
+  socket on the public port, so the kernel load-balances connections
+  with no proxy in front;
+* every worker serves through the one connection loop
   (:func:`repro.serve.tcp.serve_connection`) and obeys one control
   protocol on its pipe: ``ready`` once listening, then ``prepare`` /
   ``commit`` for each new generation, ``stop`` at the end;
 * generation handoff is two-phase and ack'd: *prepare* writes the new
-  blobs into fresh shared memory and waits until every member has
-  mapped and loaded its one (members keep answering the old
-  generation); *commit* makes every member switch to it and retire
-  generations older than the previous one; only then does the parent
-  unlink the old blocks -- in-flight work finishes on the pages it
-  started on.
-
-The two modes differ only in what a row is and where a member listens:
-
-* ``shards=0`` (unsharded, ``--serve-workers``): one row, the whole
-  artifact.  Each member runs a :class:`~repro.serve.QueryService` and
-  binds its own ``SO_REUSEPORT`` socket on the public port, so the
-  kernel load-balances connections with no proxy in front; commit is
-  :meth:`~repro.serve.QueryService.adopt_generation`.
-* ``shards>=1``: one row per shard slice (:mod:`repro.artifact.shard`).
-  Members answer ``SHARD_CLASSIFY`` frames on private loopback ports
-  through a :class:`~repro.serve.shard.SliceEndpoint`, behind a
-  :class:`~repro.serve.ShardRouter` (:meth:`ShardRouter.from_grid
-  <repro.serve.ShardRouter.from_grid>`) that flips its routing tables
-  between prepare and commit.
+  artifact into fresh shared memory and waits until every worker has
+  mapped and loaded it (workers keep answering the old generation);
+  *commit* makes every worker adopt it
+  (:meth:`~repro.serve.QueryService.adopt_generation`) and retire the
+  old one; only then does the parent unlink the old block -- in-flight
+  work finishes on the pages it started on.
 """
 
 from __future__ import annotations
@@ -47,20 +35,13 @@ import time
 from multiprocessing import shared_memory
 
 from .. import config
-from ..artifact import (
-    artifact_bytes,
-    load_artifact_buffer,
-    load_shard_buffer,
-    make_shard_plan,
-    shard_artifact_bytes,
-)
+from ..artifact import artifact_bytes, load_artifact_buffer
 from .service import QueryService
-from .shard import SliceEndpoint
-from .tcp import ServiceEndpoint, start_tcp_server, stop_server
+from .tcp import ServiceEndpoint
 
 __all__ = ["ServeGrid", "closed_loop_qps"]
 
-#: Seconds the parent waits for each member's ready/ack message.
+#: Seconds the parent waits for each worker's ready/ack message.
 CONTROL_TIMEOUT_S = 60.0
 
 
@@ -83,18 +64,19 @@ def _new_block(blob: bytes) -> shared_memory.SharedMemory:
     return block
 
 
-def _release(blocks) -> None:
-    """Close and unlink parent-owned blocks (members may still map them)."""
-    for block in blocks:
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:
-            pass
+def _release(block) -> None:
+    """Close and unlink a parent-owned block (workers may still map it)."""
+    if block is None:
+        return
+    block.close()
+    try:
+        block.unlink()
+    except FileNotFoundError:
+        pass
 
 
 def _detach(block: shared_memory.SharedMemory) -> None:
-    """Drop a member's mapping once nothing views its pages.
+    """Drop a worker's mapping once nothing views its pages.
 
     Attaching re-registers the block with the resource tracker, but
     multiprocessing children share the parent's tracker process under
@@ -110,24 +92,20 @@ def _detach(block: shared_memory.SharedMemory) -> None:
         pass
 
 
-async def _member_serve(conn, name: str, host: str, port: int | None,
+async def _member_serve(conn, name: str, host: str, port: int,
                         options: dict) -> None:
-    """One grid member; ``port=None`` marks a shard-slice replica."""
+    """One worker: serve the artifact in block ``name`` on ``port``."""
     backend = options.pop("backend", None)
-    load = load_shard_buffer if port is None else load_artifact_buffer
 
     def attach(block_name: str):
         block = shared_memory.SharedMemory(name=block_name)
-        return block, load(block.buf, backend=backend, source=f"shm:{block_name}")
+        return block, load_artifact_buffer(
+            block.buf, backend=backend, source=f"shm:{block_name}"
+        )
 
-    # generation id -> (shm block, loaded classifier or slice)
+    # generation id -> (shm block, loaded classifier)
     generations = {0: attach(name)}
-    if port is None:
-        service = None
-        endpoint = SliceEndpoint(generations)
-    else:
-        service = QueryService(generations[0][1], backend=backend, **options)
-        endpoint = ServiceEndpoint(service)
+    service = QueryService(generations[0][1], backend=backend, **options)
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     # Control messages arrive on the pipe reader callback (no awaits
@@ -161,47 +139,37 @@ async def _member_serve(conn, name: str, host: str, port: int | None,
                         _detach(generations.pop(gen)[0])
                     generations[gen] = attach(*block_name)
                 else:  # commit
-                    if service is not None:
-                        await service.adopt_generation(generations[gen][1])
-                    # Keep the previous generation: frames routed just
-                    # before the flip may still arrive.
-                    for old in [g for g in generations if g < gen - 1]:
+                    await service.adopt_generation(generations[gen][1])
+                    for old in [g for g in generations if g != gen]:
                         _detach(generations.pop(old)[0])
             except Exception as exc:
                 reply(("failed", gen, f"{type(exc).__name__}: {exc}"))
             else:
                 reply(("ok", gen))
 
-    async with endpoint:
-        endpoint.counters.workers = 1
-        if port is None:
-            server = await start_tcp_server(endpoint, host, 0)
-        else:
-            server = await start_tcp_server(
-                endpoint, sock=_reuseport_socket(host, port)
-            )
+    async with ServiceEndpoint(service) as endpoint:
+        service.counters.workers = 1
+        await endpoint.listen(sock=_reuseport_socket(host, port))
         controller = loop.create_task(control_loop())
         loop.add_reader(conn.fileno(), on_control)
-        reply(("ready", os.getpid(), server.sockets[0].getsockname()[1]))
+        reply(("ready", os.getpid()))
         try:
             await stop.wait()
         finally:
             loop.remove_reader(conn.fileno())
             controller.cancel()
-            await stop_server(server, endpoint)
     conn.close()
     # Drop every reference into the shared pages before the interpreter
     # tears down, so the mappings close instead of tripping BufferError
     # in SharedMemory.__del__ ("exported pointers exist").
     blocks = [block for block, _loaded in generations.values()]
     generations.clear()
-    if service is not None:
-        service.classifier = None
+    service.classifier = None
     for block in blocks:
         _detach(block)
 
 
-def _member_main(conn, name: str, host: str, port: int | None,
+def _member_main(conn, name: str, host: str, port: int,
                  options: dict) -> None:
     """Process entry point; module-level so every start method works."""
     try:
@@ -211,80 +179,51 @@ def _member_main(conn, name: str, host: str, port: int | None,
 
 
 class ServeGrid:
-    """Parent-side controller of a shards x replicas serving grid.
+    """Parent-side controller of the multi-worker serving pool.
 
     Usage::
 
-        grid = ServeGrid(classifier, replicas=4, port=9000)   # unsharded
-        grid.start()                   # returns once every member listens
+        grid = ServeGrid(classifier, replicas=4, port=9000)
+        grid.start()                   # returns once every worker listens
         grid.publish(new_classifier)   # ack'd generation handoff
         grid.stop()
 
-        grid = ServeGrid(classifier, shards=4, replicas=2)    # sharded
-        grid.start()
-        router = ShardRouter.from_grid(grid)
-        grid.publish(new_classifier, router=router)
-
-    ``shards=0`` runs ``replicas`` full-classifier workers on the public
-    ``host``/``port`` (``port=0`` picks one, see :attr:`port`);
-    ``shards>=1`` runs ``replicas`` processes per shard slice on private
-    ports (:attr:`endpoints`), cut at ``depth`` (default: the shallowest
-    cut with 4 frontiers per shard).  ``service_options`` passes through
-    to each unsharded member's :class:`~repro.serve.QueryService`
-    (``max_batch``, ``overflow``, ...).  The controller is synchronous on
-    purpose: it runs in the CLI process or a benchmark driver, not
-    inside an event loop; :meth:`publish_async` is the in-loop variant
-    that keeps a router flip atomic with respect to running batches.
+    ``replicas`` workers serve the whole classifier on the public
+    ``host``/``port`` (``port=0`` picks one, see :attr:`port`).
+    ``service_options`` passes through to each worker's
+    :class:`~repro.serve.QueryService` (``max_batch``, ``overflow``,
+    ...).  The controller is synchronous on purpose: it runs in the CLI
+    process or a benchmark driver, not inside an event loop.
     """
 
     def __init__(
         self,
         classifier,
         *,
-        shards: int = 0,
         replicas: int = 1,
         host: str = "127.0.0.1",
         port: int = 0,
-        depth: int | None = None,
         backend: str | None = None,
         service_options: dict | None = None,
         start_method: str | None = None,
         recorder=None,
     ) -> None:
-        if shards < 0:
-            raise ValueError("shards must be >= 0")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        self.shards = shards
         self.replicas = replicas
         self.host = host
-        #: The public port of an unsharded grid (resolved by :meth:`start`).
+        #: The public port (resolved by :meth:`start`).
         self.port = port
         self.backend = backend
         self.service_options = dict(service_options or {})
         self.start_method = config.mp_start(start_method)
         self.recorder = recorder
         self.generation = 0
-        self._depth = depth
-        self.plan, self._blobs = self._cut(classifier)
-        self._blocks: list = []
+        self._blob = artifact_bytes(classifier, backend=backend)
+        self._block: shared_memory.SharedMemory | None = None
         self._reserve: socket.socket | None = None
-        self._processes: list[list] = []
-        self._conns: list[list] = []
-        #: ``endpoints[row]`` -> ``(host, port)`` per replica.
-        self.endpoints: list[list[tuple[str, int]]] = []
-
-    def _cut(self, classifier) -> tuple:
-        """``(plan, blobs)``: one blob per row, the plan when sharded."""
-        if not self.shards:
-            return None, [artifact_bytes(classifier, backend=self.backend)]
-        plan = make_shard_plan(
-            classifier, self.shards, depth=self._depth, backend=self.backend
-        )
-        return plan, [
-            shard_artifact_bytes(classifier, plan, s, backend=self.backend)
-            for s in range(plan.shards)
-        ]
+        self._processes: list = []
+        self._conns: list = []
 
     def _expect(self, conn, what: str, kinds=("ok", "failed")):
         if not conn.poll(CONTROL_TIMEOUT_S):
@@ -297,175 +236,105 @@ class ServeGrid:
             raise RuntimeError(f"serve grid member failed during {what}: {message}")
         return message
 
-    def _broadcast(self, message_of_row, what: str) -> None:
-        """Send every member its row's message; wait for every ack."""
-        for row, conns in enumerate(self._conns):
-            for conn in conns:
-                conn.send(message_of_row(row))
+    def _broadcast(self, message: tuple, what: str) -> None:
+        """Send every worker ``message``; wait for every ack."""
+        for conn in self._conns:
+            conn.send(message)
         failures = [
-            message[2]
-            for conns in self._conns
-            for conn in conns
-            if (message := self._expect(conn, what))[0] == "failed"
+            reply[2]
+            for conn in self._conns
+            if (reply := self._expect(conn, what))[0] == "failed"
         ]
         if failures:
             raise RuntimeError(
                 f"{what} failed in {len(failures)} member(s): {failures[0]}"
             )
 
-    def start(self) -> list[list[tuple[str, int]]]:
-        """Spawn the grid; returns :attr:`endpoints` once every member listens."""
+    def start(self) -> int:
+        """Spawn the workers; returns :attr:`port` once every one listens."""
         if self._processes:
             raise RuntimeError("grid already started")
-        blobs, self._blobs = self._blobs, None
-        if blobs is None:
+        blob, self._blob = self._blob, None
+        if blob is None:
             raise RuntimeError("grid was stopped; build a new one")
-        self._blocks = [_new_block(blob) for blob in blobs]
-        member_port = None
-        options = {"backend": self.backend}
-        if not self.shards:
-            # Reserve the port in the parent (bound, never listening) so
-            # port=0 resolves once and every member binds the same number.
-            self._reserve = _reuseport_socket(self.host, self.port)
-            self.port = member_port = self._reserve.getsockname()[1]
-            options.update(self.service_options)
+        self._block = _new_block(blob)
+        # Reserve the port in the parent (bound, never listening) so
+        # port=0 resolves once and every worker binds the same number.
+        self._reserve = _reuseport_socket(self.host, self.port)
+        self.port = self._reserve.getsockname()[1]
+        options = {"backend": self.backend, **self.service_options}
         context = multiprocessing.get_context(self.start_method)
         try:
-            for block in self._blocks:
-                procs, conns = [], []
-                for _replica in range(self.replicas):
-                    parent_conn, child_conn = context.Pipe()
-                    process = context.Process(
-                        target=_member_main,
-                        args=(child_conn, block.name, self.host, member_port,
-                              options),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    procs.append(process)
-                    conns.append(parent_conn)
-                self._processes.append(procs)
-                self._conns.append(conns)
-            self.endpoints = [
-                [(self.host, self._expect(conn, "startup", ("ready",))[2])
-                 for conn in conns]
-                for conns in self._conns
-            ]
+            for _replica in range(self.replicas):
+                parent_conn, child_conn = context.Pipe()
+                process = context.Process(
+                    target=_member_main,
+                    args=(child_conn, self._block.name, self.host, self.port,
+                          options),
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+                self._processes.append(process)
+                self._conns.append(parent_conn)
+            for conn in self._conns:
+                self._expect(conn, "startup", ("ready",))
         except BaseException:
             self.stop()
             raise
         if self.recorder is not None:
-            serve = self.recorder.serve
-            serve.workers = len(self._blocks) * self.replicas
-            if self.shards:
-                serve.shard_shards = self.shards
-                serve.shard_replicas = self.replicas
-        return self.endpoints
+            self.recorder.serve.workers = self.replicas
+        return self.port
 
-    # -- generation handoff --------------------------------------------
+    def publish(self, classifier) -> int:
+        """Ack'd two-phase handoff to ``classifier``; returns the new
+        generation id.
 
-    def prepare(self, classifier) -> dict:
-        """Stage a new generation on every member (ack'd); no switch yet.
-
-        Returns the pending-generation handle for :meth:`commit`.
-        Members keep answering the old generation throughout.
+        Every worker maps and loads the new artifact (*prepare*) before
+        any is told to switch (*commit*).  A failed prepare leaves every
+        worker on the old generation and the grid ready for a retry.
         """
         if not self._processes:
             raise RuntimeError("grid is not running")
         started = time.perf_counter()
         generation = self.generation + 1
-        plan, blobs = self._cut(classifier)
-        blocks = [_new_block(blob) for blob in blobs]
+        block = _new_block(artifact_bytes(classifier, backend=self.backend))
         try:
             self._broadcast(
-                lambda row: ("prepare", generation, blocks[row].name),
-                "generation prepare",
+                ("prepare", generation, block.name), "generation prepare"
             )
         except BaseException:
-            _release(blocks)
+            _release(block)
             raise
-        return {
-            "generation": generation,
-            "plan": plan,
-            "blocks": blocks,
-            "started": started,
-        }
-
-    def commit(self, pending: dict) -> None:
-        """Finish a handoff: every member switches to ``pending`` and
-        retires generations older than the previous one, then the old
-        blocks are unlinked.  A router must already have flipped."""
-        generation = pending["generation"]
-        self._broadcast(lambda row: ("commit", generation), "generation commit")
-        old, self._blocks = self._blocks, pending["blocks"]
-        self.plan = pending["plan"]
+        self._broadcast(("commit", generation), "generation commit")
+        old, self._block = self._block, block
         self.generation = generation
         _release(old)
         if self.recorder is not None:
-            self.recorder.serve.record_handoff(
-                time.perf_counter() - pending["started"]
-            )
-
-    def publish(self, classifier, router=None) -> int:
-        """Full ack'd handoff from synchronous code; returns the new
-        generation id.  With a ``router`` the flip happens between
-        prepare and commit -- only safe when no event loop is
-        concurrently routing (tests, CLI swaps); inside a loop use
-        :meth:`publish_async`."""
-        pending = self.prepare(classifier)
-        if router is not None:
-            router.flip(pending["plan"], pending["generation"])
-        self.commit(pending)
-        return pending["generation"]
-
-    async def publish_async(self, classifier, router=None) -> int:
-        """Handoff driven from inside the router's event loop.
-
-        The blocking prepare/commit pipe work runs in the default
-        executor; the router flip itself is a plain in-loop call, so no
-        batch observes a half-swapped routing table.
-        """
-        loop = asyncio.get_running_loop()
-        pending = await loop.run_in_executor(None, self.prepare, classifier)
-        if router is not None:
-            router.flip(pending["plan"], pending["generation"])
-        await loop.run_in_executor(None, self.commit, pending)
-        return pending["generation"]
-
-    # -- fault injection / shutdown ------------------------------------
-
-    def kill_replica(self, row: int, replica: int) -> None:
-        """Hard-kill one member process (fail-over testing)."""
-        process = self._processes[row][replica]
-        process.terminate()
-        process.join(timeout=5)
+            self.recorder.serve.record_handoff(time.perf_counter() - started)
+        return generation
 
     def stop(self) -> None:
-        """Stop every member and release OS resources. Idempotent."""
-        for conns in self._conns:
-            for conn in conns:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for procs in self._processes:
-            for process in procs:
-                process.join(timeout=CONTROL_TIMEOUT_S)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5)
-        for conns in self._conns:
-            for conn in conns:
-                conn.close()
+        """Stop every worker and release OS resources. Idempotent."""
+        for conn in self._conns:
+            try:
+                conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        for process in self._processes:
+            process.join(timeout=CONTROL_TIMEOUT_S)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5)
+        for conn in self._conns:
+            conn.close()
         self._processes = []
         self._conns = []
-        self.endpoints = []
         if self._reserve is not None:
             self._reserve.close()
             self._reserve = None
-        _release(self._blocks)
-        self._blocks = []
+        _release(self._block)
+        self._block = None
 
     def __enter__(self) -> "ServeGrid":
         self.start()

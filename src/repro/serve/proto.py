@@ -2,12 +2,11 @@
 
 The newline-JSON endpoint (:mod:`repro.serve.tcp`) is friendly to
 humans and ``nc``, but every request pays JSON encode/decode and one
-syscall-sized line per query.  The shard router needs something a load
-balancer (and the router itself) can push *batches* through: this
-module defines a tiny length-prefixed frame format with multi-query
-classify frames, so one round trip carries hundreds of headers and the
-byte layout is exactly the kernel's word-packed form -- under numpy a
-received batch is classified with zero per-header Python work.
+syscall-sized line per query.  This module defines a tiny
+length-prefixed frame format with multi-query classify frames, so one
+round trip carries hundreds of headers and the byte layout is exactly
+the kernel's word-packed form -- under numpy a received batch is
+classified with zero per-header Python work.
 
 Wire format (all integers little-endian)::
 
@@ -22,14 +21,11 @@ per-connection.  Frame types:
 ===============  ====  ======================================================
 ``PING``         0x01  empty; answered with ``PONG``
 ``CLASSIFY``     0x02  ``u32 count | u8 width | count*width u64`` headers
-``SHARD_CLASSIFY``  0x03  ``u32 generation | u32 count | u8 width |
-                       count u32`` frontiers ``| count*width u64`` headers
 ``METRICS``      0x04  empty; answered with ``METRICS_RESULT`` (JSON)
 ``DIFF``         0x05  UTF-8 JSON request; answered with ``DIFF_RESULT``
 ``WHATIF``       0x06  UTF-8 JSON request; answered with ``WHATIF_RESULT``
 ``PONG``         0x81  empty
 ``RESULT``       0x82  ``u32 count | count i64`` atom ids
-``SHARD_RESULT`` 0x83  ``u32 generation | u32 count | count i64`` atom ids
 ``METRICS_RESULT``  0x84  UTF-8 JSON object
 ``DIFF_RESULT``  0x85  UTF-8 JSON object (the generation-diff report)
 ``WHATIF_RESULT``  0x86  UTF-8 JSON object (the what-if report)
@@ -39,10 +35,8 @@ per-connection.  Frame types:
 ``width`` is the number of u64 words per header
 (:func:`repro.core.kernel.words_per_header`); headers are the kernel's
 packed form, so ``<=64``-variable layouts ship one word per header.
-``SHARD_CLASSIFY`` carries the generation id the router routed under:
-replicas answer strictly from that generation (they hold both the old
-and the new one between PREPARE and COMMIT of a handoff), which is the
-mechanism that makes a batch's answers never mix generations.
+Types ``0x03`` and ``0x83`` are unassigned; like any other unknown type
+they are answered with ``ERROR``.
 """
 
 from __future__ import annotations
@@ -67,12 +61,10 @@ __all__ = [
     "PING",
     "PONG",
     "CLASSIFY",
-    "SHARD_CLASSIFY",
     "METRICS",
     "DIFF",
     "WHATIF",
     "RESULT",
-    "SHARD_RESULT",
     "METRICS_RESULT",
     "DIFF_RESULT",
     "WHATIF_RESULT",
@@ -84,12 +76,8 @@ __all__ = [
     "read_rest_of_frame",
     "encode_classify",
     "decode_classify",
-    "encode_shard_classify",
-    "decode_shard_classify",
     "encode_result",
     "decode_result",
-    "encode_shard_result",
-    "decode_shard_result",
 ]
 
 FRAME_MAGIC = 0xAA
@@ -101,13 +89,11 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 PING = 0x01
 CLASSIFY = 0x02
-SHARD_CLASSIFY = 0x03
 METRICS = 0x04
 DIFF = 0x05
 WHATIF = 0x06
 PONG = 0x81
 RESULT = 0x82
-SHARD_RESULT = 0x83
 METRICS_RESULT = 0x84
 DIFF_RESULT = 0x85
 WHATIF_RESULT = 0x86
@@ -245,9 +231,7 @@ def _decode_headers(buf, count: int, width: int):
 
 
 _CLASSIFY_HEAD = struct.Struct("<IB")
-_SHARD_HEAD = struct.Struct("<IIB")
 _COUNT = struct.Struct("<I")
-_GEN_COUNT = struct.Struct("<II")
 
 
 def encode_classify(headers, *, width: int = 1) -> bytes:
@@ -263,32 +247,6 @@ def decode_classify(payload: bytes):
     if not width:
         raise FrameError("CLASSIFY width must be >= 1")
     return _decode_headers(payload[_CLASSIFY_HEAD.size :], count, width), width
-
-
-def encode_shard_classify(
-    generation: int, frontiers, headers, *, width: int = 1
-) -> bytes:
-    count, data = _encode_headers(headers, width)
-    if len(frontiers) != count:
-        raise FrameError(
-            f"{len(frontiers)} frontiers for {count} headers"
-        )
-    front = _ints_to_bytes(frontiers, "I", _np and _np.uint32)
-    return _SHARD_HEAD.pack(generation, count, width) + front + data
-
-
-def decode_shard_classify(payload: bytes):
-    """``(generation, frontiers, headers, width)`` from a payload."""
-    if len(payload) < _SHARD_HEAD.size:
-        raise FrameError("truncated SHARD_CLASSIFY payload")
-    generation, count, width = _SHARD_HEAD.unpack_from(payload)
-    if not width:
-        raise FrameError("SHARD_CLASSIFY width must be >= 1")
-    base = _SHARD_HEAD.size
-    split = base + 4 * count
-    frontiers = _bytes_to_ints(payload[base:split], "I", _np and _np.uint32)
-    headers = _decode_headers(payload[split:], count, width)
-    return generation, frontiers, headers, width
 
 
 def encode_result(atoms) -> bytes:
@@ -308,22 +266,3 @@ def decode_result(payload: bytes):
             f"{count} atoms"
         )
     return _bytes_to_ints(data, "q", _np and _np.int64)
-
-
-def encode_shard_result(generation: int, atoms) -> bytes:
-    data = _ints_to_bytes(atoms, "q", _np and _np.int64)
-    return _GEN_COUNT.pack(generation, len(data) // 8) + data
-
-
-def decode_shard_result(payload: bytes):
-    """``(generation, atoms)`` from a ``SHARD_RESULT`` payload."""
-    if len(payload) < _GEN_COUNT.size:
-        raise FrameError("truncated SHARD_RESULT payload")
-    generation, count = _GEN_COUNT.unpack_from(payload)
-    data = payload[_GEN_COUNT.size :]
-    if len(data) != 8 * count:
-        raise FrameError(
-            f"SHARD_RESULT payload of {len(data)} bytes does not hold "
-            f"{count} atoms"
-        )
-    return generation, _bytes_to_ints(data, "q", _np and _np.int64)

@@ -1,27 +1,16 @@
 """The one TCP connection loop every serving process runs.
 
-Single-node serving, every member of a :class:`~repro.serve.ServeGrid`
-(multi-worker or shard replica) and the shard router's front tier all
-accept connections through :func:`serve_connection`.  What differs is
-the :class:`Endpoint` it is handed -- the object that answers one frame
-or one JSON request:
+Single-node serving and every worker of a :class:`~repro.serve.ServeGrid`
+accept connections through :func:`serve_connection`, handed a
+:class:`ServiceEndpoint` -- the :class:`QueryService` on the wire, which
+answers one frame or one JSON request (classify, behavior queries,
+diff, what-if).  The loop owns everything else, once: the first byte of
+a connection selects the protocol (frames start with ``0xAA``, JSON
+never does), ``PING``/``METRICS`` and their JSON twins, bounded line
+reads, the per-request error contract, and the set of live connections
+a shutdown closes.  See ``docs/serving.md`` for the full wire contract.
 
-* :class:`ServiceEndpoint` fronts a :class:`QueryService` (classify,
-  behavior queries, diff, what-if);
-* :class:`~repro.serve.shard.ShardRouter` routes classify batches across
-  shard replicas;
-* :class:`~repro.serve.shard.SliceEndpoint` is a shard replica answering
-  the router's ``SHARD_CLASSIFY`` frames.
-
-The loop owns everything else, once: the first byte of a connection
-selects the protocol (frames start with ``0xAA``, JSON never does),
-``PING``/``METRICS`` and their JSON twins, bounded line reads, the
-per-request error contract, and the set of live connections a shutdown
-closes.  See ``docs/serving.md`` for the full wire contract.
-
-Newline-JSON requests (``op`` selects the action; a single-node or
-multi-worker server answers all of them, the shard front only the first
-three)::
+Newline-JSON requests (``op`` selects the action)::
 
     {"op": "ping"}
     {"op": "metrics"}
@@ -67,7 +56,6 @@ from . import proto
 from .service import QueryService, QueryShed, ServiceClosed
 
 __all__ = [
-    "Endpoint",
     "ServiceEndpoint",
     "serve_connection",
     "serve_forever",
@@ -92,42 +80,6 @@ _TOO_LARGE = b'{"ok": false, "error": "request too large"}\n'
 
 class _BadRequest(ValueError):
     """The request is structurally invalid (reported per request)."""
-
-
-class Endpoint:
-    """What one serving process answers; :func:`serve_connection` does
-    the rest.
-
-    Subclasses override :meth:`frame` for their frame types and
-    :meth:`request` for their JSON ops, deferring to the base class for
-    anything else (which answers "unsupported"/"unknown op").  ``PING``,
-    ``METRICS`` and the JSON ``ping``/``metrics`` ops never reach them.
-    ``mode`` is added to the announce line when set.
-    """
-
-    mode: str | None = None
-
-    def __init__(self, counters) -> None:
-        self.counters = counters
-        #: Writers of the live connections, closed by :func:`stop_server`.
-        self.connections: set = set()
-
-    def metrics(self) -> dict:
-        return self.counters.summary()
-
-    async def frame(self, ftype: int, payload: bytes) -> bytes:
-        """The packed response frame to one request frame."""
-        raise proto.FrameError(f"unsupported frame type {ftype:#04x}")
-
-    async def request(self, op, request: dict) -> dict:
-        """The JSON response to one request object."""
-        raise _BadRequest(f"unknown op {op!r}")
-
-    async def __aenter__(self) -> "Endpoint":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        return None
 
 
 def _json_bytes(payload) -> bytes:
@@ -195,22 +147,60 @@ def _framed_json(payload: bytes) -> dict:
     return request
 
 
-class ServiceEndpoint(Endpoint):
-    """A :class:`QueryService` on the wire: single-node serving and every
-    unsharded grid member.  Entering it starts the service."""
+class ServiceEndpoint:
+    """A :class:`QueryService` on the wire: what one serving process
+    answers, while :func:`serve_connection` does the rest.
+
+    ``PING``, ``METRICS`` and the JSON ``ping``/``metrics`` ops never
+    reach :meth:`frame`/:meth:`request`.  Entering the endpoint starts
+    the service; leaving it stops the listening server (:meth:`listen`),
+    closes the live connections and then stops the service.
+    """
 
     def __init__(self, service: QueryService) -> None:
-        super().__init__(service.counters)
         self.service = service
+        #: Writers of the live connections, closed on exit.
+        self.connections: set = set()
+        self.server: asyncio.AbstractServer | None = None
 
     def metrics(self) -> dict:
         return self.service.metrics()
+
+    async def listen(
+        self, host: str = "127.0.0.1", port: int = 0, *, sock=None
+    ) -> asyncio.AbstractServer:
+        """Bind the dual-protocol endpoint; ``port=0`` picks a free port.
+
+        ``sock`` serves an already-bound socket instead of binding
+        ``host``/``port`` -- grid workers pass their ``SO_REUSEPORT``
+        sockets this way.
+        """
+        handler = lambda reader, writer: serve_connection(self, reader, writer)
+        if sock is not None:
+            host = port = None
+        self.server = await asyncio.start_server(
+            handler, host, port, sock=sock, limit=MAX_LINE_BYTES
+        )
+        return self.server
 
     async def __aenter__(self) -> "ServiceEndpoint":
         await self.service.start()
         return self
 
     async def __aexit__(self, *exc_info) -> None:
+        if self.server is not None:
+            # Stop accepting, then close the live connections and let
+            # their loops unwind on EOF (cancelling a streams handler
+            # task makes 3.11's ``connection_made`` callback log
+            # spuriously).
+            self.server.close()
+            for writer in list(self.connections):
+                writer.close()
+            for _ in range(100):
+                if not self.connections:
+                    break
+                await asyncio.sleep(0.01)
+            await self.server.wait_closed()
         await self.service.stop()
 
     async def frame(self, ftype: int, payload: bytes) -> bytes:
@@ -224,7 +214,7 @@ class ServiceEndpoint(Endpoint):
         if ftype == proto.WHATIF:
             report = await self._what_if(_framed_json(payload))
             return proto.pack_frame(proto.WHATIF_RESULT, _json_bytes(report))
-        return await super().frame(ftype, payload)
+        raise proto.FrameError(f"unsupported frame type {ftype:#04x}")
 
     async def request(self, op, request: dict) -> dict:
         service = self.service
@@ -246,7 +236,7 @@ class ServiceEndpoint(Endpoint):
                 _header_of(layout, request), ingress, in_port
             )
             return _behavior_payload(behavior.atom_id, behavior)
-        return await super().request(op, request)
+        raise _BadRequest(f"unknown op {op!r}")
 
     async def _diff(self, request: dict) -> dict:
         artifact = request.get("artifact")
@@ -274,14 +264,14 @@ class ServiceEndpoint(Endpoint):
         )
 
 
-def _error_text(endpoint: Endpoint, exc: Exception) -> str:
+def _error_text(endpoint: ServiceEndpoint, exc: Exception) -> str:
     """The per-request error message; malformed requests count as rejected."""
     if isinstance(exc, QueryShed):
         return "shed"
     if isinstance(exc, asyncio.TimeoutError):
         return "timeout"
     if isinstance(exc, (ValueError, KeyError, proto.FrameError)):
-        endpoint.counters.rejected += 1
+        endpoint.service.counters.rejected += 1
         return str(exc) or repr(exc)
     # Anything else surfaced from the work itself (e.g. an exception the
     # dispatcher set on a request future) still answers on this request.
@@ -312,7 +302,7 @@ async def _read_line(reader: asyncio.StreamReader) -> tuple[bytes, bool]:
         return line, overflowed
 
 
-async def _serve_frames(endpoint: Endpoint, reader, writer) -> None:
+async def _serve_frames(endpoint: ServiceEndpoint, reader, writer) -> None:
     """Framed loop; the leading magic byte was already consumed."""
     read = proto.read_rest_of_frame
     while True:
@@ -351,7 +341,7 @@ async def _serve_frames(endpoint: Endpoint, reader, writer) -> None:
 
 
 async def _serve_lines(
-    endpoint: Endpoint, reader, writer, pending: bytes
+    endpoint: ServiceEndpoint, reader, writer, pending: bytes
 ) -> None:
     """Newline-JSON loop; ``pending`` is the sniffed first byte."""
     while True:
@@ -362,7 +352,7 @@ async def _serve_lines(
         line = pending + line
         pending = b""
         if overflowed:
-            endpoint.counters.rejected += 1
+            endpoint.service.counters.rejected += 1
             response = _TOO_LARGE
         elif not line:
             return
@@ -394,7 +384,7 @@ async def _serve_lines(
 
 
 async def serve_connection(
-    endpoint: Endpoint,
+    endpoint: ServiceEndpoint,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
@@ -418,51 +408,19 @@ async def serve_connection(
         except (ConnectionError, OSError):
             pass
         finally:
-            # Only now: stop_server waits for this set to empty, and a
+            # Only now: the endpoint's exit waits for this set to empty, and a
             # handler still in wait_closed when the loop shuts down is
             # cancelled, which 3.11's connection_made callback logs.
             endpoint.connections.discard(writer)
 
 
-def _endpoint(target) -> Endpoint:
-    return target if isinstance(target, Endpoint) else ServiceEndpoint(target)
-
-
 async def start_tcp_server(
-    target,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    sock=None,
+    service: QueryService, host: str = "127.0.0.1", port: int = 0
 ) -> asyncio.AbstractServer:
-    """Bind the dual-protocol endpoint; ``port=0`` picks a free port.
-
-    ``target`` is an :class:`Endpoint` or a :class:`QueryService` (served
-    through a :class:`ServiceEndpoint`), which must already be started.
-    The caller owns both lifetimes: close the returned server, then stop
-    the service.  ``sock`` serves an already-bound listening socket
-    instead of binding ``host``/``port`` -- grid members pass their
-    ``SO_REUSEPORT`` sockets this way.
-    """
-    endpoint = _endpoint(target)
-    handler = lambda reader, writer: serve_connection(endpoint, reader, writer)
-    if sock is not None:
-        return await asyncio.start_server(handler, sock=sock, limit=MAX_LINE_BYTES)
-    return await asyncio.start_server(handler, host, port, limit=MAX_LINE_BYTES)
-
-
-async def stop_server(server: asyncio.AbstractServer, endpoint: Endpoint) -> None:
-    """Stop accepting, then close the live connections and let their
-    loops unwind on EOF (cancelling a streams handler task makes
-    3.11's ``connection_made`` callback log spuriously)."""
-    server.close()
-    for writer in list(endpoint.connections):
-        writer.close()
-    for _ in range(100):
-        if not endpoint.connections:
-            break
-        await asyncio.sleep(0.01)
-    await server.wait_closed()
+    """Bind ``service`` (already started) on ``host``/``port``;
+    ``port=0`` picks a free port.  The caller owns both lifetimes:
+    close the returned server, then stop the service."""
+    return await ServiceEndpoint(service).listen(host, port)
 
 
 def _announce_line(line: str) -> None:
@@ -472,32 +430,26 @@ def _announce_line(line: str) -> None:
 
 
 async def serve_forever(
-    target, host: str, port: int, *, announce=_announce_line
+    service: QueryService, host: str, port: int, *, announce=_announce_line
 ) -> None:
-    """``repro serve`` driver: serve ``target`` until cancelled.
+    """``repro serve`` driver: start ``service``, serve it until
+    cancelled, then stop it.
 
-    ``target`` is a :class:`QueryService` (started and stopped here) or
-    any other :class:`Endpoint`, such as the shard router.  The bound
-    address is announced as one machine-readable JSON line
+    The bound address is announced as one machine-readable JSON line
     (``{"listening": [host, port], ...}``) so scripts starting the
     server with ``port=0`` can parse the picked port from stdout.
     """
-    endpoint = _endpoint(target)
-    async with endpoint:
-        server = await start_tcp_server(endpoint, host, port)
+    async with ServiceEndpoint(service) as endpoint:
+        server = await endpoint.listen(host, port)
+        bound = server.sockets[0].getsockname()
+        announce(json.dumps({
+            "listening": [bound[0], bound[1]],
+            "protocols": ["framed", "json"],
+        }))
         try:
-            bound = server.sockets[0].getsockname()
-            mode = {"mode": endpoint.mode} if endpoint.mode else {}
-            announce(json.dumps({
-                "listening": [bound[0], bound[1]],
-                **mode,
-                "protocols": ["framed", "json"],
-            }))
-            # The server accepts from start_tcp_server on; not
+            # The server accepts from listen() on; not
             # Server.serve_forever, whose cancellation waits (3.12+) for
-            # clients to hang up before stop_server can close them.
+            # clients to hang up before the endpoint can close them.
             await asyncio.get_running_loop().create_future()
         except asyncio.CancelledError:
             pass
-        finally:
-            await stop_server(server, endpoint)

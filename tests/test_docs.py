@@ -93,13 +93,11 @@ def test_intra_repo_links_resolve(document):
 
 #: Backticked dotted names rooted at the package; a ``/`` or ``-`` right
 #: after the name marks an identifier string (obs schema ids such as
-#: ``repro.obs.snapshot/9``, the ``repro.shard-cluster`` manifest kind),
-#: not code.
+#: ``repro.obs.snapshot/9``), not code.
 _CODE_REF = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?![\w/-])")
 
 #: Dotted strings that are deliberately not importable.
 _NOT_IMPORTABLE = {
-    "repro.shard",  # artifact container kind (repro.artifact.shard.SHARD_KIND)
     "repro._native._kernel",  # optional C extension, absent until built
 }
 

@@ -1,4 +1,4 @@
-"""Multi-worker serving: the unsharded grid, handoff, CLI liveness.
+"""Multi-worker serving: the worker pool, handoff, CLI liveness.
 
 Workers are real OS processes mapping one shared artifact, so these
 tests exercise the full path: fork, SO_REUSEPORT accept, newline-JSON
@@ -13,16 +13,20 @@ import json
 import os
 import random
 import socket
+import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.core import kernel
 from repro.core.classifier import APClassifier
 from repro.datasets import internet2_like, random_headers, rule_update_stream, toy_network
 from repro.obs import Recorder
-from repro.serve import ServeGrid, closed_loop_qps
+from repro.serve import ServeGrid, closed_loop_qps, proto
 
 TIMEOUT_S = 10.0
 
@@ -156,17 +160,6 @@ class TestPool:
         with sock:
             assert sock.recv(1) == b""
 
-    def test_unsharded_grid_has_no_router(self, toy_classifier):
-        from repro.serve import ShardRouter
-
-        with pytest.raises(ValueError):
-            ServeGrid(toy_classifier, shards=-1)
-        with ServeGrid(toy_classifier, replicas=1) as grid:
-            assert grid.plan is None
-            assert grid.endpoints == [[("127.0.0.1", grid.port)]]
-            with pytest.raises(ValueError, match="unsharded"):
-                ShardRouter.from_grid(grid)
-
 
 class TestCLI:
     def test_serve_workers_liveness(self):
@@ -177,10 +170,83 @@ class TestCLI:
             "--serve-workers", "2",
         )
 
-    def test_serve_shards_stop_on_sigterm(self):
-        """`repro serve --shards 2` likewise leaves no replica behind."""
-        # The front tier routes on the packed header, not a packet.
-        _serve_then_terminate({"op": "classify", "header": 5}, "--shards", "2")
+    def test_serve_workers_stop_under_load(self, toy_classifier):
+        """SIGTERM while 4 connections keep framed ``CLASSIFY`` requests
+        in flight: every worker exits and no process logs a traceback."""
+        layout = toy_classifier.dataplane.layout
+        headers = random_headers(layout, 256, random.Random(17))
+        expected = toy_classifier.classify_batch(headers)
+        frame = proto.pack_frame(
+            proto.CLASSIFY,
+            proto.encode_classify(
+                headers, width=kernel.words_per_header(layout.total_width)
+            ),
+        )
+        port = _free_port()
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--dataset", "toy",
+                "--port", str(port), "--serve-workers", "2",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=dict(os.environ, PYTHONPATH="src"),
+            text=True,
+        )
+        answered = [0] * 4
+        wrong: list[int] = []
+
+        def client(index: int) -> None:
+            # Runs until the server hangs up on it.
+            try:
+                with socket.create_connection(("127.0.0.1", port),
+                                              timeout=TIMEOUT_S) as sock:
+                    reader = sock.makefile("rb")
+                    while True:
+                        sock.sendall(frame)
+                        head = reader.read(6)
+                        if len(head) < 6:
+                            return
+                        _magic, length, ftype = struct.unpack("<BIB", head)
+                        payload = reader.read(length)
+                        if (ftype != proto.RESULT
+                                or proto.decode_result(payload).tolist() != expected):
+                            wrong.append(index)
+                            return
+                        answered[index] += 1
+            except OSError:
+                return
+
+        children: list[int] = []
+        clients = [
+            threading.Thread(target=client, args=(i,), daemon=True)
+            for i in range(4)
+        ]
+        try:
+            _wait_for_port("127.0.0.1", port)
+            children = _children_of(process.pid)
+            assert len(children) >= 2 or not Path("/proc").is_dir()
+            for thread in clients:
+                thread.start()
+            deadline = time.monotonic() + TIMEOUT_S
+            while min(answered) < 3 and not wrong and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert min(answered) >= 3 and not wrong, (answered, wrong)
+        finally:
+            process.terminate()
+            try:
+                process.wait(timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=TIMEOUT_S)
+            with process.stdout:
+                output = process.stdout.read()
+        for thread in clients:
+            thread.join(timeout=TIMEOUT_S)
+        assert not any(thread.is_alive() for thread in clients)
+        assert not wrong
+        _assert_all_exit(children)
+        assert "Traceback" not in output, output
 
 
 def _serve_then_terminate(classify: dict, *options: str) -> None:
@@ -238,8 +304,6 @@ def _children_of(pid: int) -> list[int]:
 
 
 def _assert_all_exit(pids: list[int], timeout_s: float = TIMEOUT_S) -> None:
-    import time
-
     # A zombie has exited; it only waits for whoever adopted it to reap it.
     deadline = time.monotonic() + timeout_s
     alive = pids
@@ -256,8 +320,6 @@ def _free_port() -> int:
 
 
 def _wait_for_port(host: str, port: int, timeout_s: float = 30.0) -> None:
-    import time
-
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         try:
