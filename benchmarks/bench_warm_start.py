@@ -7,8 +7,6 @@ the stanford-like dataset:
 
 * **Cold build** -- ``APClassifier.build`` from the network, the Fig. 11
   cost a restart would otherwise pay.
-* **JSON snapshot load** -- the legacy warm restart (rebuilds BDDs from
-  serialized nodes).
 * **Artifact load** -- full updatable restore from the binary container
   via ``mmap``.
 * **Serving-only load** -- :func:`repro.artifact.load_serving`, mapping
@@ -66,17 +64,10 @@ def test_warm_start(stan, tmp_path):
     expected = cold.classify_batch(headers)
 
     artifact_path = tmp_path / "stan.apc"
-    json_path = tmp_path / "stan.json"
     _, artifact_save_s = _timed(
         lambda: persist.save(cold, artifact_path, recorder=recorder)
     )
-    _, json_save_s = _timed(
-        lambda: persist.save(cold, json_path, format="json", recorder=recorder)
-    )
 
-    restored_json, json_load_s = _timed(
-        lambda: persist.load(json_path, recorder=recorder)
-    )
     restored, artifact_load_s = _timed(
         lambda: persist.load(artifact_path, use_mmap=True, recorder=recorder)
     )
@@ -86,13 +77,11 @@ def test_warm_start(stan, tmp_path):
 
     # Bit-identical classification on every load path.
     assert restored.classify_batch(headers) == expected
-    assert restored_json.classify_batch(headers) == expected
     assert list(engine.classify_batch(headers)) == expected
 
     artifact_speedup = cold_s / artifact_load_s
     rows = [
         ("cold build", f"{cold_s * 1000:.1f} ms"),
-        ("JSON snapshot load", f"{json_load_s * 1000:.1f} ms"),
         ("artifact load (mmap)", f"{artifact_load_s * 1000:.1f} ms"),
         ("serving-only load", f"{serving_load_s * 1000:.1f} ms"),
         ("artifact speedup vs build", f"{artifact_speedup:.1f}x"),
@@ -150,14 +139,11 @@ def test_warm_start(stan, tmp_path):
         "trace_len": len(headers),
         "cold_build_s": cold_s,
         "artifact_save_s": artifact_save_s,
-        "json_save_s": json_save_s,
-        "json_load_s": json_load_s,
         "artifact_load_s": artifact_load_s,
         "serving_load_s": serving_load_s,
         "artifact_speedup_vs_build": artifact_speedup,
         "min_artifact_speedup": MIN_ARTIFACT_SPEEDUP,
         "artifact_bytes": artifact_path.stat().st_size,
-        "json_bytes": json_path.stat().st_size,
         "bit_identical": True,
         "cpu_count": cpu_count,
         "pool_connections": POOL_CONNECTIONS,

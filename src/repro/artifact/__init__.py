@@ -15,9 +15,8 @@ Layers:
   serving-only :func:`load_serving` fast path and shared-memory buffer
   loads for the multi-worker serve pool.
 
-Most callers want the :mod:`repro.persist` facade instead, which fronts
-this package and the JSON snapshot format behind one ``save``/``load``
-pair with format auto-detection.
+Most callers want the :mod:`repro.persist` facade instead: one
+``save``/``load`` pair.
 """
 
 from .container import (
@@ -30,7 +29,6 @@ from .container import (
     ArtifactVersionError,
     artifact_from_buffer,
     build_artifact_bytes,
-    is_artifact,
     open_artifact,
     write_artifact,
 )
@@ -38,6 +36,8 @@ from .codec import (
     CLASSIFIER_KIND,
     PAYLOAD_VERSION,
     artifact_bytes,
+    classifier_bytes,
+    classifier_from_bytes,
     describe_artifact,
     load_artifact,
     load_artifact_buffer,
@@ -59,8 +59,9 @@ __all__ = [
     "artifact_bytes",
     "artifact_from_buffer",
     "build_artifact_bytes",
+    "classifier_bytes",
+    "classifier_from_bytes",
     "describe_artifact",
-    "is_artifact",
     "load_artifact",
     "load_artifact_buffer",
     "load_serving",

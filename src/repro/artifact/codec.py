@@ -17,10 +17,17 @@ What gets persisted (one section table entry each, see ``container``):
   "which atoms make up predicate p" that stage 2's behavior walk and
   every tree-construction decision consume;
 * the AP Tree as preorder records (``tree``, via
-  :mod:`repro.parallel.snapshot`);
+  :func:`repro.core.aptree.snapshot_tree`);
 * the compiled engine's arrays (``c_*`` sections) in exactly the layout
   :meth:`CompiledAPTree.from_arrays` adopts zero-copy -- including the
   interleaved fused-program child array.
+
+Everything but the ``c_*`` sections is the *classifier half*
+(:func:`_classifier_half`); on its own it is how a classifier is copied
+within a process (:func:`classifier_bytes` /
+:func:`classifier_from_bytes`: what-if forks, the serve layer's diff
+snapshot), and encoding it never touches the compiled program.  A saved
+artifact is both halves.
 
 Load rebuilds the cheap derived state (a ``DataPlane`` over the stored
 predicate functions, the ``BehaviorComputer``) and attaches the compiled
@@ -29,37 +36,30 @@ mmap'd arrays without recomputing atoms (Fig. 11's cost) or
 re-flattening the tree.
 
 Integrity: the container layer already CRC-checks every section.  This
-layer adds the payload checks that mirror ``SnapshotMismatch``: a kind
-and payload-version gate, the network digest, slot-table agreement
-between the stored predicates and the restored data plane, and R-set /
-tree references resolving.  ``deep_verify=True`` additionally recompiles
-the network from its rules in a scratch manager and compares every
-predicate BDD structurally -- the full stale-snapshot defense, priced
-accordingly.
+layer adds the payload checks: a kind and payload-version gate, the
+network digest, slot-table agreement between the stored predicates and
+the restored data plane, R-set / tree references resolving and the
+tree's leaves covering the atoms.  ``deep_verify=True`` additionally
+recompiles the network from its rules in a scratch manager and compares
+every predicate BDD structurally -- the full stale-snapshot defense,
+priced accordingly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from typing import Mapping
 
 from ..bdd import BDDManager, Function
 from ..bdd.serialize import dump_image, load_image
-from ..core.classifier import APClassifier
+from ..core.aptree import restore_tree, snapshot_tree, tree_ghosts
 from ..core.atomic import AtomicUniverse
+from ..core.classifier import APClassifier
 from ..core.compiled import CompiledAPTree
 from ..network.dataplane import DataPlane
 from ..network.serialize import network_from_json, network_to_json
-from ..parallel.snapshot import (
-    _LEAF,
-    ghost_pids,
-    restore_tree,
-    snapshot_tree,
-    tree_ghosts,
-)
 from .container import (
     Artifact,
     ArtifactMismatch,
@@ -73,6 +73,8 @@ from .container import (
 __all__ = [
     "CLASSIFIER_KIND",
     "PAYLOAD_VERSION",
+    "classifier_bytes",
+    "classifier_from_bytes",
     "save_artifact",
     "artifact_bytes",
     "load_artifact",
@@ -94,10 +96,29 @@ def _network_digest(network_bytes: bytes) -> str:
 # Save
 # ----------------------------------------------------------------------
 
+#: The compiled program's arrays, in section order (``c_`` + name).
+_COMPILED_SECTIONS = (
+    ("pred_entry", "i4"),
+    ("low_idx", "i4"),
+    ("high_idx", "i4"),
+    ("atom_id", "i8"),
+    ("bdd_var", "i4"),
+    ("bdd_low", "i4"),
+    ("bdd_high", "i4"),
+    ("f_var", "i4"),
+    ("f_child", "i4"),
+    ("f_atom", "i8"),
+)
 
-def _manifest_and_sections(
-    classifier: APClassifier, *, backend: str | None = None
-) -> tuple[dict, list]:
+
+def _classifier_half(classifier: APClassifier) -> tuple[dict, list]:
+    """Manifest and sections of everything but the compiled program.
+
+    The network, the one BDD image, atom ids, ``R`` and the tree
+    records.  Reads the classifier without touching its compiled
+    program or minting a BDD node, so encoding a live classifier never
+    compiles, compacts or grows its manager.
+    """
     dataplane = classifier.dataplane
     universe = classifier.universe
     manager = dataplane.manager
@@ -135,19 +156,6 @@ def _manifest_and_sections(
     for predicate in predicates:
         r_values.extend(sorted(universe.r(predicate.pid)))
         r_offsets.append(len(r_values))
-    tree_flat: list[int] = []
-    for record in tree_records:
-        tree_flat.extend(record)
-
-    compiled = classifier.compiled
-    if not classifier.compiled_fresh:
-        compiled = CompiledAPTree.compile(classifier.tree, backend=backend)
-    elif compiled.patched:
-        # Compact first: an artifact carries no patch history (spare
-        # sinks, redundant tests, ``-1`` atoms), so it is byte-identical
-        # to one saved right after a compile of the same tree.
-        compiled = classifier.compile(backend=compiled.backend)
-    arrays = compiled.to_arrays()
 
     manifest = {
         "kind": CLASSIFIER_KIND,
@@ -158,8 +166,7 @@ def _manifest_and_sections(
         "counts": {
             "predicates": len(predicates),
             "atoms": len(atom_ids),
-            "tree_records": len(tree_records),
-            "fused_nodes": len(arrays["f_var"]),
+            "tree_records": len(tree_records) // 3,
             "ghosts": len(ghosts),
         },
         "predicates": {
@@ -167,12 +174,6 @@ def _manifest_and_sections(
             "slots": [[p.kind, p.box, p.port] for p in predicates],
         },
         "ghosts": {"pids": ghosts},
-        "compiled": {
-            "num_vars": arrays["num_vars"],
-            "num_sinks": arrays["num_sinks"],
-            "f_root": arrays["f_root"],
-            "saved_backend": compiled.backend,
-        },
     }
     sections = [
         ("network", "u1", network_bytes),
@@ -181,19 +182,60 @@ def _manifest_and_sections(
         ("atom_ids", "i8", atom_ids),
         ("r_values", "i8", r_values),
         ("r_offsets", "i8", r_offsets),
-        ("tree", "i4", tree_flat),
-        ("c_pred_entry", "i4", arrays["pred_entry"]),
-        ("c_low_idx", "i4", arrays["low_idx"]),
-        ("c_high_idx", "i4", arrays["high_idx"]),
-        ("c_atom_id", "i8", arrays["atom_id"]),
-        ("c_bdd_var", "i4", arrays["bdd_var"]),
-        ("c_bdd_low", "i4", arrays["bdd_low"]),
-        ("c_bdd_high", "i4", arrays["bdd_high"]),
-        ("c_f_var", "i4", arrays["f_var"]),
-        ("c_f_child", "i4", arrays["f_child"]),
-        ("c_f_atom", "i8", arrays["f_atom"]),
+        ("tree", "i4", tree_records),
     ]
     return manifest, sections
+
+
+def _compiled_program(
+    classifier: APClassifier, *, backend: str | None
+) -> CompiledAPTree:
+    """The program the compiled half saves: fresh and compact.
+
+    Compiles the tree if no fresh program exists, and compacts a
+    patched one: an artifact carries no patch history (spare sinks,
+    redundant tests, ``-1`` atoms), so it is byte-identical to one saved
+    right after a compile of the same tree.
+    """
+    compiled = classifier.compiled
+    if not classifier.compiled_fresh:
+        return CompiledAPTree.compile(classifier.tree, backend=backend)
+    if compiled.patched:
+        return classifier.compile(backend=compiled.backend)
+    return compiled
+
+
+def _manifest_and_sections(
+    classifier: APClassifier, *, backend: str | None = None
+) -> tuple[dict, list]:
+    """A whole artifact: the classifier half, then the compiled half."""
+    manifest, sections = _classifier_half(classifier)
+    compiled = _compiled_program(classifier, backend=backend)
+    arrays = compiled.to_arrays()
+    counts = manifest["counts"]
+    # Manifest key order is part of the bytes: fused_nodes precedes ghosts.
+    counts["fused_nodes"] = len(arrays["f_var"])
+    counts["ghosts"] = counts.pop("ghosts")
+    manifest["compiled"] = {
+        "num_vars": arrays["num_vars"],
+        "num_sinks": arrays["num_sinks"],
+        "f_root": arrays["f_root"],
+        "saved_backend": compiled.backend,
+    }
+    sections += [
+        (f"c_{name}", dtype, arrays[name]) for name, dtype in _COMPILED_SECTIONS
+    ]
+    return manifest, sections
+
+
+def classifier_bytes(classifier: APClassifier) -> bytes:
+    """The classifier half as an in-memory container (no compiled program).
+
+    The form a classifier is copied in within one process: a what-if
+    fork, the serve layer's per-generation diff snapshot.
+    :func:`classifier_from_bytes` restores it uncompiled.
+    """
+    return build_artifact_bytes(*_classifier_half(classifier))
 
 
 def artifact_bytes(
@@ -257,23 +299,37 @@ def _network_of(artifact: Artifact, manifest: dict):
     return network_from_json(network_bytes.decode())
 
 
-def _compiled_arrays(artifact: Artifact, manifest: dict) -> dict:
-    compiled = manifest.get("compiled") or {}
-    return {
-        "num_vars": compiled.get("num_vars", manifest.get("num_vars")),
-        "num_sinks": compiled["num_sinks"],
-        "f_root": compiled["f_root"],
-        "pred_entry": artifact.section_ints("c_pred_entry"),
-        "low_idx": artifact.section_ints("c_low_idx"),
-        "high_idx": artifact.section_ints("c_high_idx"),
-        "atom_id": artifact.section_ints("c_atom_id"),
-        "bdd_var": artifact.section_ints("c_bdd_var"),
-        "bdd_low": artifact.section_ints("c_bdd_low"),
-        "bdd_high": artifact.section_ints("c_bdd_high"),
-        "f_var": artifact.section_ints("c_f_var"),
-        "f_child": artifact.section_ints("c_f_child"),
-        "f_atom": artifact.section_ints("c_f_atom"),
+def _compiled_engine(
+    artifact: Artifact, *, tree, backend: str | None
+) -> CompiledAPTree:
+    """Adopt the compiled half's arrays zero-copy, pinning the buffer."""
+    manifest = _check_payload(artifact)
+    meta = manifest.get("compiled")
+    if not isinstance(meta, dict):
+        raise ArtifactMismatch("artifact carries no compiled program")
+    arrays = {
+        name: artifact.section_ints(f"c_{name}")
+        for name, _ in _COMPILED_SECTIONS
     }
+    try:
+        compiled = CompiledAPTree.from_arrays(
+            {
+                "num_vars": meta.get("num_vars", manifest.get("num_vars")),
+                "num_sinks": meta["num_sinks"],
+                "f_root": meta["f_root"],
+                **arrays,
+            },
+            tree=tree,
+            backend=backend,
+        )
+    except (KeyError, ValueError) as exc:
+        raise ArtifactMismatch(
+            f"compiled sections are inconsistent: {exc!r}"
+        ) from None
+    # The zero-copy arrays alias the artifact's buffer; pin it for the
+    # engine's lifetime (mmap pages stay valid, shm blocks stay mapped).
+    compiled._buffer_owner = artifact
+    return compiled
 
 
 def _deep_verify_predicates(network, image, slots) -> None:
@@ -296,9 +352,10 @@ def _deep_verify_predicates(network, image, slots) -> None:
         )
 
 
-def _restore_classifier(
-    artifact: Artifact, *, backend: str | None, deep_verify: bool
+def _restore_classifier_half(
+    artifact: Artifact, *, deep_verify: bool
 ) -> APClassifier:
+    """The classifier half, restored uncompiled."""
     manifest = _check_payload(artifact)
     network = _network_of(artifact, manifest)
     num_vars = int(manifest.get("num_vars", 0))
@@ -336,30 +393,28 @@ def _restore_classifier(
         _deep_verify_predicates(network, image, slots)
 
     # Rebuild the data plane over the *stored* functions.  DataPlane
-    # mints pids box-by-box in network order, so group the stored
-    # predicates accordingly and record which stored pid each minted pid
-    # corresponds to (stored pids may have gaps after update churn).
-    grouped: dict[str, list[tuple[str, str, Function]]] = {
-        name: [] for name in network.boxes
-    }
-    grouped_pids: dict[str, list[int]] = {name: [] for name in network.boxes}
-    mint_order: list[int] = []
-    for stored_pid, slot, fn in zip(stored_pids, slots, functions):
-        kind, box, port = slot
-        if box not in grouped:
+    # mints pids 0..n-1 box by box in network order, each box's list in
+    # stored order; ``order[new pid]`` is that predicate's stored index
+    # (stored pids may have gaps after update churn).
+    by_box: dict[str, list[int]] = {name: [] for name in network.boxes}
+    for index, slot in enumerate(slots):
+        if slot[1] not in by_box:
             raise ArtifactMismatch(
-                f"stored predicate slot {slot} names unknown box {box!r}"
+                f"stored predicate slot {slot} names unknown box {slot[1]!r}"
             )
-        grouped[box].append((kind, port, fn))
-        grouped_pids[box].append(int(stored_pid))
-        mint_order.append(int(stored_pid))
-    if len(set(mint_order)) != len(mint_order):
+        by_box[slot[1]].append(index)
+    order = [index for indices in by_box.values() for index in indices]
+    pid_map = {int(stored_pids[index]): new for new, index in enumerate(order)}
+    if len(pid_map) != len(slots):
         raise ArtifactMismatch("stored predicate pids are not unique")
-    # DataPlane will mint new pids 0..n-1 walking boxes in network order
-    # and each box's precompiled list in our order; map stored -> new.
-    order = [pid for name in network.boxes for pid in grouped_pids[name]]
-    pid_map = {stored_pid: new_pid for new_pid, stored_pid in enumerate(order)}
-    dataplane = DataPlane(network, manager, precompiled=grouped)
+    dataplane = DataPlane(
+        network,
+        manager,
+        precompiled={
+            box: [(slots[i][0], slots[i][2], functions[i]) for i in indices]
+            for box, indices in by_box.items()
+        },
+    )
     if len(dataplane) != len(slots):
         raise ArtifactMismatch(
             "restored data plane predicate count disagrees with the "
@@ -372,19 +427,18 @@ def _restore_classifier(
         for atom_id, node in zip(atom_ids, nodes[len(slots) : ghost_start])
     }
 
-    r_values = artifact.section_ints("r_values")
-    r_offsets = artifact.section_ints("r_offsets")
-    if len(r_offsets) != len(stored_pids) + 1:
+    r_values = artifact.section_ints("r_values").tolist()
+    r_offsets = artifact.section_ints("r_offsets").tolist()
+    if len(r_offsets) != len(slots) + 1:
         raise ArtifactMismatch("R offsets disagree with the predicate count")
     pred_fns: dict[int, Function] = {}
     r: dict[int, list[int]] = {}
-    for index, stored_pid in enumerate(mint_order):
-        new_pid = pid_map[stored_pid]
-        pred_fns[new_pid] = functions[index]
-        lo, hi = int(r_offsets[index]), int(r_offsets[index + 1])
-        if lo > hi or hi > len(r_values):
+    for new_pid, index in enumerate(order):
+        lo, hi = r_offsets[index], r_offsets[index + 1]
+        if not 0 <= lo <= hi <= len(r_values):
             raise ArtifactMismatch("R offsets are not monotonic")
-        r[new_pid] = [int(v) for v in r_values[lo:hi]]
+        pred_fns[new_pid] = functions[index]
+        r[new_pid] = r_values[lo:hi]
     try:
         universe = AtomicUniverse.assemble_with_ids(
             manager, pred_fns, atoms, r
@@ -394,56 +448,56 @@ def _restore_classifier(
 
     # Ghost predicates: functions the tree still evaluates but the
     # universe no longer holds (tombstoned by updates before the save).
-    ghost_pid_map = ghost_pids(stored_ghost_pids)
-    if set(ghost_pid_map) & set(pid_map):
+    if set(stored_ghost_pids) & set(pid_map):
         raise ArtifactMismatch(
             "ghost predicate pids overlap the live predicate pids"
         )
-    ghost_fn_nodes = {
-        ghost_pid_map[stored]: node
-        for stored, node in zip(stored_ghost_pids, nodes[ghost_start:])
-    }
-
-    tree_flat = artifact.section_ints("tree")
-    if len(tree_flat) % 3:
-        raise ArtifactMismatch("tree section is not whole records")
-    records: list[list[int]] = []
-    for k in range(0, len(tree_flat), 3):
-        pid = int(tree_flat[k])
-        if pid != _LEAF:
-            mapped = pid_map.get(pid)
-            if mapped is None:
-                mapped = ghost_pid_map.get(pid)
-            if mapped is None:
-                raise ArtifactMismatch(
-                    f"tree references unknown predicate pid {pid}"
-                )
-            pid = mapped
-        records.append([pid, int(tree_flat[k + 1]), int(tree_flat[k + 2])])
     try:
-        tree = restore_tree(records, universe, extra_fn_nodes=ghost_fn_nodes)
-    except (IndexError, KeyError, ValueError) as exc:
-        raise ArtifactMismatch(f"tree section is inconsistent: {exc!r}") from None
-
-    classifier = APClassifier(
+        tree = restore_tree(
+            artifact.section_ints("tree"),
+            universe,
+            pids=pid_map,
+            ghosts=dict(zip(stored_ghost_pids, nodes[ghost_start:])),
+        )
+    except ValueError as exc:
+        raise ArtifactMismatch(f"tree section is inconsistent: {exc}") from None
+    return APClassifier(
         dataplane,
         universe,
         tree,
         strategy=manifest.get("strategy", "oapt"),
     )
-    try:
-        compiled = CompiledAPTree.from_arrays(
-            _compiled_arrays(artifact, manifest), tree=tree, backend=backend
-        )
-    except (KeyError, ValueError) as exc:
-        raise ArtifactMismatch(
-            f"compiled sections are inconsistent: {exc!r}"
-        ) from None
-    classifier.attach_compiled(compiled)
-    # The zero-copy arrays alias the artifact's buffer; pin it for the
-    # engine's lifetime (mmap pages stay valid, shm blocks stay mapped).
-    compiled._buffer_owner = artifact
+
+
+def _restore_classifier(
+    artifact: Artifact, *, backend: str | None, deep_verify: bool
+) -> APClassifier:
+    classifier = _restore_classifier_half(artifact, deep_verify=deep_verify)
+    classifier.attach_compiled(
+        _compiled_engine(artifact, tree=classifier.tree, backend=backend)
+    )
     return classifier
+
+
+def classifier_from_bytes(blob) -> APClassifier:
+    """Restore :func:`classifier_bytes` output (or an artifact's
+    classifier half), uncompiled, in a manager of its own."""
+    return _restore_classifier_half(
+        artifact_from_buffer(blob), deep_verify=False
+    )
+
+
+def _load_file(path, restore, *, use_mmap, verify, recorder):
+    """``restore`` an opened artifact file, timing it for ``recorder``."""
+    start = time.perf_counter()
+    artifact = open_artifact(path, use_mmap=use_mmap, verify=verify)
+    restored = restore(artifact)
+    if recorder is not None:
+        recorder.persist.record_load(
+            len(artifact.buffer), time.perf_counter() - start,
+            mmapped=artifact.mmapped,
+        )
+    return restored
 
 
 def load_artifact(
@@ -456,17 +510,15 @@ def load_artifact(
     recorder=None,
 ) -> APClassifier:
     """Restore a full, updatable classifier from an artifact file."""
-    start = time.perf_counter()
-    artifact = open_artifact(path, use_mmap=use_mmap, verify=verify)
-    classifier = _restore_classifier(
-        artifact, backend=backend, deep_verify=deep_verify
+    return _load_file(
+        path,
+        lambda artifact: _restore_classifier(
+            artifact, backend=backend, deep_verify=deep_verify
+        ),
+        use_mmap=use_mmap,
+        verify=verify,
+        recorder=recorder,
     )
-    if recorder is not None:
-        recorder.persist.record_load(
-            len(artifact.buffer), time.perf_counter() - start,
-            mmapped=artifact.mmapped,
-        )
-    return classifier
 
 
 def load_artifact_buffer(
@@ -480,17 +532,6 @@ def load_artifact_buffer(
     """Restore a classifier from an in-memory blob (shared memory)."""
     artifact = artifact_from_buffer(buffer, verify=verify, source=source)
     return _restore_classifier(artifact, backend=backend, deep_verify=deep_verify)
-
-
-def _serving_engine(
-    artifact: Artifact, *, backend: str | None
-) -> CompiledAPTree:
-    manifest = _check_payload(artifact)
-    compiled = CompiledAPTree.from_arrays(
-        _compiled_arrays(artifact, manifest), tree=None, backend=backend
-    )
-    compiled._buffer_owner = artifact
-    return compiled
 
 
 def load_serving(
@@ -508,15 +549,13 @@ def load_serving(
     file's pages.  It cannot answer stage-2 behavior queries or absorb
     updates; standby replicas that need those use :func:`load_artifact`.
     """
-    start = time.perf_counter()
-    artifact = open_artifact(path, use_mmap=use_mmap, verify=verify)
-    engine = _serving_engine(artifact, backend=backend)
-    if recorder is not None:
-        recorder.persist.record_load(
-            len(artifact.buffer), time.perf_counter() - start,
-            mmapped=artifact.mmapped,
-        )
-    return engine
+    return _load_file(
+        path,
+        lambda artifact: _compiled_engine(artifact, tree=None, backend=backend),
+        use_mmap=use_mmap,
+        verify=verify,
+        recorder=recorder,
+    )
 
 
 def load_serving_buffer(
@@ -528,7 +567,7 @@ def load_serving_buffer(
 ) -> CompiledAPTree:
     """:func:`load_serving` over an in-memory blob (shared memory)."""
     artifact = artifact_from_buffer(buffer, verify=verify, source=source)
-    return _serving_engine(artifact, backend=backend)
+    return _compiled_engine(artifact, tree=None, backend=backend)
 
 
 def describe_artifact(path: str | os.PathLike) -> dict:

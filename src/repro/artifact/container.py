@@ -59,7 +59,6 @@ __all__ = [
     "build_artifact_bytes",
     "open_artifact",
     "artifact_from_buffer",
-    "is_artifact",
 ]
 
 MAGIC = b"\x89APC\r\n\x1a\n"
@@ -89,8 +88,8 @@ class ArtifactVersionError(ArtifactError):
 
 
 class ArtifactMismatch(ArtifactError):
-    """Internally inconsistent payload (the binary analogue of
-    :class:`repro.core.snapshots.SnapshotMismatch`)."""
+    """Internally inconsistent payload, or one that disagrees with the
+    network it was saved from."""
 
 
 def _align(offset: int) -> int:
@@ -143,9 +142,6 @@ class Artifact:
 
     def section_names(self) -> list[str]:
         return list(self._sections)
-
-    def has_section(self, name: str) -> bool:
-        return name in self._sections
 
     def section_bytes(self, name: str) -> memoryview:
         entry = self._sections.get(name)
@@ -294,11 +290,6 @@ def write_artifact(
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
-
-
-def is_artifact(prefix: bytes) -> bool:
-    """Do these leading bytes look like an artifact container?"""
-    return prefix[: len(MAGIC)] == MAGIC
 
 
 def _parse(buffer, *, source: str, verify: bool, mmapped: bool) -> Artifact:

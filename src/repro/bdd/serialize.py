@@ -17,9 +17,9 @@ Postorder is topological: every ref points backwards, and loading is
 one forward pass.
 
 This is the only module that knows the layout.  Processes
-(:mod:`repro.parallel`, the reconstruction process of Section VI-B),
-files (:mod:`repro.artifact`, :mod:`repro.core.snapshots`) and the
-cross-manager transfer in :mod:`repro.diff` all move images.
+(:mod:`repro.core.reconstruction`, the reconstruction process of
+Section VI-B), artifacts (:mod:`repro.artifact`) and the cross-manager
+transfer in :mod:`repro.diff` all move images.
 """
 
 from __future__ import annotations

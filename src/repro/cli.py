@@ -110,18 +110,22 @@ def _build(args: argparse.Namespace) -> APClassifier:
     return APClassifier.build(_load(args), strategy=args.strategy)
 
 
-def _load_classifier_file(path: str) -> APClassifier:
-    """A ready classifier from an artifact or classifier-JSON file."""
+def _load_classifier_file(path: str, *, deep_verify: bool = False) -> APClassifier:
+    """A ready classifier from an artifact file."""
     from . import persist
     from .artifact import ArtifactError
 
     try:
-        return persist.load(path)
-    except OSError as exc:
-        raise CLIError(f"cannot read {path!r}: {exc}") from exc
+        return persist.load(path, deep_verify=deep_verify)
     except (ArtifactError, ValueError, KeyError) as exc:
-        # SnapshotMismatch is a ValueError; so are malformed JSON payloads.
-        raise CLIError(f"cannot load {path!r}: {exc}") from exc
+        raise _artifact_error(path, exc) from exc
+
+
+def _artifact_error(path: str, exc: Exception) -> CLIError:
+    """One line for an artifact that could not be read or loaded."""
+    if isinstance(exc.__cause__, OSError):
+        return CLIError(f"cannot read {path!r}: {exc.__cause__}")
+    return CLIError(f"cannot load {path!r}: {exc}")
 
 
 def _instrumented_stats(args: argparse.Namespace) -> int:
@@ -306,9 +310,9 @@ def _cmd_save(args: argparse.Namespace) -> int:
     """``save``: persist the network or the built classifier to a file.
 
     ``--format network`` writes the bare network JSON (readable back via
-    ``--snapshot``); ``--format artifact``/``json`` build the classifier
-    and persist it through :mod:`repro.persist` (readable back via
-    ``--artifact`` or ``load``).
+    ``--snapshot``); ``--format artifact`` (the default) builds the
+    classifier and persists it through :mod:`repro.persist` (readable
+    back via ``--artifact`` or ``load``).
     """
     if args.format == "network":
         network = _load(args)
@@ -324,16 +328,13 @@ def _cmd_save(args: argparse.Namespace) -> int:
     classifier = _build(args)
     try:
         written = persist.save(
-            classifier,
-            args.out,
-            format=args.format,
-            backend=getattr(args, "engine", None),
+            classifier, args.out, backend=getattr(args, "engine", None)
         )
     except OSError as exc:
         raise CLIError(f"cannot write {args.out!r}: {exc}") from exc
     except ArtifactError as exc:
         raise CLIError(f"cannot save classifier: {exc}") from exc
-    print(f"wrote {args.format} classifier ({written} bytes) to {args.out}")
+    print(f"wrote artifact classifier ({written} bytes) to {args.out}")
     return 0
 
 
@@ -345,38 +346,23 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     """``load``: summarize (and check) a persisted classifier."""
-    from . import persist
     from .artifact import ArtifactError, describe_artifact
 
-    try:
-        fmt = persist.detect_format(args.path)
-    except OSError as exc:
-        raise CLIError(f"cannot read {args.path!r}: {exc}") from exc
-    if fmt == "artifact" and not args.deep_verify:
+    if not args.deep_verify:
         try:
             summary = describe_artifact(args.path)
         except ArtifactError as exc:
-            raise CLIError(f"cannot load {args.path!r}: {exc}") from exc
+            raise _artifact_error(args.path, exc) from exc
         rows = [(key, summary[key]) for key in sorted(summary) if key != "sections"]
         rows.append(("sections", len(summary["sections"])))
     else:
-        if fmt == "artifact":
-            from .artifact import load_artifact
-
-            try:
-                classifier = load_artifact(args.path, deep_verify=True)
-            except ArtifactError as exc:
-                raise CLIError(f"cannot load {args.path!r}: {exc}") from exc
-        else:
-            classifier = _load_classifier_file(args.path)
-        stats = classifier.stats()
+        stats = _load_classifier_file(args.path, deep_verify=True).stats()
         rows = [
-            ("format", fmt),
             ("predicates", stats.predicates),
             ("atomic predicates", stats.atoms),
             ("AP Tree leaves", stats.tree_leaves),
             ("AP Tree max depth", stats.tree_max_depth),
-            ("verified", "deep" if args.deep_verify else "full restore"),
+            ("verified", "deep"),
         ]
     print(render_table(f"persisted classifier: {args.path}", ["field", "value"], rows))
     return 0
@@ -387,8 +373,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     Two modes share the subcommand:
 
-    * two positional paths -- saved classifiers (binary artifact or
-      classifier JSON); the exact atom-pairing sweep of
+    * two positional paths -- saved classifier artifacts; the exact
+      atom-pairing sweep of
       :mod:`repro.diff` runs across their managers and the full report
       (changed classes, sat-count volumes, witnesses) prints as strict
       JSON;
@@ -642,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--artifact",
             default="",
-            help="skip the build: load a classifier saved by `save` "
-            "(binary artifact or classifier JSON)",
+            help="skip the build: load a classifier artifact saved by `save`",
         )
         # Accept the global option after the subcommand too.  SUPPRESS
         # keeps the subparser from overwriting a value already parsed at
@@ -703,16 +688,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     save = sub.add_parser(
-        "save", help="persist the classifier (artifact/json) or network"
+        "save", help="persist the classifier (artifact) or network"
     )
     common(save)
     save.add_argument("--out", required=True)
     save.add_argument(
         "--format",
-        choices=("artifact", "json", "network"),
+        choices=("artifact", "network"),
         default="artifact",
-        help="artifact: binary compiled classifier (default); json: "
-        "portable classifier snapshot; network: bare network JSON",
+        help="artifact: binary compiled classifier (default); network: "
+        "bare network JSON",
     )
     save.add_argument(
         "--engine",
@@ -751,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
         "generations",
         nargs="*",
         metavar="GENERATION",
-        help="two saved classifiers (`save` artifacts or classifier "
-        "JSON) to diff exactly via atom pairing",
+        help="two saved classifier artifacts (`save`) to diff exactly "
+        "via atom pairing",
     )
     diff.add_argument("--before", default="", help="baseline network snapshot JSON")
     diff.add_argument("--after", default="", help="changed network snapshot JSON")

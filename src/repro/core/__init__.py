@@ -46,11 +46,11 @@ from .ordering import (
 from .reconstruction import (
     DynamicSimulation,
     QueryCostModel,
+    ReconstructionProcess,
     ThroughputSample,
     UpdateEvent,
     poisson_update_schedule,
 )
-from .snapshots import SnapshotMismatch
 from .transactions import UpdateTransaction, VerificationFailed
 from .update import UpdateEngine, UpdateResult
 from .weights import VisitCounter
@@ -94,10 +94,10 @@ __all__ = [
     "UpdateResult",
     "UpdateTransaction",
     "VerificationFailed",
-    "SnapshotMismatch",
     "VisitCounter",
     "DynamicSimulation",
     "QueryCostModel",
+    "ReconstructionProcess",
     "ThroughputSample",
     "UpdateEvent",
     "poisson_update_schedule",

@@ -11,12 +11,22 @@ node has exactly two children and every leaf is a real (non-false) atom.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..bdd import BDDManager
 from .atomic import AtomicUniverse, LeafSplit
 
-__all__ = ["APTree", "APTreeNode", "build_ap_tree"]
+__all__ = [
+    "APTree",
+    "APTreeNode",
+    "build_ap_tree",
+    "snapshot_tree",
+    "restore_tree",
+    "tree_ghosts",
+]
+
+#: Pid slot of a leaf in :func:`snapshot_tree` records.
+_LEAF = -1
 
 
 class APTreeNode:
@@ -334,3 +344,122 @@ def build_ap_tree(
     if len(atoms) == 1:
         return APTree(manager, APTreeNode.leaf(next(iter(atoms))))
     return APTree(manager, build(pids, atoms))
+
+
+# ----------------------------------------------------------------------
+# Tree records: the one plain-data form of a tree (artifacts, rebuilds)
+# ----------------------------------------------------------------------
+
+
+def snapshot_tree(tree: APTree, universe: AtomicUniverse) -> list[int]:
+    """The tree as flat preorder records, three ints each.
+
+    ``_LEAF, atom position, 0`` for a leaf, ``pid, low index, high
+    index`` for an internal node, indices counting records; children
+    always index later records.  ``universe`` must be the universe the
+    tree was built over (its sorted atom ids define the leaf positions).
+    """
+    position = {
+        atom_id: index
+        for index, atom_id in enumerate(sorted(universe.atom_ids()))
+    }
+    records: list[int] = []
+    # (node, parent record's flat offset + child slot); preorder so
+    # children always land after their parent.
+    stack: list[tuple[APTreeNode, int]] = [(tree.root, -1)]
+    while stack:
+        node, link = stack.pop()
+        index = len(records) // 3
+        if link >= 0:
+            records[link] = index
+        if node.is_leaf:
+            assert node.atom_id is not None
+            records += (_LEAF, position[node.atom_id], 0)
+        else:
+            assert node.pid is not None
+            assert node.low is not None and node.high is not None
+            records += (node.pid, 0, 0)
+            stack.append((node.high, 3 * index + 2))
+            stack.append((node.low, 3 * index + 1))
+    return records
+
+
+def tree_ghosts(tree: APTree, universe: AtomicUniverse) -> dict[int, int]:
+    """pid -> BDD node of every tombstoned label the tree still evaluates.
+
+    After an update removes a predicate, its internal nodes keep
+    evaluating the old BDD until the next rebuild, but the universe no
+    longer holds its function; a snapshot carries these "ghost"
+    functions from the tree nodes themselves so a restored tree
+    classifies bit-identically to the live one.  Raises ``ValueError``
+    when two nodes disagree on one dead pid's function.
+    """
+    ghosts: dict[int, int] = {}
+    for node in tree._walk():
+        if node.is_leaf or universe.has_predicate(node.pid):
+            continue
+        prior = ghosts.setdefault(node.pid, node.fn_node)
+        if prior != node.fn_node:
+            raise ValueError(
+                f"tree nodes disagree on tombstoned predicate "
+                f"{node.pid}'s function"
+            )
+    return ghosts
+
+
+def restore_tree(
+    records: Sequence[int],
+    universe: AtomicUniverse,
+    *,
+    pids: Mapping[int, int] | None = None,
+    ghosts: Mapping[int, int] | None = None,
+) -> APTree:
+    """Rebuild :func:`snapshot_tree` records against a (restored) universe.
+
+    Leaf positions resolve through the universe's sorted atom ids and
+    internal nodes re-fetch their predicate's BDD node from the
+    universe, so the tree is fully wired into the target manager.
+    ``pids`` renames stored pids (a load re-mints them).  ``ghosts``
+    maps each stored pid the universe no longer holds -- a tombstoned
+    predicate its nodes still evaluate (see :func:`tree_ghosts`) -- to
+    its BDD node; those nodes get fresh *negative* pids in ``ghosts``
+    order, so they never collide with a pid the universe mints now or
+    later (``-1`` is the leaf marker, so ghosts start at ``-2``).
+    Records arrive from files and pipes, so they are validated: a
+    malformed record, an unknown pid or leaves that do not cover the
+    universe's atoms exactly once raise ``ValueError``.
+    """
+    if hasattr(records, "tolist"):  # numpy / array.array section views
+        records = records.tolist()
+    count, ragged = divmod(len(records), 3)
+    if ragged or not count:
+        raise ValueError(f"{len(records)} ints are not whole tree records")
+    ghosts = ghosts or {}
+    ghost_labels = {pid: -(index + 2) for index, pid in enumerate(ghosts)}
+    order = sorted(universe.atom_ids())
+    built: list[APTreeNode] = [None] * count  # type: ignore[list-item]
+    leaves = 0
+    for index in reversed(range(count)):
+        pid, first, second = records[3 * index : 3 * index + 3]
+        if pid == _LEAF:
+            if not 0 <= first < len(order):
+                raise ValueError(f"leaf record {index} names no atom")
+            built[index] = APTreeNode.leaf(order[first])
+            leaves += 1
+            continue
+        if not index < first < count or not index < second < count:
+            raise ValueError(f"record {index} has out-of-order children")
+        label = pid if pids is None else pids.get(pid)
+        if universe.has_predicate(label):
+            fn_node = universe.predicate_fn(label).node
+        elif pid in ghosts:
+            label, fn_node = ghost_labels[pid], ghosts[pid]
+        else:
+            raise ValueError(f"tree references unknown predicate pid {pid}")
+        built[index] = APTreeNode.internal(
+            label, fn_node, built[first], built[second]
+        )
+    tree = APTree(universe.manager, built[0])
+    if not leaves == len(tree._leaf_index) == len(order):
+        raise ValueError("tree leaves do not cover the atoms exactly once")
+    return tree

@@ -179,7 +179,7 @@ class AtomicUniverse:
         pid to the atom ids (positions) inside it.  This is the re-entry
         point for universes that crossed a process boundary (the
         reconstruction worker ships atoms via :mod:`repro.bdd.serialize`
-        and :mod:`repro.parallel.snapshot` reassembles them here).
+        and :mod:`repro.core.reconstruction` reassembles them here).
         The invariants are *not* re-verified -- use :meth:`verify_partition`
         when the parts come from an untrusted path.
         """
@@ -206,11 +206,11 @@ class AtomicUniverse:
     ) -> "AtomicUniverse":
         """:meth:`assemble`, but preserving explicit atom ids.
 
-        Persistence paths (``repro.core.snapshots``, ``repro.artifact``)
-        must restore a classifier whose atom ids are bit-identical to
-        the saved ones -- classification *output* is atom ids, so
-        re-minting ``0..n-1`` would change answers for any universe
-        whose ids have gaps (post-update states).  ``r`` references are
+        The persistence path (``repro.artifact``) must restore a
+        classifier whose atom ids are bit-identical to the saved ones --
+        classification *output* is atom ids, so re-minting ``0..n-1``
+        would change answers for any universe whose ids have gaps
+        (post-update states).  ``r`` references are
         validated against ``atoms``; invariants beyond that are not
         re-verified (see :meth:`verify_partition`).
         """

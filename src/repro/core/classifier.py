@@ -451,7 +451,7 @@ class APClassifier:
 
         The swap half of the Section VI-B split for callers that run the
         rebuild elsewhere -- an executor thread or a worker process (see
-        :mod:`repro.parallel.recon`).  The pair must describe this
+        :mod:`repro.core.reconstruction`).  The pair must describe this
         classifier's data plane (same ``BDDManager``).  ``journal``
         holds the changes applied to the live structures after the
         rebuild's predicate snapshot was taken; they are replayed onto

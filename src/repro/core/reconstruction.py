@@ -6,23 +6,45 @@ process* that periodically rebuilds an optimized tree; updates arriving
 during a rebuild are replayed onto the new tree before it replaces the old
 one (Fig. 8).
 
-This module reproduces that pipeline as a discrete-event simulation whose
-costs are *measured* on the host: each update and each rebuild is actually
-executed and timed, and query throughput between events is derived from
-timed sample queries on the current structure.  That makes Fig. 14's
-sawtooth (throughput sags as updates accumulate, snaps back at each swap)
-reproducible on any machine, with real predicates and real tree surgery --
-only the interleaving clock is simulated.
+The isolated rebuild is three plain-data steps, each defined once here:
+:func:`snapshot_predicates` serializes the live predicates (pids + one
+BDD image, :mod:`repro.bdd.serialize`) in the query process;
+:func:`rebuild_snapshot` computes the atomic universe and a fresh AP
+Tree in its *own* manager and returns image + ``R`` + tree records;
+:func:`restore_rebuild` wires the result back into the canonical
+manager, where :meth:`APClassifier.install_rebuild` (or the simulator)
+replays the journaled updates and swaps -- the version-stamp staleness
+machinery on the tree is untouched, because the restored tree is a
+brand-new object at version 0.  *Where* the middle step runs is the
+caller's choice: :class:`repro.serve.QueryService` hands it to the event
+loop's executor (a loop cannot block on a pipe);
+:class:`ReconstructionProcess` runs it in a long-lived daemon worker on
+a second core, so process startup is paid once.
+
+:class:`DynamicSimulation` reproduces the pipeline as a discrete-event
+simulation whose costs are *measured* on the host: each update and each
+rebuild is actually executed and timed, and query throughput between
+events is derived from timed sample queries on the current structure.
+That makes Fig. 14's sawtooth (throughput sags as updates accumulate,
+snaps back at each swap) reproducible on any machine, with real
+predicates and real tree surgery -- only the interleaving clock is
+simulated.
 """
 
 from __future__ import annotations
 
 import random
 import time
+import traceback
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
 from typing import Callable, Sequence
 
+from .. import config
+from ..bdd import BDDManager, Function
+from ..bdd.serialize import Image, dump_image, image_nbytes, load_image
 from ..network.dataplane import LabeledPredicate, PredicateChange
+from .aptree import APTree, restore_tree, snapshot_tree
 from .atomic import AtomicUniverse
 from .compiled import CompiledAPTree, FlatBDDSet
 from .construction import build_tree
@@ -30,12 +52,257 @@ from .incremental import IncrementalEngine
 from .update import UpdateEngine
 
 __all__ = [
+    "ReconstructionProcess",
+    "ReconstructionWorkerDied",
+    "snapshot_predicates",
+    "rebuild_snapshot",
+    "restore_rebuild",
     "UpdateEvent",
     "poisson_update_schedule",
     "ThroughputSample",
     "DynamicSimulation",
     "QueryCostModel",
 ]
+
+
+# ----------------------------------------------------------------------
+# The isolated rebuild and the process that runs it
+# ----------------------------------------------------------------------
+
+
+def snapshot_predicates(
+    predicates: Sequence[LabeledPredicate],
+) -> tuple[list[int], Image]:
+    """Submit half: a non-empty predicate set as plain data ``(pids, image)``.
+
+    Must run where the predicates' manager is quiescent (the caller's
+    update lock); everything downstream works on the serialized copy.
+    """
+    return (
+        [labeled.pid for labeled in predicates],
+        dump_image(
+            predicates[0].fn.manager, [labeled.fn.node for labeled in predicates]
+        ),
+    )
+
+
+def _snapshot_universe(universe: AtomicUniverse) -> dict:
+    """The universe as plain data: one image whose roots are the
+    predicates in ``pids`` order, then the atoms in sorted-id order, and
+    ``R`` as atom positions."""
+    order = sorted(universe.atom_ids())
+    position = {atom_id: index for index, atom_id in enumerate(order)}
+    pids = universe.predicate_ids()
+    return {
+        "image": dump_image(
+            universe.manager,
+            [universe.predicate_fn(p).node for p in pids]
+            + [universe.atom_fn(a).node for a in order],
+        ),
+        "pids": pids,
+        "r": [
+            sorted(position[atom_id] for atom_id in universe.r(pid))
+            for pid in pids
+        ],
+    }
+
+
+def _restore_universe(payload: dict, manager: BDDManager) -> AtomicUniverse:
+    """Rebuild :func:`_snapshot_universe` output in ``manager``; atoms
+    become ids ``0..n-1`` (exactly the ids of a canonical universe)."""
+    pids = payload["pids"]
+    functions = [
+        Function(manager, node) for node in load_image(manager, payload["image"])
+    ]
+    return AtomicUniverse.assemble(
+        manager,
+        dict(zip(pids, functions)),  # zip stops at the last predicate
+        functions[len(pids):],
+        dict(zip(pids, payload["r"])),
+    )
+
+
+def rebuild_snapshot(pids: Sequence[int], image: Image, strategy: str) -> dict:
+    """The one isolated rebuild: predicate snapshot in, payload out.
+
+    Receives only plain data and deserializes into a manager of its own,
+    so it can run on an executor thread (:class:`repro.serve.QueryService`)
+    or in a worker process (:class:`ReconstructionProcess`) without ever
+    touching the canonical, lock-free :class:`BDDManager` the query
+    process keeps mutating.  Canonical renumbering plus a fixed tree
+    ``rng`` make the payload a function of the snapshot alone.
+    """
+    manager = BDDManager(image[0])  # the image carries its num_vars
+    labeled = [
+        LabeledPredicate(pid, "forward", "recon", "recon", Function(manager, node))
+        for pid, node in zip(pids, load_image(manager, image))
+    ]
+    universe = AtomicUniverse.compute(manager, labeled).renumber_canonical()
+    tree = build_tree(universe, strategy=strategy, rng=random.Random(0)).tree
+    return {
+        "universe": _snapshot_universe(universe),
+        "tree": snapshot_tree(tree, universe),
+    }
+
+
+def restore_rebuild(
+    payload: dict, manager: BDDManager
+) -> tuple[AtomicUniverse, APTree]:
+    """Receive half: a :func:`rebuild_snapshot` payload, wired into ``manager``."""
+    universe = _restore_universe(payload["universe"], manager)
+    return universe, restore_tree(payload["tree"], universe)
+
+
+def _reconstruction_worker(conn) -> None:
+    """Worker loop: one :func:`rebuild_snapshot` per request, until None."""
+    # Ready handshake: under spawn the child re-imports the package
+    # before this line runs; signalling here lets the parent charge that
+    # startup to construction instead of to the first rebuild.
+    conn.send({"ready": True})
+    while True:
+        request = conn.recv()
+        if request is None:
+            break
+        try:
+            started = time.perf_counter()
+            payload = rebuild_snapshot(*request)
+            payload["elapsed_s"] = time.perf_counter() - started
+            conn.send(payload)
+        except Exception:  # ship the failure instead of hanging the parent
+            conn.send({"error": traceback.format_exc()})
+    conn.close()
+
+
+class ReconstructionWorkerDied(RuntimeError):
+    """The reconstruction worker process exited; its handle is unusable."""
+
+
+class ReconstructionProcess:
+    """Handle on a live rebuild worker: submit / poll / receive.
+
+    One rebuild may be in flight at a time (matching the paper's single
+    reconstruction core); :meth:`submit` while busy is a logic error.
+    A worker that dies (killed, crashed interpreter) surfaces as
+    :class:`ReconstructionWorkerDied` from whichever call notices it,
+    and the handle is left idle rather than wedged busy.
+    """
+
+    def __init__(
+        self,
+        manager: BDDManager,
+        strategy: str = "oapt",
+        start_method: str | None = None,
+        recorder=None,
+    ) -> None:
+        self.manager = manager
+        self.strategy = strategy
+        self.recorder = recorder
+        self._busy = False
+        context = get_context(config.mp_start(start_method))
+        self._conn, child_conn = context.Pipe()
+        self._process = context.Process(
+            target=_reconstruction_worker,
+            args=(child_conn,),
+            daemon=True,
+        )
+        self._process.start()
+        child_conn.close()
+        ready = self._recv("starting up")
+        if not (isinstance(ready, dict) and ready.get("ready")):
+            self.close()
+            raise RuntimeError("reconstruction worker failed to start")
+
+    def _died(self, doing: str) -> ReconstructionWorkerDied:
+        """Reap the dead worker and close the handle; the error naming it."""
+        process = self._process
+        process.join(timeout=1.0)
+        self.close()
+        return ReconstructionWorkerDied(
+            f"reconstruction worker (pid {process.pid}) died while {doing} "
+            f"(exit code {process.exitcode})"
+        )
+
+    def _recv(self, doing: str):
+        try:
+            return self._conn.recv()
+        except (EOFError, OSError):
+            raise self._died(doing) from None
+
+    @property
+    def busy(self) -> bool:
+        """True while a submitted rebuild has not been received."""
+        return self._busy
+
+    def submit(self, predicates: Sequence[LabeledPredicate]) -> None:
+        """Ship a predicate snapshot to the worker (non-blocking)."""
+        if self._busy:
+            raise RuntimeError("a rebuild is already in flight")
+        if self._process is None:
+            raise ReconstructionWorkerDied("reconstruction worker is closed")
+        pids, image = snapshot_predicates(predicates)
+        try:
+            self._conn.send((pids, image, self.strategy))
+        except OSError:  # BrokenPipeError included
+            raise self._died("receiving a rebuild") from None
+        if self.recorder is not None:
+            self.recorder.parallel.record_shipping(
+                to_workers=image_nbytes(image), from_workers=0
+            )
+        self._busy = True
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        """Is a finished rebuild (or news of a dead worker) waiting?"""
+        return self._busy and self._conn.poll(timeout)
+
+    def receive(self) -> tuple[AtomicUniverse, APTree, float]:
+        """Block for the in-flight result and restore it canonically."""
+        if not self._busy:
+            raise RuntimeError("no rebuild in flight")
+        payload = self._recv("rebuilding")
+        self._busy = False
+        error = payload.get("error")
+        if error is not None:
+            raise RuntimeError(f"reconstruction worker failed:\n{error}")
+        if self.recorder is not None:
+            self.recorder.parallel.record_shipping(
+                to_workers=0,
+                from_workers=image_nbytes(payload["universe"]["image"]),
+            )
+        universe, tree = restore_rebuild(payload, self.manager)
+        return universe, tree, payload["elapsed_s"]
+
+    def close(self) -> None:
+        """Shut the worker down (idempotent); nothing stays in flight."""
+        process = self._process
+        if process is None:
+            return
+        self._process = None
+        self._busy = False
+        try:
+            if process.is_alive():
+                self._conn.send(None)
+                process.join(timeout=5.0)
+        except (BrokenPipeError, OSError):
+            pass
+        if process.is_alive():  # pragma: no cover - unresponsive worker
+            process.terminate()
+            process.join()
+        self._conn.close()
+
+    def __enter__(self) -> "ReconstructionProcess":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "busy" if self._busy else "idle"
+        return f"ReconstructionProcess({self.strategy}, {state})"
+
+
+# ----------------------------------------------------------------------
+# Fig. 14: the timeline simulation
+# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -161,7 +428,7 @@ class DynamicSimulation:
       wall time advances the simulated completion clock (the original
       discrete-event treatment);
     * ``"process"`` -- rebuilds run in a real background worker
-      (:class:`repro.parallel.ReconstructionProcess`): the predicate
+      (:class:`ReconstructionProcess`): the predicate
       snapshot is serialized out, the universe and tree come back
       serialized, and the swap happens in whichever bucket the worker's
       result actually arrives -- the two-process loop of Fig. 8 executed
@@ -244,9 +511,6 @@ class DynamicSimulation:
         self.reconstruction = reconstruction
         self._recon = None
         if reconstruction == "process" and method == "apclassifier":
-            # Imported lazily: repro.parallel imports repro.core.
-            from ..parallel import ReconstructionProcess
-
             self._recon = ReconstructionProcess(
                 self.manager, strategy=strategy, recorder=recorder
             )

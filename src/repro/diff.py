@@ -17,10 +17,10 @@ Three pairings are supported, all through :func:`diff_generations`:
   *separate* managers; one side's atoms are re-serialized into the other
   side's manager (:mod:`repro.bdd.serialize`), after which the sweep is
   exactly the shared-manager sweep -- exact for arbitrary planes;
-* **live + shadow** -- :func:`what_if` forks a *shadow* classifier from a
-  persistence snapshot (its own manager, its own tree), applies candidate
-  rule changes through the incremental engine, and diffs against the
-  untouched live generation.
+* **live + shadow** -- :func:`what_if` forks a *shadow* classifier
+  through the artifact codec's classifier half (its own manager, its
+  own tree), applies candidate rule changes through the incremental
+  engine, and diffs against the untouched live generation.
 
 Volumes are exact and additive: the overlap regions are pairwise
 disjoint, so ``sum(entry.volume) == changed_volume`` counts precisely
@@ -44,6 +44,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .artifact.codec import classifier_bytes, classifier_from_bytes
 from .bdd.function import Function
 from .bdd.serialize import dump_image, load_image
 from .core.behavior import Behavior
@@ -365,16 +366,17 @@ def _sweep(
 def fork_shadow(classifier: APClassifier, *, recorder=None) -> APClassifier:
     """Fork an isolated shadow of a live classifier.
 
-    The shadow round-trips through the persistence snapshot, so it owns a
-    fresh BDD manager, network, and tree -- nothing is shared with (and
-    nothing can leak back into) the live generation.  It comes up on the
-    incremental maintenance engine, ready to absorb candidate rule
-    changes atom-by-atom without full rebuilds.
+    The shadow round-trips through the artifact codec's classifier half,
+    so it owns a fresh BDD manager, network, and tree -- nothing is
+    shared with (and nothing can leak back into) the live generation.
+    Encoding reads the live classifier but never its compiled program,
+    and the shadow comes up uncompiled: a candidate rule would otherwise
+    pay a program patch it never uses.  It runs on the incremental
+    maintenance engine, ready to absorb candidate rule changes
+    atom-by-atom without full rebuilds.
     """
-    from . import persist  # deferred: persist imports the classifier stack
-
     started = time.perf_counter()
-    shadow = persist.classifier_from_json(persist.classifier_to_json(classifier))
+    shadow = classifier_from_bytes(classifier_bytes(classifier))
     shadow.set_maintenance("incremental")
     if recorder is not None:
         recorder.diff.record_shadow_build(time.perf_counter() - started)

@@ -241,7 +241,7 @@ class UpdateCounters:
 class ParallelCounters:
     """Cross-process shipping volume of the Section VI-B rebuild.
 
-    :class:`repro.parallel.ReconstructionProcess` feeds the two byte
+    :class:`repro.core.reconstruction.ReconstructionProcess` feeds the two byte
     counters (BDD images sent to / received from its worker).
     """
 

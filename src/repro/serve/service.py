@@ -79,13 +79,14 @@ from collections import deque
 from contextlib import asynccontextmanager
 from typing import AsyncIterator
 
+from ..artifact.codec import classifier_bytes, classifier_from_bytes
 from ..core.behavior import Behavior
 from ..core.classifier import APClassifier
 from ..headerspace.header import Packet
 from ..network.dataplane import PredicateChange
 from ..network.rules import ForwardingRule
 from ..obs import ServeCounters
-from ..parallel.recon import (
+from ..core.reconstruction import (
     rebuild_snapshot,
     restore_rebuild,
     snapshot_predicates,
@@ -333,9 +334,10 @@ class QueryService:
         # classify request for it.  Confined to the event-loop thread;
         # entries are removed wherever their future is completed.
         self._inflight: dict[int, asyncio.Future] = {}
-        # Serialized live generation for diff/what-if isolation, retired
-        # with the result cache.  Confined to the event-loop thread.
-        self._snapshot_json: str | None = None
+        # The live generation's classifier half (artifact bytes) for
+        # diff/what-if isolation, retired with the result cache.
+        # Confined to the event-loop thread.
+        self._snapshot: bytes | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -805,7 +807,7 @@ class QueryService:
         """Retire the result cache, the stage-2 memo and the snapshot,
         then re-stamp."""
         self._behaviors.clear()
-        self._snapshot_json = None
+        self._snapshot = None
         if self._cache is not None:
             self._cache.invalidate()
         self._stamp_generation()
@@ -884,23 +886,23 @@ class QueryService:
     # Verification queries: generation diff and what-if (repro.diff)
     # ------------------------------------------------------------------
 
-    def _live_snapshot_json(self) -> str:
-        """Serialize the live generation, cached per generation.
+    def _live_snapshot(self) -> bytes:
+        """The live generation's classifier half, cached per generation.
 
         Must run under a read section of the swap lock on the loop
         thread: the snapshot is the consistency point -- everything
         downstream of it (artifact loads, shadow forks, BDD sweeps)
         works on private managers in an executor thread and can never
-        see a half-applied update.  Repeated diff/what-if calls at the
-        same generation reuse the cached text, so only the first call
-        after a mutation pays the serialization.
+        see a half-applied update.  Encoding reads the classifier but
+        never its compiled program, so a patched program is not
+        recompiled here.  Repeated diff/what-if calls at the same
+        generation reuse the cached bytes, so only the first call after
+        a mutation pays the serialization.
         """
-        from .. import persist
-
         self._check_generation()
-        if self._snapshot_json is None:
-            self._snapshot_json = persist.classifier_to_json(self.classifier)
-        return self._snapshot_json
+        if self._snapshot is None:
+            self._snapshot = classifier_bytes(self.classifier)
+        return self._snapshot
 
     async def diff_generation(
         self,
@@ -912,7 +914,7 @@ class QueryService:
         """Diff the live generation against another one (strict JSON).
 
         ``other`` is a loaded :class:`APClassifier` or a path to a saved
-        artifact/snapshot.  The live side is snapshotted under the swap
+        artifact.  The live side is snapshotted under the swap
         lock (one consistent generation) and the sweep runs on a private
         replica in the default executor, so serving latency sees only
         the snapshot cost -- never the BDD intersections.
@@ -920,20 +922,20 @@ class QueryService:
         if not self.running:
             raise ServiceClosed("service is not running")
         async with self._swap_lock.read():
-            snapshot = self._live_snapshot_json()
+            snapshot = self._live_snapshot()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None, self._diff_worker, snapshot, other, ingress_box, limit
         )
 
     def _diff_worker(
-        self, snapshot: str, other, ingress_box: str, limit: int | None
+        self, snapshot: bytes, other, ingress_box: str, limit: int | None
     ) -> dict:
         """Executor-thread half of :meth:`diff_generation`."""
         from .. import persist
         from ..diff import diff_generations
 
-        live = persist.classifier_from_json(snapshot)
+        live = classifier_from_bytes(snapshot)
         after = (
             other
             if isinstance(other, APClassifier)
@@ -975,20 +977,19 @@ class QueryService:
             for entry in remove
         ]
         async with self._swap_lock.read():
-            snapshot = self._live_snapshot_json()
+            snapshot = self._live_snapshot()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None, self._what_if_worker, snapshot, add, remove, ingress_box, limit
         )
 
     def _what_if_worker(
-        self, snapshot: str, add, remove, ingress_box: str, limit: int | None
+        self, snapshot: bytes, add, remove, ingress_box: str, limit: int | None
     ) -> dict:
         """Executor-thread half of :meth:`what_if`."""
-        from .. import persist
         from ..diff import what_if
 
-        live = persist.classifier_from_json(snapshot)
+        live = classifier_from_bytes(snapshot)
         report = what_if(
             live,
             ingress_box,
@@ -1023,9 +1024,9 @@ class QueryService:
         updates on the event-loop thread during the rebuild, and it has
         no internal locking.  Instead the predicate snapshot is
         serialized under the write lock, the executor runs
-        :func:`repro.parallel.recon.rebuild_snapshot` on it (the same
-        function :class:`repro.parallel.ReconstructionProcess` runs in a
-        separate *process*), and the result is restored into the
+        :func:`repro.core.reconstruction.rebuild_snapshot` on it (the
+        same function :class:`repro.core.reconstruction.ReconstructionProcess`
+        runs in a separate *process*), and the result is restored into the
         canonical manager back on the loop thread, under the write lock.
         """
         if self._reconstructing:

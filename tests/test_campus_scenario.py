@@ -23,7 +23,7 @@ from repro.core.middlebox import (
     RewriteBranch,
 )
 from repro.core.propagation import AtomPropagation
-from repro.persist import classifier_from_json, classifier_to_json
+from repro.artifact import classifier_bytes, classifier_from_bytes
 from repro.core.verifier import NetworkVerifier
 from repro.diff import diff_generations
 from repro.headerspace.fields import five_tuple_layout, parse_ipv4
@@ -167,7 +167,7 @@ class TestChangeManagement:
         assert any(delta.diverges_at == "core" for delta in deltas)
 
     def test_snapshot_round_trip_preserves_policy(self, campus_classifier):
-        restored = classifier_from_json(classifier_to_json(campus_classifier))
+        restored = classifier_from_bytes(classifier_bytes(campus_classifier))
         packet = Packet.of(
             restored.dataplane.layout, src_ip="10.20.1.1", dst_ip="10.30.0.5"
         )

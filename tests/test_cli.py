@@ -1,8 +1,11 @@
 """CLI smoke tests."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets import toy_network
 
 
 class TestStats:
@@ -314,15 +317,35 @@ class TestSaveLoad:
         assert code == 0
         assert "b1 -> b2 -> h2" in capsys.readouterr().out
 
-    def test_save_json_then_load(self, capsys, tmp_path):
-        out = tmp_path / "toy.json"
-        assert main(["save", "--dataset", "toy", "--format", "json",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["load", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "persisted classifier" in stdout
-        assert "json" in stdout
+    def test_old_json_classifier_refused(self, capsys, tmp_path):
+        """Classifiers persist only as artifacts: a classifier JSON
+        snapshot from an older build fails with one line, and the
+        `save --format json` choice is gone."""
+        from repro.network.serialize import network_to_json
+
+        old = tmp_path / "toy.json"
+        old.write_text(json.dumps({
+            "version": 2,
+            "strategy": "oapt",
+            "network": json.loads(network_to_json(toy_network())),
+            "predicates": [],
+            "atom_ids": [],
+            "image": [0, [], []],
+            "tree": [],
+        }))
+        for argv in (
+            ["load", str(old)],
+            ["load", str(old), "--deep-verify"],
+            ["query", "--artifact", str(old), "--dst-ip", "10.2.0.1",
+             "--ingress", "b1"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "not a repro artifact" in err
+            assert "Traceback" not in err
+        with pytest.raises(SystemExit):
+            main(["save", "--dataset", "toy", "--format", "json",
+                  "--out", str(tmp_path / "x.json")])
 
     def test_load_artifact_summary_and_deep_verify(self, capsys, tmp_path):
         out = tmp_path / "toy.apc"

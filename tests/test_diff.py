@@ -287,6 +287,42 @@ class TestWhatIfShadow:
         )
         assert persist.classifier_to_json(live) == before_json
 
+    def test_fork_leaves_a_patched_program_alone(self):
+        """Forking encodes the classifier half only: a live, patched
+        compiled program is neither recompiled nor compacted, the live
+        manager gains no node, and the shadow comes up uncompiled."""
+        from repro.obs import Recorder
+
+        recorder = Recorder()
+        live = APClassifier.build(internet2_like(), maintenance="incremental")
+        live.set_recorder(recorder)
+        live.compile()
+        live.insert_rule(
+            "SEAT",
+            ForwardingRule(
+                Match.prefix("dst_ip", parse_ipv4("10.1.0.0"), 24),
+                ("to_SALT",),
+                priority=24,
+            ),
+        )
+        assert live.compiled_fresh and live.compiled.patched
+        program = live.compiled
+        compiles = recorder.updates.compiles
+        nodes = len(live.dataplane.manager)
+
+        rule = parse_rule_spec(
+            "SEAT:dst_ip=10.2.0.0/16->drop@99", live.dataplane.layout
+        )
+        assert not what_if(live, "SEAT", add=[rule]).diff.is_empty
+        shadow = fork_shadow(live)
+        persist.classifier_to_json(live)
+
+        assert shadow.compiled is None
+        assert live.compiled is program
+        assert live.compiled.patched
+        assert recorder.updates.compiles == compiles
+        assert len(live.dataplane.manager) == nodes
+
     def test_what_if_requires_rules(self):
         live = APClassifier.build(toy_network())
         with pytest.raises(ValueError, match="at least one rule"):

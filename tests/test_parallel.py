@@ -1,4 +1,4 @@
-"""Section VI-B's reconstruction process and its snapshots (``repro.parallel``).
+"""Section VI-B's reconstruction process (``repro.core.reconstruction``).
 
 The load-bearing property is that a rebuild which crossed a process
 boundary is *the same* rebuild: same canonical atom ids with the same
@@ -8,23 +8,27 @@ place.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import signal
 
 import pytest
 
-from repro.bdd import BDDManager
 from repro.core.atomic import AtomicUniverse
-from repro.core.reconstruction import DynamicSimulation
+from repro.core import reconstruction
+from repro.core.aptree import snapshot_tree
+from repro.core.reconstruction import (
+    DynamicSimulation,
+    ReconstructionProcess,
+    ReconstructionWorkerDied,
+    rebuild_snapshot,
+    restore_rebuild,
+    snapshot_predicates,
+)
 from repro.datasets import internet2_like
 from repro.network.dataplane import DataPlane
 from repro.obs import Recorder, validate_snapshot
-from repro.parallel import (
-    ReconstructionProcess,
-    restore_tree,
-    restore_universe,
-    snapshot_tree,
-    snapshot_universe,
-)
 
 
 def canonical_atoms(universe: AtomicUniverse) -> dict[int, int]:
@@ -44,24 +48,20 @@ def assert_universes_identical(
 
 
 def test_universe_and_tree_snapshot_round_trip(toy_dataplane):
-    universe = AtomicUniverse.compute(
-        toy_dataplane.manager, toy_dataplane.predicates()
+    """A rebuild payload restored in the query process's manager is the
+    in-place universe, and its tree re-snapshots to the same records."""
+    predicates = toy_dataplane.predicates()
+    serial = AtomicUniverse.compute(
+        toy_dataplane.manager, predicates
     ).renumber_canonical()
-    from repro.core.construction import build_tree
-
-    tree = build_tree(universe).tree
-    fresh_manager = BDDManager(toy_dataplane.manager.num_vars)
-    restored_universe = restore_universe(
-        snapshot_universe(universe), fresh_manager
-    )
-    restored_tree = restore_tree(
-        snapshot_tree(tree, universe), restored_universe
-    )
-    assert restored_universe.verify_partition()
-    assert restored_universe.atom_count == universe.atom_count
+    payload = rebuild_snapshot(*snapshot_predicates(predicates), "oapt")
+    universe, tree = restore_rebuild(payload, toy_dataplane.manager)
+    assert universe.verify_partition()
+    assert_universes_identical(serial, universe)
+    assert snapshot_tree(tree, universe) == payload["tree"]
     width = toy_dataplane.manager.num_vars
     for header in [random.Random(7).randrange(1 << width) for _ in range(64)]:
-        assert restored_tree.classify(header) == tree.classify(header)
+        assert tree.classify(header) == serial.classify(header)
 
 
 def test_reconstruction_process_round_trip():
@@ -118,6 +118,38 @@ def test_reconstruction_process_rejects_double_submit(toy_dataplane):
         with pytest.raises(RuntimeError, match="in flight"):
             recon.submit(toy_dataplane.predicates())
         recon.receive()
+
+
+def test_worker_killed_mid_rebuild_raises_and_frees_the_handle(toy_dataplane):
+    """A SIGKILLed worker surfaces as a typed error naming it, and the
+    handle is idle afterwards -- not wedged 'in flight' forever."""
+    with ReconstructionProcess(toy_dataplane.manager) as recon:
+        pid = recon._process.pid
+        # Stop the worker first so the kill lands with the rebuild still
+        # queued, however fast the rebuild itself would be.
+        os.kill(pid, signal.SIGSTOP)
+        recon.submit(toy_dataplane.predicates())
+        os.kill(pid, signal.SIGKILL)
+        assert recon.poll(timeout=30)
+        with pytest.raises(ReconstructionWorkerDied, match=f"pid {pid}"):
+            recon.receive()
+        assert not recon.busy
+        assert not recon.poll()
+        with pytest.raises(ReconstructionWorkerDied):
+            recon.submit(toy_dataplane.predicates())
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched worker reaches the child only by fork",
+)
+def test_worker_dying_at_startup_raises_typed_error(toy_dataplane, monkeypatch):
+    def exit_at_once(conn):
+        os._exit(3)
+
+    monkeypatch.setattr(reconstruction, "_reconstruction_worker", exit_at_once)
+    with pytest.raises(ReconstructionWorkerDied, match="starting up.*exit code 3"):
+        ReconstructionProcess(toy_dataplane.manager, start_method="fork")
 
 
 def test_dynamic_simulation_process_mode_swaps_and_replays():

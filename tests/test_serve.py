@@ -24,8 +24,9 @@ from repro.headerspace.fields import parse_ipv4
 from repro.network.dataplane import PredicateChange
 from repro.network.rules import ForwardingRule, Match
 from repro.obs import Recorder, validate_snapshot
-from repro.parallel import ReconstructionProcess, snapshot_tree, snapshot_universe
-from repro.parallel.recon import (
+from repro.core.aptree import snapshot_tree
+from repro.core.reconstruction import (
+    ReconstructionProcess,
     rebuild_snapshot,
     restore_rebuild,
     snapshot_predicates,
@@ -659,8 +660,12 @@ class TestDegradation:
             universe, tree, _ = recon.receive()
         assert snapshot_tree(tree, universe) == payload["tree"]
         expected, _ = restore_rebuild(payload, manager)
-        assert snapshot_universe(universe) == snapshot_universe(expected)
-        assert snapshot_universe(universe)["r"] == payload["universe"]["r"]
+        assert universe.predicate_ids() == expected.predicate_ids() == pids
+        assert universe.atom_ids() == expected.atom_ids()
+        for atom_id in expected.atom_ids():
+            assert universe.atom_fn(atom_id) == expected.atom_fn(atom_id)
+        for pid in pids:
+            assert universe.r(pid) == expected.r(pid)
 
     def test_incremental_replay_leaves_no_dead_labels(self, rebuild_gate):
         # A journal replayed through a tombstone engine would hand an

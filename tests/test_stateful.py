@@ -34,7 +34,7 @@ from repro.core.classifier import APClassifier
 from repro.datasets import internet2_like
 from repro.headerspace.fields import parse_ipv4
 from repro.network.rules import ForwardingRule, Match
-from repro.parallel.recon import (
+from repro.core.reconstruction import (
     rebuild_snapshot,
     restore_rebuild,
     snapshot_predicates,
