@@ -42,6 +42,8 @@ _OP_DIFF = 3
 _OP_NAMES = {_OP_AND: "and", _OP_OR: "or", _OP_XOR: "xor", _OP_DIFF: "diff"}
 
 _TERMINAL_VAR = 1 << 30  # sentinel "variable" for terminals; orders last
+#: ``_mk`` packs a variable index into 16 bits of its unique-table key.
+_MAX_VARS = 1 << 16
 
 #: Entries the four memo caches (apply / ite / not / relation) may hold
 #: *together* before a size-triggered :meth:`BDDManager.clear_caches`.
@@ -69,8 +71,10 @@ class BDDManager:
     def __init__(
         self, num_vars: int, cache_limit: int = DEFAULT_CACHE_LIMIT
     ) -> None:
-        if num_vars <= 0:
-            raise ValueError(f"num_vars must be positive, got {num_vars}")
+        if not 0 < num_vars <= _MAX_VARS:
+            raise ValueError(
+                f"num_vars must be in 1..{_MAX_VARS}, got {num_vars}"
+            )
         if cache_limit <= 0:
             raise ValueError(f"cache_limit must be positive, got {cache_limit}")
         self.num_vars = num_vars
@@ -90,7 +94,9 @@ class BDDManager:
         self._var = [_TERMINAL_VAR, _TERMINAL_VAR]
         self._low = [0, 1]
         self._high = [0, 1]
-        self._unique: dict[tuple[int, int, int], int] = {}
+        # (var, low, high) packed into one int (see ``_mk``): an int key
+        # is smaller than a 3-tuple, and the table holds every node.
+        self._unique: dict[int, int] = {}
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._not_cache: dict[int, int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
@@ -109,7 +115,7 @@ class BDDManager:
         """Return the node for ``var ? high : low``, reusing or creating it."""
         if low == high:
             return low
-        key = (var, low, high)
+        key = (low << 32 | high) << 16 | var
         node = self._unique.get(key)
         if node is None:
             node = len(self._var)

@@ -271,22 +271,33 @@ class APTree:
             if leaf is None:
                 continue  # atom not represented in this tree
             assert split.inside_id is not None and split.outside_id is not None
-            high = APTreeNode.leaf(split.inside_id)
-            low = APTreeNode.leaf(split.outside_id)
-            leaf.pid = pid
-            leaf.fn_node = fn_node
-            leaf.high = high
-            leaf.low = low
-            leaf.atom_id = None
-            del index[split.old_id]
-            index[split.inside_id] = high
-            index[split.outside_id] = low
+            self.split_leaf(
+                leaf, pid, fn_node, split.inside_id, split.outside_id
+            )
             split_count += 1
         self.touch()
         rec = self.recorder
         if rec is not None:
             rec.updates.record_splits(split_count)
         return split_count
+
+    def split_leaf(
+        self,
+        leaf: APTreeNode,
+        pid: int,
+        fn_node: int,
+        inside_id: int,
+        outside_id: int,
+    ) -> None:
+        """Turn ``leaf`` into a ``pid`` node over two new leaves (high:
+        ``inside_id``) and re-index them; does not :meth:`touch`."""
+        index = self._leaf_index
+        del index[leaf.atom_id]
+        leaf.pid = pid
+        leaf.fn_node = fn_node
+        leaf.atom_id = None
+        leaf.high = index[inside_id] = APTreeNode.leaf(inside_id)
+        leaf.low = index[outside_id] = APTreeNode.leaf(outside_id)
 
     def __repr__(self) -> str:
         return (

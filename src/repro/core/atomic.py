@@ -10,8 +10,9 @@ identical behavior at every box.
 maintains, for every predicate ``p``, the set ``R(p)`` of atom ids whose
 disjunction equals ``p`` -- the integer-set representation that all AP Tree
 construction decisions use instead of BDD operations (Section V-C, "Time
-Efficiency").  It also supports the incremental predicate addition/removal
-that real-time updates need (Section VI-A).
+Efficiency").  It also supports the incremental predicate addition,
+removal and in-place replacement that real-time updates need (Section
+VI-A).
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ _LOW, _HIGH, _HIGH_INSIDE, _BOTH = range(4)
 
 
 class TreeMismatch(ValueError):
-    """An AP Tree handed to :meth:`AtomicUniverse.add_predicate` is not
-    over the universe's live atoms."""
+    """An AP Tree handed to :meth:`AtomicUniverse.add_predicate` or
+    :meth:`AtomicUniverse.replace_predicate` is not over the universe's
+    live atoms."""
 
 
 @dataclass(frozen=True)
@@ -481,6 +483,74 @@ class AtomicUniverse:
                         inside.append(below.high)
         return touched
 
+    def replace_predicate(
+        self, old_pid: int, pid: int, fn: Function, tree: APTree
+    ) -> tuple[Function, list[LeafSplit]]:
+        """Swap predicate ``old_pid`` for ``(pid, fn)`` in place.
+
+        Every atom lies wholly inside or wholly outside the old
+        predicate, so only the atoms that ``delta = p_old ^ p_new`` meets
+        change membership; the tree's labels find them (see
+        :meth:`_touched`), candidates in ascending atom id.  ``R(p_old)``
+        becomes ``R(p_new)``; an atom inside ``delta`` keeps its id and
+        flips its membership in ``pid``, and an atom ``delta`` cuts is
+        replaced by two fresh atoms inheriting its memberships, the
+        flipped part ``a & delta`` (membership toggled) and the kept
+        part ``a - delta``.  The result may be finer than minimal: a
+        flipped atom can now agree on every predicate with one other
+        atom, which the caller merges (:meth:`merge_atoms`).
+
+        Returns ``delta`` and one :class:`LeafSplit` against it per atom
+        it meets: ``(a, flipped, kept)`` for a cut atom, ``(a, a, None)``
+        for a whole flip.
+        """
+        if len(tree._leaf_index) != len(self._atoms):
+            raise TreeMismatch(
+                f"the tree has {len(tree._leaf_index)} leaves for "
+                f"{len(self._atoms)} live atoms"
+            )
+        old_fn = self._pred_fns[old_pid]
+        self._register_predicate(pid, fn)
+        del self._pred_fns[old_pid]
+        delta = old_fn ^ fn
+        candidates = (
+            {} if delta.is_false else self._touched(tree.root, delta.node)
+        )
+        r_set = self._r[pid] = self._r.pop(old_pid)
+        containing = self._containing
+        for atom_id in r_set:
+            members = containing[atom_id]
+            members.discard(old_pid)
+            members.add(pid)
+        relation = self.manager.relation
+        d = delta.node
+        splits: list[LeafSplit] = []
+        for atom_id in sorted(candidates):
+            atom = self._atoms[atom_id]
+            rel = candidates[atom_id] or relation(atom.node, d)
+            if rel == 2:  # disjoint from delta: membership unchanged
+                continue
+            if rel == 1:  # inside delta: the whole atom flips
+                flipped_id = atom_id
+                splits.append(LeafSplit(atom_id, atom_id, None))
+            else:
+                flipped_id = self._mint_atom(atom & delta)
+                kept_id = self._mint_atom(atom - delta)
+                for member_pid in containing[atom_id]:
+                    self._r[member_pid].add(flipped_id)
+                    self._r[member_pid].add(kept_id)
+                    containing[flipped_id].add(member_pid)
+                    containing[kept_id].add(member_pid)
+                self._drop_atom(atom_id)
+                splits.append(LeafSplit(atom_id, flipped_id, kept_id))
+            if flipped_id in r_set:
+                r_set.discard(flipped_id)
+                containing[flipped_id].discard(pid)
+            else:
+                r_set.add(flipped_id)
+                containing[flipped_id].add(pid)
+        return delta, splits
+
     def remove_predicate(self, pid: int) -> None:
         """Forget a predicate (tombstone semantics, Section VI-A).
 
@@ -526,23 +596,28 @@ class AtomicUniverse:
             key = (frozenset(self._containing[atom_id]), group)
             buckets.setdefault(key, []).append(atom_id)
         merges: list[AtomMerge] = []
-        for (membership, _), members in sorted(
-            buckets.items(), key=lambda item: min(item[1])
-        ):
-            if len(members) == 1:
-                continue
-            members.sort()
-            merged = self._atoms[members[0]]
-            for member in members[1:]:
-                merged = merged | self._atoms[member]
-            new_id = self._mint_atom(merged)
-            for pid in membership:
-                self._r[pid].add(new_id)
-                self._containing[new_id].add(pid)
-            for member in members:
-                self._drop_atom(member)
-            merges.append(AtomMerge(new_id, tuple(members)))
+        for members in sorted(buckets.values(), key=min):
+            if len(members) > 1:
+                merges.append(self.merge_atoms(members))
         return merges
+
+    def merge_atoms(self, members: list[int]) -> AtomMerge:
+        """Coalesce atoms with identical memberships into one fresh atom.
+
+        The caller guarantees the memberships agree; the merged atom
+        inherits them and the parts are dropped.
+        """
+        members = sorted(members)
+        merged = self._atoms[members[0]]
+        for member in members[1:]:
+            merged = merged | self._atoms[member]
+        new_id = self._mint_atom(merged)
+        for pid in self._containing[members[0]]:
+            self._r[pid].add(new_id)
+            self._containing[new_id].add(pid)
+        for member in members:
+            self._drop_atom(member)
+        return AtomMerge(new_id, tuple(members))
 
     def coalesce(self) -> dict[int, int]:
         """Merge atoms no live predicate distinguishes.

@@ -1,4 +1,5 @@
-"""Incremental atom maintenance: delta refinement + local tree splice.
+"""Incremental atom maintenance: in-place replacement, delta refinement
+and local tree splice.
 
 Section VI treats every predicate change as either a leaf split plus
 tombstone (VI-A) or a *full* background reconstruction (VI-B), so the
@@ -12,6 +13,17 @@ maintaining the atomic-predicate universe itself under churn:
   each cut atom gets one appended copy of the predicate's slice in front
   of its sinks, the outside half a fresh sink) so the fast path stays
   hot instead of falling back to the interpreted tree.
+* **Replacement** -- a change that removes ``p_old`` and adds
+  ``p_new``, which is what every changed port of a rule update is --
+  is applied in place (:meth:`IncrementalEngine.replace_predicate`).
+  Every atom lies wholly inside or wholly outside ``p_old``, so only the
+  atoms ``delta = p_old ^ p_new`` meets change: the tree descent finds
+  them with ``delta``, each flips whole or splits into a kept and a
+  flipped part, and a flipped atom merges with at most one twin.  The
+  tree is repaired inside that region, the compiled program gets one
+  slice patch for ``delta`` and one relabel for the merges.  On
+  stanford a change meets 8 atoms where a removal plus an addition
+  re-examined ``R(p_old)``, ~230 of ~500.
 * **Removal** no longer tombstones: the atoms the predicate's ``R`` set
   touched are re-examined, sibling atoms whose live memberships became
   identical are merged back (:meth:`AtomicUniverse.merge_siblings`),
@@ -42,7 +54,13 @@ over the same ``APTree`` object, preserving identity for compiled-
 staleness checks) only when the tree degrades past a depth budget, when
 it was handed a tree with tombstone history (dead labels), or when a
 splice cannot be built -- all counted under ``updates.incremental`` in
-observability snapshots.
+observability snapshots.  The budget is checked against an upper bound
+on the max depth that updates raise by the depths they already know;
+the tree is walked for the exact depth only when the bound passes the
+budget, so the rebuild decisions are those of a walk per update.
+
+A tree with dead labels, and a universe with no tree, keep the
+removal-then-addition path for replacements.
 """
 
 from __future__ import annotations
@@ -124,6 +142,10 @@ class IncrementalEngine(UpdateEngine):
             for node in tree._walk()
             if not node.is_leaf
         )
+        # An upper bound on the tree's max depth, raised by the depths
+        # each update already knows; the exact walk runs only when the
+        # bound passes the budget (see ``_maybe_rebuild``).
+        self._depth_bound = tree.max_depth() if tree is not None else 0
 
     # ------------------------------------------------------------------
     # Additions
@@ -144,6 +166,8 @@ class IncrementalEngine(UpdateEngine):
         if tree is None:
             return sum(1 for split in splits if split.is_split)
         split_count = tree.apply_splits(labeled.pid, labeled.fn.node, splits)
+        if split_count:  # each split deepens one path by one
+            self._depth_bound += 1
         compiled = self._compiled_for_patch(version_before)
         if compiled is not None:
             compiled.patch_splits(labeled.fn.node, splits)
@@ -173,20 +197,20 @@ class IncrementalEngine(UpdateEngine):
         # The subtrees whose label set changes: every node labeled pid.
         # (The same pid never nests under itself -- each addition labels
         # disjoint split leaves, and builds never repeat a pid on a path.)
-        sites: list[tuple[APTreeNode, APTreeNode | None, bool]] = []
-        stack: list[tuple[APTreeNode, APTreeNode | None, bool]] = [
-            (tree.root, None, False)
+        sites: list[tuple[APTreeNode, APTreeNode | None, bool, int]] = []
+        stack: list[tuple[APTreeNode, APTreeNode | None, bool, int]] = [
+            (tree.root, None, False, 0)
         ]
         while stack:
-            node, parent, is_high = stack.pop()
+            node, parent, is_high, depth = stack.pop()
             if node.is_leaf:
                 continue
             if node.pid == pid:
-                sites.append((node, parent, is_high))
+                sites.append((node, parent, is_high, depth))
                 continue
             assert node.low is not None and node.high is not None
-            stack.append((node.low, node, False))
-            stack.append((node.high, node, True))
+            stack.append((node.low, node, False, depth + 1))
+            stack.append((node.high, node, True, depth + 1))
 
         universe.remove_predicate(pid)
         if not sites:
@@ -200,7 +224,7 @@ class IncrementalEngine(UpdateEngine):
                 self._note_patch()
             return tombstoned
 
-        site_atoms = [_leaf_atoms(node) for node, _, _ in sites]
+        site_atoms = [_leaf_atoms(node) for node, _, _, _ in sites]
         groups: dict[int, int] = {}
         for index, atoms in enumerate(site_atoms):
             for atom_id in atoms:
@@ -217,7 +241,7 @@ class IncrementalEngine(UpdateEngine):
         # Splice: rebuild each affected subtree over its merged atoms and
         # the live candidates, preserving everything outside the sites.
         try:
-            for index, (node, parent, is_high) in enumerate(sites):
+            for index, (node, parent, is_high, depth) in enumerate(sites):
                 merged_atoms = frozenset(
                     mapping.get(atom_id, atom_id)
                     for atom_id in site_atoms[index]
@@ -231,14 +255,16 @@ class IncrementalEngine(UpdateEngine):
                     parent.low = replacement
                 for atom_id in site_atoms[index]:
                     tree._leaf_index.pop(atom_id, None)
-                stack2 = [replacement]
+                stack2 = [(replacement, depth)]
                 while stack2:
-                    n = stack2.pop()
+                    n, below = stack2.pop()
                     if n.is_leaf:
                         tree._leaf_index[n.atom_id] = n
+                        if below > self._depth_bound:
+                            self._depth_bound = below
                     else:
-                        stack2.append(n.low)
-                        stack2.append(n.high)
+                        stack2.append((n.low, below + 1))
+                        stack2.append((n.high, below + 1))
                 self.splices += 1
                 rec = self.recorder
                 if rec is not None:
@@ -260,6 +286,158 @@ class IncrementalEngine(UpdateEngine):
             self._note_patch()
         self._maybe_rebuild(compiled)
         return tombstoned
+
+    # ------------------------------------------------------------------
+    # Replacements
+    # ------------------------------------------------------------------
+
+    def replace_predicate(
+        self, old_pid: int, labeled: LabeledPredicate
+    ) -> tuple[int, int]:
+        """Swap ``old_pid`` for ``labeled`` touching only the atoms that
+        ``delta = p_old ^ p_new`` meets.
+
+        The universe renames ``R(p_old)`` to the new pid and flips or
+        splits the atoms ``delta`` meets
+        (:meth:`AtomicUniverse.replace_predicate`); the tree's ``p_old``
+        nodes are relabeled.  Then, per touched atom in ascending id,
+        its leaf is found by descending on the memberships that placed
+        it.  With no new-pid node on that path a cut atom's leaf becomes
+        a new-pid node over its two parts (as in an addition) and a
+        whole flip stays put: no label on its path changed.  Otherwise
+        the kept part stays in the leaf, a whole flip's leaf is removed
+        (its parent collapses into the sibling), and the flipped atom is
+        queued.  Once every leaf is placed, each queued atom descends on
+        its new memberships to a leaf ``g``: with equal memberships the
+        two merge into a fresh atom, else ``g`` becomes a node labeled
+        by the smallest pid telling them apart.  Two flipped atoms never
+        merge (their old memberships differ), and an atom with no
+        new-pid node on its path has no twin to merge with (their lowest
+        common ancestor would be one), so the partition comes out
+        minimal and no pid repeats on a path.
+
+        Returns ``(atoms delta cut, atoms whose membership flipped)``.
+        Tree-less universes and trees with dead labels keep the
+        remove-then-add path.
+        """
+        tree = self.tree
+        if tree is None or not self._labels_live:
+            return super().replace_predicate(old_pid, labeled)
+        universe = self.universe
+        version_before = tree.version
+        pid, fn_node = labeled.pid, labeled.fn.node
+        delta, flips = universe.replace_predicate(
+            old_pid, pid, labeled.fn, tree
+        )
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.pid is not None:
+                if node.pid == old_pid:
+                    node.pid = pid
+                    node.fn_node = fn_node
+                stack.append(node.low)
+                stack.append(node.high)
+        index = tree._leaf_index
+        queued: list[int] = []
+        cut = [flip for flip in flips if flip.is_split]
+        for flip in flips:
+            old_id, flipped_id, kept_id = (
+                flip.old_id, flip.inside_id, flip.outside_id
+            )
+            if kept_id is None:  # the whole atom flipped
+                path = self._path(universe.memberships(old_id), pid)
+            else:
+                path = self._path(universe.memberships(kept_id))
+            leaf = path[-1]
+            assert leaf.atom_id == old_id
+            if all(node.pid != pid for node in path):
+                if kept_id is not None:
+                    inside, outside = (
+                        (kept_id, flipped_id)
+                        if universe.contains(pid, kept_id)
+                        else (flipped_id, kept_id)
+                    )
+                    tree.split_leaf(leaf, pid, fn_node, inside, outside)
+                    self._depth_bound = max(self._depth_bound, len(path))
+                continue
+            del index[old_id]
+            if kept_id is not None:
+                leaf.atom_id = kept_id
+                index[kept_id] = leaf
+            else:
+                parent = path[-2]
+                sibling = parent.low if parent.high is leaf else parent.high
+                if len(path) == 2:
+                    tree.root = sibling
+                elif path[-3].high is parent:
+                    path[-3].high = sibling
+                else:
+                    path[-3].low = sibling
+            queued.append(flipped_id)
+        merges: list[AtomMerge] = []
+        for flipped_id in queued:
+            members = universe.memberships(flipped_id)
+            path = self._path(members)
+            leaf = path[-1]
+            other = leaf.atom_id
+            assert other is not None
+            other_members = universe.memberships(other)
+            if members == other_members:
+                merge = universe.merge_atoms([flipped_id, other])
+                merges.append(merge)
+                del index[other]
+                leaf.atom_id = merge.merged_id
+                index[merge.merged_id] = leaf
+                continue
+            label = min(members ^ other_members)
+            if label in members:
+                inside, outside = flipped_id, other
+            else:
+                inside, outside = other, flipped_id
+            tree.split_leaf(
+                leaf, label, universe.predicate_fn(label).node,
+                inside, outside,
+            )
+            self._depth_bound = max(self._depth_bound, len(path))
+        tree.touch()
+        if self.counter is not None:
+            for flip in cut:
+                self.counter.on_split(
+                    flip.old_id, flip.inside_id, flip.outside_id
+                )
+            if merges:
+                self.counter.on_merge({
+                    part: merge.merged_id
+                    for merge in merges
+                    for part in merge.parts
+                })
+        self._note_merges(merges)
+        rec = self.recorder
+        if rec is not None:
+            rec.updates.record_splits(len(cut))
+        compiled = self._compiled_for_patch(version_before)
+        if compiled is not None:
+            compiled.patch_splits(delta.node, cut)
+            compiled.patch_merges(
+                [(merge.merged_id, merge.parts) for merge in merges]
+            )
+            self._note_patch()
+        self._maybe_rebuild(compiled)
+        return len(cut), len(flips)
+
+    def _path(
+        self, members: frozenset[int], toggled: int | None = None
+    ) -> list[APTreeNode]:
+        """The root-to-leaf path of an atom inside exactly the pids in
+        ``members`` (with ``toggled``'s membership inverted)."""
+        node = self.tree.root
+        path = [node]
+        while node.pid is not None:
+            inside = (node.pid in members) != (node.pid == toggled)
+            node = node.high if inside else node.low
+            path.append(node)
+        return path
 
     # ------------------------------------------------------------------
     # Local subtree construction
@@ -328,7 +506,12 @@ class IncrementalEngine(UpdateEngine):
         tree = self.tree
         if tree is None:
             return
-        if tree.max_depth() > self.depth_budget():
+        budget = self.depth_budget()
+        if self._depth_bound > budget:
+            # Collapses and merges only make paths shorter, so the bound
+            # drifts up; measure before acting on it.
+            self._depth_bound = tree.max_depth()
+        if self._depth_bound > budget:
             self._full_rebuild()
         elif compiled is not None and (
             compiled.node_count > COMPACT_GROWTH * compiled.compiled_nodes
@@ -355,6 +538,7 @@ class IncrementalEngine(UpdateEngine):
         tree._leaf_index = report.tree._leaf_index
         tree.touch()
         self._labels_live = True
+        self._depth_bound = tree.max_depth()
         self.full_rebuilds += 1
         rec = self.recorder
         if rec is not None:

@@ -35,11 +35,13 @@ class UpdateResult:
     removed_pid: int | None
     added_pid: int | None
     atoms_split: int
-    #: Atoms whose ``R``/stage-2 membership changed because a removal
-    #: tombstoned the predicate out of them.  Pure removals split nothing,
-    #: but they are not free: every atom that carried the predicate had
-    #: its reverse mapping patched, and Fig. 13 accounting needs to tell
-    #: the two maintenance kinds apart.
+    #: Atoms whose membership flipped: for a removal, every atom the
+    #: predicate is tombstoned out of (pure removals split nothing, but
+    #: every atom that carried the predicate had its reverse mapping
+    #: patched, and Fig. 13 accounting needs to tell the two maintenance
+    #: kinds apart); for an in-place replacement
+    #: (:meth:`IncrementalEngine.replace_predicate`), the atoms and atom
+    #: parts inside ``p_old ^ p_new``.
     tombstoned: int
     elapsed_s: float
 
@@ -65,16 +67,19 @@ class UpdateEngine:
     def apply(self, change: PredicateChange) -> UpdateResult:
         """Apply one diff; returns timing and split statistics."""
         started = time.perf_counter()
-        removed_pid: int | None = None
-        added_pid: int | None = None
+        removed, added = change.removed, change.added
+        removed_pid = removed.pid if removed is not None else None
+        added_pid = added.pid if added is not None else None
         atoms_split = 0
         tombstoned = 0
-        if change.removed is not None:
-            removed_pid = change.removed.pid
-            tombstoned = self.remove_predicate(removed_pid)
-        if change.added is not None:
-            added_pid = change.added.pid
-            atoms_split = self.add_predicate(change.added)
+        if removed is None:
+            atoms_split = self.add_predicate(added)
+        elif added is None:
+            tombstoned = self.remove_predicate(removed.pid)
+        else:
+            atoms_split, tombstoned = self.replace_predicate(
+                removed.pid, added
+            )
         self.updates_applied += 1
         elapsed_s = time.perf_counter() - started
         rec = self.recorder
@@ -122,6 +127,15 @@ class UpdateEngine:
             split_count = sum(1 for split in splits if split.is_split)
         return split_count
 
+    def replace_predicate(
+        self, old_pid: int, labeled: LabeledPredicate
+    ) -> tuple[int, int]:
+        """One port's predicate changed: remove ``old_pid``, then add
+        ``labeled`` (Section VI-A).  Returns ``(atoms split, atoms
+        tombstoned)``."""
+        tombstoned = self.remove_predicate(old_pid)
+        return self.add_predicate(labeled), tombstoned
+
     def replay(self, journal: Sequence[PredicateChange]) -> int:
         """Re-apply updates that arrived while a reconstruction ran.
 
@@ -133,8 +147,10 @@ class UpdateEngine:
         built structures already reflect -- a removal of a predicate
         they do not hold, an addition of one they do -- are skipped, so
         a journal that reaches back before the rebuild's snapshot is
-        harmless.  Replays are not counted as new updates (each was
-        accounted when first applied).  Returns the number of entries
+        harmless.  An entry whose removal and addition both still apply
+        goes through :meth:`replace_predicate`, the path it took live.
+        Replays are not counted as new updates (each was accounted when
+        first applied).  Returns the number of entries
         that changed anything, and adds it to ``updates.replayed``.
         """
         replayed = 0
@@ -143,9 +159,11 @@ class UpdateEngine:
             removed, added = change.removed, change.added
             remove = removed is not None and has_predicate(removed.pid)
             add = added is not None and not has_predicate(added.pid)
-            if remove:
+            if remove and add:
+                self.replace_predicate(removed.pid, added)
+            elif remove:
                 self.remove_predicate(removed.pid)
-            if add:
+            elif add:
                 self.add_predicate(added)
             if remove or add:
                 replayed += 1

@@ -1,11 +1,12 @@
 """Atoms a new predicate touches, found by descending the live AP Tree.
 
 ``AtomicUniverse.add_predicate`` takes its candidate atoms from the AP
-Tree's labels instead of testing every live atom.  The flat scan it
-replaced is kept here as the reference: run side by side on two builds
-of one network, the two must agree bit for bit -- atom ids, BDD node ids,
-``R`` sets, the splits handed to the tree and the compiled patch, and
-the bytes ``persist.save`` writes.
+Tree's labels instead of testing every live atom, and so does
+``AtomicUniverse.replace_predicate`` for ``delta = p_old ^ p_new``.  The
+flat scans they replace are kept here as the references: run side by
+side on two builds of one network, the two must agree bit for bit --
+atom ids, BDD node ids, ``R`` sets, the splits handed to the tree and
+the compiled patch, and the bytes ``persist.save`` writes.
 """
 
 from __future__ import annotations
@@ -60,30 +61,56 @@ def flat_add_predicate(self, pid, fn, tree=None) -> list[LeafSplit]:
     return splits
 
 
+def flat_touched(self, root, p) -> dict[int, int]:
+    """``_touched`` as a flat scan: every live atom is undecided."""
+    return dict.fromkeys(self._atoms, 0)
+
+
+def counting(manager, log: list, kind: str, call):
+    """Run ``call()`` and log what it returned with the number of
+    ``relation`` tests it made."""
+    relation = manager.relation
+    tests = []
+
+    def counted(u, v):
+        tests.append(u)
+        return relation(u, v)
+
+    manager.relation = counted
+    try:
+        result = call()
+    finally:
+        del manager.relation
+    log.append((kind, len(tests), result))
+    return result
+
+
 @contextmanager
 def recording(log: list, flat: bool):
-    """Run ``add_predicate`` (or the flat reference) and log its splits
-    with the number of ``relation`` tests it made."""
-    inner = flat_add_predicate if flat else AtomicUniverse.add_predicate
+    """Run ``add_predicate`` and ``replace_predicate`` (or their flat
+    references) and log their splits with the number of ``relation``
+    tests each made."""
+    inner_add = flat_add_predicate if flat else AtomicUniverse.add_predicate
+    inner_replace = AtomicUniverse.replace_predicate
 
-    def logged(self, pid, fn, tree=None):
-        manager = self.manager
-        relation = manager.relation
-        tests = []
+    def logged_add(self, pid, fn, tree=None):
+        return counting(
+            self.manager, log, "add", lambda: inner_add(self, pid, fn, tree)
+        )
 
-        def counted(u, v):
-            tests.append(u)
-            return relation(u, v)
+    def logged_replace(self, old_pid, pid, fn, tree):
+        def call():
+            if not flat:
+                return inner_replace(self, old_pid, pid, fn, tree)
+            with mock.patch.object(AtomicUniverse, "_touched", flat_touched):
+                return inner_replace(self, old_pid, pid, fn, tree)
 
-        manager.relation = counted
-        try:
-            splits = inner(self, pid, fn, tree)
-        finally:
-            del manager.relation
-        log.append((len(tests), splits))
-        return splits
+        return counting(self.manager, log, "replace", call)
 
-    with mock.patch.object(AtomicUniverse, "add_predicate", logged):
+    with mock.patch.object(AtomicUniverse, "add_predicate", logged_add), \
+            mock.patch.object(
+                AtomicUniverse, "replace_predicate", logged_replace
+            ):
         yield
 
 
@@ -133,22 +160,37 @@ def lockstep(name: str, maintenance: str, updates, tmp_path) -> dict:
     assert state(subject) == state(reference)
     mine: list = []
     theirs: list = []
-    seen = {"adds": 0, "tests": 0, "flat_tests": 0, "dead_labels": 0}
+    seen = {
+        "adds": 0, "replaces": 0, "tests": 0, "flat_tests": 0,
+        "dead_labels": 0,
+    }
     for update in updates:
         with recording(theirs, flat=True):
             apply(reference, update)
         with recording(mine, flat=False):
             apply(subject, update)
         assert len(mine) == len(theirs)
-        for (tests, got), (flat_tests, want) in zip(mine, theirs):
-            # The same splits in the same order reach the tree and the
-            # compiled patch; every atom p meets has its LeafSplit, and
-            # any extra one only says "disjoint".
-            assert [s for s in got if s.is_split] == [s for s in want if s.is_split]
-            met = [s for s in want if s.inside_id is not None]
-            assert [s for s in got if s.inside_id is not None] == met
-            assert set(got) <= set(want)
-            seen["adds"] += 1
+        for (kind, tests, got), (flat_kind, flat_tests, want) in zip(
+            mine, theirs
+        ):
+            assert kind == flat_kind
+            if kind == "replace":
+                # The same delta node and the same flips and cuts, in
+                # the same order: only atoms delta meets are reported.
+                (delta, flips), (flat_delta, flat_flips) = got, want
+                assert (delta.node, flips) == (flat_delta.node, flat_flips)
+                seen["replaces"] += 1
+            else:
+                # The same splits in the same order reach the tree and
+                # the compiled patch; every atom p meets has its
+                # LeafSplit, and any extra one only says "disjoint".
+                assert [s for s in got if s.is_split] == [
+                    s for s in want if s.is_split
+                ]
+                met = [s for s in want if s.inside_id is not None]
+                assert [s for s in got if s.inside_id is not None] == met
+                assert set(got) <= set(want)
+                seen["adds"] += 1
             seen["tests"] += tests
             seen["flat_tests"] += flat_tests
         mine.clear()
@@ -174,7 +216,9 @@ class TestDescentMatchesFlatScan:
         rng = random.Random(derive_seed(7919, f"descent:{name}"))
         updates = rule_update_stream(network, SWEEP_UPDATES, rng)
         seen = lockstep(name, maintenance, updates, tmp_path)
-        assert seen["adds"] > 0
+        # The tombstone engine removes then adds; the incremental one
+        # replaces each changed predicate in place.
+        assert seen["adds" if maintenance == "tombstone" else "replaces"] > 0
 
     @pytest.mark.parametrize("maintenance", ["tombstone", "incremental"])
     def test_canonical_stanford_stream(self, maintenance, tmp_path):
@@ -216,7 +260,7 @@ class TestTreeless:
                         else plane.remove_rule
                     )(update.box, update.rule)
                     engine.apply_all(change)
-            states.append(([splits for _, splits in log], state_of(universe)))
+            states.append(([splits for _, _, splits in log], state_of(universe)))
         assert states[0] == states[1]
 
 
