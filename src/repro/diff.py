@@ -22,6 +22,11 @@ Three pairings are supported, all through :func:`diff_generations`:
   own tree), applies candidate rule changes through the incremental
   engine, and diffs against the untouched live generation.
 
+The sweep's work follows the change: an after-atom whose BDD node is a
+before-atom's *is* that atom and pairs without a BDD operation, and in
+a what-if (forwarding rules only) such a pair skips stage 2 unless its
+``(kind, box, port)`` slot memberships moved.
+
 Volumes are exact and additive: the overlap regions are pairwise
 disjoint, so ``sum(entry.volume) == changed_volume`` counts precisely
 the headers whose classification differs (property-tested against
@@ -121,6 +126,10 @@ class GenerationDiff:
     refinement of the two atom universes), so ``changed_volume`` is their
     exact sum and ``changed_share()`` the fraction of the header space
     whose behavior from ``ingress`` differs between the generations.
+    ``cross_manager`` says the two generations live in different BDD
+    managers; ``transfer_s`` is the time spent moving atoms between
+    them, ``0.0`` when nothing moved (one manager, or a what-if, whose
+    shadow fork already holds the live atoms).
     """
 
     ingress: str
@@ -225,16 +234,27 @@ def diff_generations(
     it, repeat.  Atoms partition the space, so the loop runs exactly
     once per non-empty pair: the cost is O(pairs x tree depth) instead
     of O(atoms^2), which is what makes diffing thousand-atom
-    generations serveable online.
+    generations serveable online.  An after-atom whose BDD node is a
+    before-atom's node *is* that atom (one manager, canonical nodes):
+    it pairs without a witness or a BDD operation.
 
     ``rng`` picks witness headers inside changed regions (deterministic
     ``first_sat`` when omitted).  ``recorder`` is an optional
     :class:`repro.obs.Recorder`; the comparison lands in its ``diff``
     section.
     """
+    if before.dataplane.layout != after.dataplane.layout:
+        raise ValueError(
+            "cannot diff generations over different header layouts"
+        )
+    started = time.perf_counter()
+    manager = before.dataplane.manager
+    before_atoms = _atoms_in(manager, before)
+    after_atoms = _atoms_in(manager, after)
+    cross_manager = manager is not after.dataplane.manager
     return _sweep(
-        before, after, ingress_box, in_port, rng, recorder,
-        before.dataplane.manager,
+        before, after, before_atoms, after_atoms, ingress_box, in_port, rng,
+        recorder, time.perf_counter() - started if cross_manager else 0.0,
     )
 
 
@@ -253,86 +273,111 @@ def _atoms_in(manager, classifier: APClassifier) -> list[tuple[int, Function]]:
     ]
 
 
+def _slots_of(classifier: APClassifier, atom_id: int, slot_of: dict) -> set:
+    """The ``(kind, box, port)`` slots whose ``R`` holds the atom."""
+    pids = classifier.universe.memberships(atom_id)
+    return {slot_of[pid] for pid in pids if pid in slot_of}
+
+
 def _sweep(
     before: APClassifier,
     after: APClassifier,
+    before_atoms: list[tuple[int, Function]],
+    after_atoms: list[tuple[int, Function]],
     ingress_box: str,
     in_port: str | None,
     rng: random.Random | None,
     recorder,
-    manager,
+    transfer_s: float,
+    same_slots: bool = False,
 ) -> GenerationDiff:
-    """:func:`diff_generations`, building every BDD in ``manager``.
+    """The common-refinement sweep over two id-sorted atom lists.
 
-    ``manager`` is one of the two generations' managers; the other
-    side's atoms are transferred into it.  The manager is append-only,
-    so the sweep's nodes stay there for the manager's lifetime.
+    Both lists live in one manager, which keeps every overlap built.
+    ``same_slots``: the generations differ in forwarding rules only, so
+    an identity pair whose slot memberships match behaves the same.
     """
-    if before.dataplane.layout != after.dataplane.layout:
-        raise ValueError(
-            "cannot diff generations over different header layouts"
-        )
     started = time.perf_counter()
-    cross_manager = before.dataplane.manager is not after.dataplane.manager
-    before_atoms = _atoms_in(manager, before)
-    after_atoms = _atoms_in(manager, after)
-    transfer_s = time.perf_counter() - started if cross_manager else 0.0
-
     before_fns = dict(before_atoms)
+    before_by_node = {fn.node: atom_id for atom_id, fn in before_atoms}
+    if same_slots:  # pid -> slot; the universes keep ``R`` inverted
+        before_slot = {p.pid: slot for slot, p in before.dataplane.iter_slots()}
+        after_slot = {p.pid: slot for slot, p in after.dataplane.iter_slots()}
     before_cache: dict[int, Behavior] = {}
     after_cache: dict[int, Behavior] = {}
     entries: list[ChangedClass] = []
     pairs_examined = 0
     changed_volume = 0
     sat_count_s = 0.0
+
+    def examine(before_id, after_id, overlap, witness) -> None:
+        nonlocal pairs_examined, changed_volume, sat_count_s
+        pairs_examined += 1
+        before_behavior = before_cache.get(before_id)
+        if before_behavior is None:
+            before_behavior = before_cache[before_id] = (
+                before.behavior_of_atom(before_id, ingress_box, in_port)
+            )
+        after_behavior = after_cache.get(after_id)
+        if after_behavior is None:
+            after_behavior = after_cache[after_id] = (
+                after.behavior_of_atom(after_id, ingress_box, in_port)
+            )
+        if not diff_behaviors(before_behavior, after_behavior):
+            return
+        counting_started = time.perf_counter()
+        volume = overlap.sat_count()
+        sat_count_s += time.perf_counter() - counting_started
+        changed_volume += volume
+        if rng is not None:
+            witness = overlap.random_sat(rng)
+        elif witness is None:
+            witness = overlap.first_sat()
+        entries.append(
+            ChangedClass(
+                before_atom=before_id,
+                after_atom=after_id,
+                region=overlap,
+                volume=volume,
+                witness=witness,
+                before=before_behavior,
+                after=after_behavior,
+                diverges_at=first_divergence(before_behavior, after_behavior),
+            )
+        )
+
     for after_id, after_fn in after_atoms:
+        before_id = before_by_node.get(after_fn.node)
+        if before_id is not None:
+            # The same atom in both generations: one pair, no BDD work,
+            # and in a what-if no walk unless its memberships moved.
+            if same_slots and _slots_of(before, before_id, before_slot) == (
+                _slots_of(after, after_id, after_slot)
+            ):
+                pairs_examined += 1
+            else:
+                examine(before_id, after_id, after_fn, None)
+            continue
         # Peel the after-atom: whatever part of it is not yet accounted
         # for, a witness header of that part names (via the before AP
         # tree) the unique before-atom covering it.  Before-atoms
         # partition the space, so ``remaining`` strictly shrinks and
-        # the loop body runs exactly once per non-empty overlap.
+        # the loop body runs exactly once per non-empty overlap.  The
+        # witness is ``remaining``'s least header, so also the overlap's;
+        # the last overlap, ``remaining`` itself, is found building nothing.
         remaining = after_fn
-        while not remaining.is_false:
+        while True:
             witness = remaining.first_sat()
             before_id = before.classify(witness)
             before_fn = before_fns[before_id]
-            overlap = remaining & before_fn
-            remaining = remaining & ~before_fn
-            pairs_examined += 1
-            before_behavior = before_cache.get(before_id)
-            if before_behavior is None:
-                before_behavior = before_cache[before_id] = (
-                    before.behavior_of_atom(before_id, ingress_box, in_port)
-                )
-            after_behavior = after_cache.get(after_id)
-            if after_behavior is None:
-                after_behavior = after_cache[after_id] = (
-                    after.behavior_of_atom(after_id, ingress_box, in_port)
-                )
-            if not diff_behaviors(before_behavior, after_behavior):
-                continue
-            counting_started = time.perf_counter()
-            volume = overlap.sat_count()
-            sat_count_s += time.perf_counter() - counting_started
-            changed_volume += volume
-            entries.append(
-                ChangedClass(
-                    before_atom=before_id,
-                    after_atom=after_id,
-                    region=overlap,
-                    volume=volume,
-                    witness=(
-                        overlap.random_sat(rng) if rng is not None else witness
-                    ),
-                    before=before_behavior,
-                    after=after_behavior,
-                    diverges_at=first_divergence(
-                        before_behavior, after_behavior
-                    ),
-                )
-            )
+            if remaining.implies(before_fn):
+                examine(before_id, after_id, remaining, witness)
+                break
+            examine(before_id, after_id, remaining & before_fn, witness)
+            remaining = remaining - before_fn
     # Largest change first: the report's head is its headline.
     entries.sort(key=lambda entry: (-entry.volume, entry.before_atom))
+    manager = after_atoms[0][1].manager
     report = GenerationDiff(
         ingress=ingress_box,
         num_vars=manager.num_vars,
@@ -342,8 +387,8 @@ def _sweep(
         atoms_before=len(before_atoms),
         atoms_after=len(after_atoms),
         pairs_examined=pairs_examined,
-        cross_manager=cross_manager,
-        elapsed_s=time.perf_counter() - started,
+        cross_manager=before.dataplane.manager is not after.dataplane.manager,
+        elapsed_s=transfer_s + time.perf_counter() - started,
         sat_count_s=sat_count_s,
         transfer_s=transfer_s,
         layout=before.dataplane.layout,
@@ -375,8 +420,16 @@ def fork_shadow(classifier: APClassifier, *, recorder=None) -> APClassifier:
     maintenance engine, ready to absorb candidate rule changes
     atom-by-atom without full rebuilds.
     """
+    return _fork(classifier, None, recorder)
+
+
+def _fork(classifier: APClassifier, blob: bytes | None, recorder) -> APClassifier:
+    """:func:`fork_shadow` from ``blob``: the classifier's own
+    :func:`classifier_bytes`, when the caller already holds them."""
     started = time.perf_counter()
-    shadow = classifier_from_bytes(classifier_bytes(classifier))
+    shadow = classifier_from_bytes(
+        classifier_bytes(classifier) if blob is None else blob
+    )
     shadow.set_maintenance("incremental")
     if recorder is not None:
         recorder.diff.record_shadow_build(time.perf_counter() - started)
@@ -402,11 +455,24 @@ def what_if(
     are ``(box, rule)`` pairs; build them directly or via
     :func:`parse_rule_spec`.
     """
+    return _what_if(
+        classifier, None, ingress_box, add, remove, in_port, rng, recorder
+    )
+
+
+def _what_if(
+    classifier, blob, ingress_box, add, remove, in_port=None, rng=None,
+    recorder=None,
+) -> WhatIfReport:
+    """:func:`what_if`, forking the shadow from ``blob`` (see :func:`_fork`)."""
     if not add and not remove:
         raise ValueError("what_if needs at least one rule to add or remove")
     started = time.perf_counter()
-    shadow = fork_shadow(classifier, recorder=recorder)
+    shadow = _fork(classifier, blob, recorder)
     shadow_build_s = time.perf_counter() - started
+    # The fork restored the live atoms under their ids in the shadow's
+    # manager: they are the sweep's before side, with nothing to move.
+    before_atoms = _atoms_in(shadow.dataplane.manager, shadow)
 
     applied: list[str] = []
     apply_started = time.perf_counter()
@@ -420,15 +486,13 @@ def what_if(
 
     # The sweep runs in the shadow's manager, which dies with the report.
     # In the live manager, which never frees a node, each what-if would
-    # leave its overlaps behind: ~20k nodes a call on acl-heavy.
+    # leave its overlaps behind: ~20k nodes a call on acl-heavy.  Only
+    # forwarding rules changed, so an unchanged atom whose slots did not
+    # move needs no stage-2 walk.
+    after_atoms = _atoms_in(shadow.dataplane.manager, shadow)
     report = _sweep(
-        classifier,
-        shadow,
-        ingress_box,
-        in_port,
-        rng,
-        recorder,
-        shadow.dataplane.manager,
+        classifier, shadow, before_atoms, after_atoms, ingress_box, in_port,
+        rng, recorder, transfer_s=0.0, same_slots=True,
     )
     if recorder is not None:
         recorder.diff.record_whatif()

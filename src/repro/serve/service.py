@@ -986,16 +986,17 @@ class QueryService:
     def _what_if_worker(
         self, snapshot: bytes, add, remove, ingress_box: str, limit: int | None
     ) -> dict:
-        """Executor-thread half of :meth:`what_if`."""
-        from ..diff import what_if
+        """Executor-thread half of :meth:`what_if`.
+
+        The shadow is forked from ``snapshot`` itself, which ``live`` is
+        decoded from: encoding ``live`` again would only rebuild an
+        equivalent blob.
+        """
+        from ..diff import _what_if
 
         live = classifier_from_bytes(snapshot)
-        report = what_if(
-            live,
-            ingress_box,
-            add=add,
-            remove=remove,
-            recorder=self.recorder,
+        report = _what_if(
+            live, snapshot, ingress_box, add, remove, recorder=self.recorder
         )
         return report.to_json(limit)
 

@@ -24,12 +24,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import diff as diff_module
 from repro import persist
+from repro.artifact import classifier_bytes, classifier_from_bytes
+from repro.bdd.function import Function
+from repro.bdd.manager import BDDManager
+from repro.bdd.serialize import dump_image, load_image
+from repro.core.behavior import BehaviorComputer
 from repro.core.classifier import APClassifier
-from repro.core.delta import diff_behaviors
+from repro.core.delta import diff_behaviors, first_divergence
 from repro.datasets import internet2_like, random_network, toy_network
+from repro.datasets.registry import get_scenario
 from repro.datasets.updates import rule_update_stream
 from repro.diff import (
+    ChangedClass,
+    GenerationDiff,
     diff_generations,
     fork_shadow,
     format_rule_spec,
@@ -400,6 +409,17 @@ class TestServeDiff:
         assert answer["changed_volume"] == 1 << 16
         assert answer["applied"] == ["+b1:dst_ip=10.2.0.0/16->drop@99"]
         assert atom == classifier.classify(parse_ipv4("10.2.0.1"))
+        # The served fork starts from the snapshot bytes; the answer is
+        # the library call's.
+        library = what_if(
+            classifier,
+            "b1",
+            add=[parse_rule_spec(
+                "b1:dst_ip=10.2.0.0/16->drop@99", classifier.dataplane.layout
+            )],
+        )
+        assert untimed(answer) == untimed(library.to_json())
+        assert answer["transfer_s"] == 0.0 and answer["cross_manager"]
 
     def test_service_diff_sees_service_updates(self, tmp_path):
         classifier = APClassifier.build(toy_network())
@@ -587,3 +607,324 @@ class TestServeDiff:
         answers, report = run(scenario())
         assert all(list(batch) == expected for batch in answers)
         assert report["changed_volume"] == 1 << 16
+
+
+# ----------------------------------------------------------------------
+# The sweep against the peel-everything reference
+# ----------------------------------------------------------------------
+
+TIMINGS = ("elapsed_s", "sat_count_s", "transfer_s", "shadow_build_s", "apply_s")
+
+
+def untimed(payload: dict) -> str:
+    """A report's JSON text without its wall-clock fields."""
+    return json.dumps(
+        {key: value for key, value in payload.items() if key not in TIMINGS}
+    )
+
+
+def reference_diff(before, after, ingress, rng=None, manager=None):
+    """The sweep before identity pairing, kept as the oracle.
+
+    Both sides' atoms are moved into ``manager`` (the before one by
+    default), every after-atom is peeled through the before AP tree with
+    ``&`` and ``& ~``, and every pair walks stage 2.
+    """
+    manager = manager or before.dataplane.manager
+
+    def atoms_in(classifier):
+        atoms = sorted(classifier.universe.atoms().items())
+        if classifier.dataplane.manager is manager:
+            return atoms
+        image = dump_image(
+            classifier.dataplane.manager, [fn.node for _, fn in atoms]
+        )
+        nodes = load_image(manager, image)
+        return [
+            (atom_id, Function(manager, node))
+            for (atom_id, _), node in zip(atoms, nodes)
+        ]
+
+    before_atoms = atoms_in(before)
+    after_atoms = atoms_in(after)
+    before_fns = dict(before_atoms)
+    entries = []
+    pairs = 0
+    for after_id, after_fn in after_atoms:
+        after_behavior = after.behavior_of_atom(after_id, ingress)
+        remaining = after_fn
+        while not remaining.is_false:
+            witness = remaining.first_sat()
+            before_id = before.classify(witness)
+            overlap = remaining & before_fns[before_id]
+            remaining = remaining & ~before_fns[before_id]
+            pairs += 1
+            before_behavior = before.behavior_of_atom(before_id, ingress)
+            if not diff_behaviors(before_behavior, after_behavior):
+                continue
+            volume = overlap.sat_count()
+            entries.append(
+                ChangedClass(
+                    before_atom=before_id,
+                    after_atom=after_id,
+                    region=overlap,
+                    volume=volume,
+                    witness=(
+                        overlap.random_sat(rng) if rng is not None else witness
+                    ),
+                    before=before_behavior,
+                    after=after_behavior,
+                    diverges_at=first_divergence(
+                        before_behavior, after_behavior
+                    ),
+                )
+            )
+    entries.sort(key=lambda entry: (-entry.volume, entry.before_atom))
+    return GenerationDiff(
+        ingress=ingress,
+        num_vars=manager.num_vars,
+        total_volume=1 << manager.num_vars,
+        changed_volume=sum(entry.volume for entry in entries),
+        entries=entries,
+        atoms_before=len(before_atoms),
+        atoms_after=len(after_atoms),
+        pairs_examined=pairs,
+        cross_manager=before.dataplane.manager is not after.dataplane.manager,
+        elapsed_s=0.0,
+        sat_count_s=0.0,
+        transfer_s=0.0,
+        layout=before.dataplane.layout,
+    )
+
+
+def reference_what_if(live, ingress, add=(), remove=(), rng=None):
+    """:func:`what_if` on the reference sweep, live atoms moved in."""
+    shadow = fork_shadow(live)
+    applied = []
+    for box, rule in add:
+        shadow.insert_rule(box, rule)
+        applied.append(f"+{format_rule_spec(box, rule, live.dataplane.layout)}")
+    for box, rule in remove:
+        shadow.remove_rule(box, rule)
+        applied.append(f"-{format_rule_spec(box, rule, live.dataplane.layout)}")
+    report = reference_diff(
+        live, shadow, ingress, rng, manager=shadow.dataplane.manager
+    )
+    return report, applied
+
+
+def assert_what_if_matches_reference(live, ingress, add=(), remove=()):
+    """Fast and reference what-if agree, with and without a witness rng."""
+    for seed in (None, 5):
+        fast = what_if(
+            live, ingress, add=add, remove=remove,
+            rng=None if seed is None else random.Random(seed),
+        )
+        slow, applied = reference_what_if(
+            live, ingress, add, remove,
+            rng=None if seed is None else random.Random(seed),
+        )
+        assert fast.applied == applied
+        assert fast.diff.transfer_s == 0.0
+        assert untimed(fast.diff.to_json()) == untimed(slow.to_json())
+    return fast
+
+
+def base_rules(network, rng, count):
+    """``count`` of the network's own rules, each from a random box."""
+    boxes = sorted(
+        name for name, box in network.boxes.items() if len(box.table)
+    )
+    picked = []
+    while len(picked) < count:
+        box = rng.choice(boxes)
+        rule = rng.choice(list(network.box(box).table))
+        if (box, rule) not in picked:
+            picked.append((box, rule))
+    return picked
+
+
+def flip_network() -> Network:
+    """The 6-bit line of :func:`small_network`, split at ``c`` too.
+
+    ``c`` forwards the low half to ``hc_low`` and the high half to
+    ``hc_high``, so the two halves stay distinct atoms whatever ``a``
+    does with them.
+    """
+    layout = HeaderLayout([("dst", 6)])
+    net = Network(layout, name="flip")
+    for name in ("a", "b", "c"):
+        net.add_box(name)
+    net.link("a", "to_b", "b", "from_a")
+    net.link("a", "to_c", "c", "from_a")
+    net.attach_host("b", "to_hb", "hb")
+    net.attach_host("c", "to_hc_low", "hc_low")
+    net.attach_host("c", "to_hc_high", "hc_high")
+    net.add_forwarding_rule("a", Match.prefix("dst", 0b000000, 1), "to_b", 1)
+    net.add_forwarding_rule("a", Match.prefix("dst", 0b100000, 1), "to_c", 1)
+    net.add_forwarding_rule("b", Match.any(), "to_hb", 0)
+    net.add_forwarding_rule(
+        "c", Match.prefix("dst", 0b000000, 1), "to_hc_low", 1
+    )
+    net.add_forwarding_rule(
+        "c", Match.prefix("dst", 0b100000, 1), "to_hc_high", 1
+    )
+    return net
+
+
+class TestSweepMatchesReference:
+    """``to_json()`` (timings stripped) equals the peel-everything sweep's."""
+
+    @pytest.mark.parametrize(
+        "name", ["acl-heavy", "stanford", "internet2", "ipv6-wan", "clos-ecmp"]
+    )
+    def test_what_if_on_registry_planes(self, name):
+        network = get_scenario(name).network()
+        live = APClassifier.build(network)
+        rng = random.Random(f"{name}-whatif")
+        add = [
+            (update.box, update.rule)
+            for update in rule_update_stream(
+                network, 4, rng, insert_fraction=1.0
+            )
+        ]
+        # Drop what one of the plane's own rules forwards, where the
+        # packets enter: some class must change.
+        (ingress, rule), *remove = base_rules(network, rng, 3)
+        add[0] = ingress, ForwardingRule(rule.match, (), rule.priority + 1)
+        assert_what_if_matches_reference(live, ingress, add=add)
+        assert_what_if_matches_reference(live, ingress, remove=remove)
+        report = assert_what_if_matches_reference(
+            live, ingress, add=add, remove=remove
+        )
+        assert report.diff.cross_manager and not report.diff.is_empty
+
+    def test_cross_manager_diff_of_two_artifacts(self, tmp_path):
+        network = get_scenario("stanford").network()
+        path = tmp_path / "gen.apc"
+        persist.save(APClassifier.build(network), path)
+        before = persist.load(path)
+        after = persist.load(path)
+        after.set_maintenance("incremental")
+        rng = random.Random(17)
+        for box, rule in base_rules(network, rng, 2):
+            after.remove_rule(box, rule)
+        for update in rule_update_stream(network, 4, rng, insert_fraction=1.0):
+            after.insert_rule(update.box, update.rule)
+        ingress = sorted(network.boxes)[0]
+        for seed in (None, 3):
+            fast = diff_generations(
+                before, after, ingress,
+                rng=None if seed is None else random.Random(seed),
+            )
+            slow = reference_diff(
+                before, after, ingress,
+                rng=None if seed is None else random.Random(seed),
+            )
+            assert fast.cross_manager and not fast.is_empty
+            assert untimed(fast.to_json()) == untimed(slow.to_json())
+
+    def test_whole_flip_keeps_its_node_and_still_changes(self):
+        """``a`` moves the low half from ``b`` to ``c`` wholesale: the
+        atom keeps its BDD node but leaves one port's ``R`` for another,
+        so it is an identity pair that must still be walked."""
+        live = APClassifier.build(flip_network())
+        flip = ("a", ForwardingRule(Match.prefix("dst", 0, 1), ("to_c",), 2))
+        shadow = fork_shadow(live)
+        before_nodes = {fn.node for fn in shadow.universe.atoms().values()}
+        shadow.insert_rule(*flip)
+        after_nodes = {fn.node for fn in shadow.universe.atoms().values()}
+        assert after_nodes == before_nodes
+
+        report = assert_what_if_matches_reference(live, "a", add=[flip])
+        assert report.diff.changed_volume == 32
+        (entry,) = report.diff.entries
+        assert entry.after.delivered_hosts() == {"hc_low"}
+
+
+class TestSweepProportional:
+    """Stage-2 walks and BDD operations follow the change, not the plane."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        """Counts stage-2 walks and, inside the sweep, BDD applies."""
+        counts = {"walks": 0, "applies": [], "sweeps": []}
+        sweeping = []
+        compute = BehaviorComputer.compute
+        top_apply = BDDManager._top_apply
+        sweep = diff_module._sweep
+
+        def counted_compute(self, *args, **kwargs):
+            counts["walks"] += 1
+            return compute(self, *args, **kwargs)
+
+        def counted_apply(self, op, u, v):
+            if sweeping:
+                counts["applies"].append((u, v))
+            return top_apply(self, op, u, v)
+
+        def watched_sweep(*args, **kwargs):
+            counts["sweeps"].append(args[:4])  # before, after, both atom lists
+            sweeping.append(True)
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                sweeping.clear()
+
+        monkeypatch.setattr(BehaviorComputer, "compute", counted_compute)
+        monkeypatch.setattr(BDDManager, "_top_apply", counted_apply)
+        monkeypatch.setattr(diff_module, "_sweep", watched_sweep)
+        return counts
+
+    @staticmethod
+    def slots_of(classifier, atom_id):
+        universe = classifier.universe
+        return {
+            slot
+            for slot, predicate in classifier.dataplane.iter_slots()
+            if universe.contains(predicate.pid, atom_id)
+        }
+
+    def test_what_if_walks_only_what_moved(self, counters):
+        network = get_scenario("acl-heavy").network()
+        live = APClassifier.build(network)
+        add = [
+            (update.box, update.rule)
+            for update in rule_update_stream(
+                network, 4, random.Random(11), insert_fraction=1.0
+            )
+        ]
+        report = what_if(live, sorted(network.boxes)[0], add=add)
+
+        (before, shadow, before_atoms, after_atoms), = counters["sweeps"]
+        before_ids = {fn.node: atom_id for atom_id, fn in before_atoms}
+        identity = {
+            after_id: before_ids[fn.node]
+            for after_id, fn in after_atoms
+            if fn.node in before_ids
+        }
+        new_nodes = len(after_atoms) - len(identity)
+        moved = sum(
+            1
+            for after_id, before_id in identity.items()
+            if self.slots_of(shadow, after_id) != self.slots_of(before, before_id)
+        )
+        atoms = len(after_atoms)
+        assert new_nodes + moved < atoms // 2
+        assert counters["walks"] <= 2 * (new_nodes + moved)
+        # Identity pairs build nothing: no apply touches their nodes.
+        identity_nodes = set(before_ids) & {fn.node for _, fn in after_atoms}
+        assert counters["applies"]
+        assert not any(
+            u in identity_nodes or v in identity_nodes
+            for u, v in counters["applies"]
+        )
+        assert report.diff.pairs_examined >= atoms
+
+    def test_diff_against_own_reload_pairs_by_identity(self, counters):
+        live = APClassifier.build(get_scenario("acl-heavy").network())
+        reloaded = classifier_from_bytes(classifier_bytes(live))
+        report = diff_generations(live, reloaded, "border")
+        assert report.is_empty and report.cross_manager
+        assert report.pairs_examined == live.universe.atom_count
+        assert counters["applies"] == []
