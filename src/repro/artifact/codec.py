@@ -18,9 +18,9 @@ What gets persisted (one section table entry each, see ``container``):
   every tree-construction decision consume;
 * the AP Tree as preorder records (``tree``, via
   :func:`repro.core.aptree.snapshot_tree`);
-* the compiled engine's arrays (``c_*`` sections) in exactly the layout
-  :meth:`CompiledAPTree.from_arrays` adopts zero-copy -- including the
-  interleaved fused-program child array.
+* the compiled engine's fused program (``c_f_var``, ``c_f_child``,
+  ``c_f_atom``) in exactly the layout :meth:`CompiledAPTree.from_arrays`
+  adopts zero-copy -- including the interleaved child array.
 
 Everything but the ``c_*`` sections is the *classifier half*
 (:func:`_classifier_half`); on its own it is how a classifier is copied
@@ -85,7 +85,7 @@ __all__ = [
 ]
 
 CLASSIFIER_KIND = "repro.classifier"
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 
 def _network_digest(network_bytes: bytes) -> str:
@@ -98,13 +98,6 @@ def _network_digest(network_bytes: bytes) -> str:
 
 #: The compiled program's arrays, in section order (``c_`` + name).
 _COMPILED_SECTIONS = (
-    ("pred_entry", "i4"),
-    ("low_idx", "i4"),
-    ("high_idx", "i4"),
-    ("atom_id", "i8"),
-    ("bdd_var", "i4"),
-    ("bdd_low", "i4"),
-    ("bdd_high", "i4"),
     ("f_var", "i4"),
     ("f_child", "i4"),
     ("f_atom", "i8"),

@@ -19,14 +19,12 @@ Three layers, lowest first:
   evaluation: every packet's verdict for every root in one pass.  The
   ``aplinear``/``pscan`` baselines use it so Fig. 12's engine comparison
   stays apples-to-apples.
-* :class:`CompiledAPTree` -- a built AP Tree compiled to (a) the
-  parallel tree arrays ``pred_entry`` / ``low_idx`` / ``high_idx`` /
-  ``atom_id`` plus shared predicate slices, used by the scalar
-  :meth:`CompiledAPTree.classify`, and (b) a *fused program* in which
-  every predicate BDD's terminal edges are rewired to the next tree
-  node's entry, so a whole classification is a single branching-program
-  descent.  :meth:`CompiledAPTree.classify_batch` advances all packets
-  together through the fused program.
+* :class:`CompiledAPTree` -- a built AP Tree compiled to one *fused
+  program*: every tree node's predicate slice with its terminal edges
+  rewired to the child nodes' entries, so a whole classification is a
+  single branching-program descent.  The scalar
+  :meth:`CompiledAPTree.classify` walks it one header at a time;
+  :meth:`CompiledAPTree.classify_batch` advances all packets together.
 
 Three batch backends produce identical results and are auto-selected
 (preference order ``native`` > ``numpy`` > ``stdlib``, overridable with
@@ -183,17 +181,7 @@ def flatten_bdds(
         if root <= TRUE:
             entry_of[root] = root
             continue
-        seen = {root}
-        stack = [root]
-        reach: list[int] = []
-        while stack:
-            node = stack.pop()
-            reach.append(node)
-            for child in (mlow[node], mhigh[node]):
-                if child > TRUE and child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        reach.sort(key=lambda node: mvar[node])
+        reach = _level_order(mvar, mlow, mhigh, root)
         base = len(var)
         index = {node: base + offset for offset, node in enumerate(reach)}
         for node in reach:
@@ -203,6 +191,23 @@ def flatten_bdds(
             high.append(hi if hi <= TRUE else index[hi])
         entry_of[root] = base  # min-var node of the slice is its root
     return var, low, high, entry_of
+
+
+def _level_order(mvar, mlow, mhigh, root: int) -> list[int]:
+    """The non-terminal nodes reachable from ``root``, sorted by variable
+    (``root`` first: it tests the smallest one)."""
+    seen = {root}
+    stack = [root]
+    reach: list[int] = []
+    while stack:
+        node = stack.pop()
+        reach.append(node)
+        for child in (mlow[node], mhigh[node]):
+            if child > TRUE and child not in seen:
+                seen.add(child)
+                stack.append(child)
+    reach.sort(key=lambda node: mvar[node])
+    return reach
 
 
 # ----------------------------------------------------------------------
@@ -538,20 +543,19 @@ class FlatBDDSet:
 
 
 class CompiledAPTree:
-    """A built :class:`APTree` flattened into cache-friendly arrays.
+    """A built :class:`APTree` compiled to one fused branching program.
 
-    Construction walks the tree once (BFS, root at index 0) and emits:
+    Construction walks the tree once (BFS).  Each internal tree node
+    gets its own level-ordered copy of its predicate's BDD (as in
+    :func:`flatten_bdds`) whose FALSE/TRUE edges go to the low/high
+    child's entry; each leaf becomes a *sink*, one of the self-looping
+    nodes ``0 .. num_sinks - 1``.  The program is four parallel arrays
+    -- ``f_var`` / ``f_low`` / ``f_high`` per node, ``f_atom`` per sink
+    -- entered at ``f_root``, with every non-sink edge pointing forward.
 
-    * ``pred_entry[i]`` -- flat-BDD entry of node ``i``'s predicate, or
-      ``-1`` for a leaf;
-    * ``low_idx[i]`` / ``high_idx[i]`` -- child tree indices (leaves
-      self-loop);
-    * ``atom_id[i]`` -- the leaf's atom, or ``-1`` for internal nodes;
-
-    plus the shared level-ordered predicate slices from
-    :func:`flatten_bdds`, and the *fused program* used by the batch
-    paths (predicate terminals rewired to child entries, leaves as
-    self-looping sinks carrying atom ids).
+    Every lane reads this one program: the scalar :meth:`classify`, the
+    three batch engines, the artifact's ``c_*`` sections and the
+    in-place patches of incremental maintenance.
     """
 
     def __init__(self, tree: APTree, backend: str | None = None) -> None:
@@ -559,12 +563,9 @@ class CompiledAPTree:
         self.tree_version = tree.version
         self.backend = _resolve_backend(backend)
         self.num_vars = tree.manager.num_vars
-        self._build_tree_arrays(tree)
         self._build_fused(tree)
-        del self._tree_nodes  # the arrays are a snapshot; drop live refs
-        self._scalar_ready = True
         #: Engines compiled from a live tree keep enough indices
-        #: (atom -> rows/sinks, each sink's source slice) for in-place
+        #: (atom -> sinks, each sink's source slice) for in-place
         #: patching; artifact-restored engines (:meth:`from_arrays`) do not.
         self._patchable = True
         #: Has a patch changed the arrays since the compile?
@@ -620,13 +621,6 @@ class CompiledAPTree:
             "num_vars": self.num_vars,
             "num_sinks": self._num_sinks,
             "f_root": self._f_root,
-            "pred_entry": self.pred_entry,
-            "low_idx": self.low_idx,
-            "high_idx": self.high_idx,
-            "atom_id": self.atom_id,
-            "bdd_var": self._bdd_var,
-            "bdd_low": self._bdd_low,
-            "bdd_high": self._bdd_high,
             "f_var": self._f_var,
             "f_child": f_child,
             "f_atom": self._f_atom,
@@ -645,9 +639,10 @@ class CompiledAPTree:
 
         This is the artifact warm-start entry point: under the numpy
         backend every array is adopted as-is (``np.frombuffer`` views of
-        an ``mmap``ed file included -- zero copies), and the scalar-path
-        python lists are materialized lazily on the first non-batch
-        classify.  The stdlib backend copies into plain lists up front.
+        an ``mmap``ed file included -- zero copies), and the python
+        lists the scalar walk reads are materialized lazily on its first
+        call.  The stdlib backend copies into plain lists up front and
+        derives only the walk's shift list lazily.
 
         ``tree=None`` produces a *serving-only* engine: it classifies
         but is fresh for no live tree (see :meth:`is_fresh_for`).  Pass
@@ -666,61 +661,37 @@ class CompiledAPTree:
         self.num_vars = int(arrays["num_vars"])
         self._num_sinks = int(arrays["num_sinks"])
         self._f_root = int(arrays["f_root"])
+        self._shifts = None  # derived with the scalar lists
         if self.backend in (NUMPY_BACKEND, NATIVE_BACKEND):
-            self.pred_entry = arrays["pred_entry"]
-            self.low_idx = arrays["low_idx"]
-            self.high_idx = arrays["high_idx"]
-            self.atom_id = arrays["atom_id"]
-            self._bdd_var = arrays["bdd_var"]
-            self._bdd_low = arrays["bdd_low"]
-            self._bdd_high = arrays["bdd_high"]
-            self._bdd_shift = None  # derived with the scalar lists
             f_var = _np.asarray(arrays["f_var"], dtype=_np.int32)
             child = _np.asarray(arrays["f_child"], dtype=_np.int32)
             self._np_f_child = child
             self._np_f_atom = _np.asarray(arrays["f_atom"], dtype=_np.int64)
             self._f_var = f_var
-            self._f_low = child[0::2]  # strided views, enough for stats
+            self._f_low = child[0::2]  # strided views until listed
             self._f_high = child[1::2]
             self._f_atom = self._np_f_atom
-            self._scalar_ready = False
             self._init_kernel(f_var)
         else:
-            self.pred_entry = _as_int_list(arrays["pred_entry"])
-            self.low_idx = _as_int_list(arrays["low_idx"])
-            self.high_idx = _as_int_list(arrays["high_idx"])
-            self.atom_id = _as_int_list(arrays["atom_id"])
-            self._bdd_var = _as_int_list(arrays["bdd_var"])
-            self._bdd_low = _as_int_list(arrays["bdd_low"])
-            self._bdd_high = _as_int_list(arrays["bdd_high"])
-            shift = self.num_vars - 1
-            self._bdd_shift = [shift - v for v in self._bdd_var]
             f_child = _as_int_list(arrays["f_child"])
             self._f_var = _as_int_list(arrays["f_var"])
             self._f_low = f_child[0::2]
             self._f_high = f_child[1::2]
             self._f_atom = _as_int_list(arrays["f_atom"])
-            self._scalar_ready = True
         return self
 
     def _materialize_scalar(self) -> None:
-        """Build the python-list arrays the scalar ``classify`` walks.
+        """Build the python lists the scalar :meth:`classify` walks.
 
         Deferred so a batch-only consumer (a serve worker fed through
         ``classify_batch``) never pays list conversion on the zero-copy
-        numpy views.
+        numpy views.  ``_shifts`` is set last: it is the ready flag.
         """
-        self.pred_entry = _as_int_list(self.pred_entry)
-        self.low_idx = _as_int_list(self.low_idx)
-        self.high_idx = _as_int_list(self.high_idx)
-        self.atom_id = _as_int_list(self.atom_id)
-        self._bdd_low = _as_int_list(self._bdd_low)
-        self._bdd_high = _as_int_list(self._bdd_high)
-        if self._bdd_shift is None:
-            self._bdd_var = _as_int_list(self._bdd_var)
-            shift = self.num_vars - 1
-            self._bdd_shift = [shift - v for v in self._bdd_var]
-        self._scalar_ready = True
+        self._f_low = _as_int_list(self._f_low)
+        self._f_high = _as_int_list(self._f_high)
+        self._f_atom = _as_int_list(self._f_atom)
+        top = self.num_vars - 1
+        self._shifts = [top - v for v in _as_int_list(self._f_var)]
 
     def _init_kernel(self, f_var) -> None:
         """Precompute the descent's bit-lookup tables and scratch.
@@ -769,94 +740,45 @@ class CompiledAPTree:
 
     # -- construction ----------------------------------------------------
 
-    def _build_tree_arrays(self, tree: APTree) -> None:
-        nodes = [tree.root]
-        position = 0
-        while position < len(nodes):
-            node = nodes[position]
-            position += 1
-            if node.pid is not None:
-                nodes.append(node.low)
-                nodes.append(node.high)
-        index = {id(node): i for i, node in enumerate(nodes)}
-        roots = [node.fn_node for node in nodes if node.pid is not None]
-        var, low, high, entry_of = flatten_bdds(tree.manager, roots)
-        self._bdd_var = var
-        self._bdd_low = low
-        self._bdd_high = high
-        shift = self.num_vars - 1
-        self._bdd_shift = [shift - v for v in var]
-        pred_entry: list[int] = []
-        low_idx: list[int] = []
-        high_idx: list[int] = []
-        atom_id: list[int] = []
-        for i, node in enumerate(nodes):
-            if node.pid is None:
-                pred_entry.append(-1)
-                low_idx.append(i)
-                high_idx.append(i)
-                atom_id.append(node.atom_id)  # type: ignore[arg-type]
-            else:
-                pred_entry.append(entry_of[node.fn_node])
-                low_idx.append(index[id(node.low)])
-                high_idx.append(index[id(node.high)])
-                atom_id.append(-1)
-        self.pred_entry = pred_entry
-        self.low_idx = low_idx
-        self.high_idx = high_idx
-        self.atom_id = atom_id
-        self._tree_nodes = nodes
-
     def _build_fused(self, tree: APTree) -> None:
         """Rewire predicate terminals to child entries: one flat program.
 
-        Sinks (tree leaves) occupy indices ``0 .. num_sinks - 1`` and
-        self-loop, so "done" is one comparison.  Slices are laid out in
-        tree-BFS order and level-ordered within, keeping every non-sink
-        edge strictly forward -- the invariant the stdlib mask
-        propagation needs and asserted at build time.
+        Tree nodes are taken in BFS order.  The leaves become the sinks
+        ``0 .. num_sinks - 1`` and self-loop, so "done" is one
+        comparison.  The internal nodes' slices follow in the same
+        order, level-ordered within, keeping every non-sink edge
+        strictly forward -- the invariant the stdlib mask propagation
+        needs and asserted at build time.
         """
         mvar, mlow, mhigh = tree.manager.node_arrays()
-        nodes = self._tree_nodes
-        leaves = [i for i, e in enumerate(self.pred_entry) if e < 0]
+        nodes = [tree.root]
+        for node in nodes:  # BFS: the loop reaches what it appends
+            if node.pid is not None:
+                nodes += (node.low, node.high)
+        leaves = [node for node in nodes if node.pid is None]
         num_sinks = len(leaves)
-        self._f_atom = [self.atom_id[i] for i in leaves]
-        entries: list[int] = [-1] * len(nodes)
-        for sink, i in enumerate(leaves):
-            entries[i] = sink
+        self._f_atom = [node.atom_id for node in leaves]
+        entry = {id(node): sink for sink, node in enumerate(leaves)}
         # Pass 1: per-internal-node reachable sets and slice bases.
-        reaches: list[tuple[int, int, list[int]]] = []
-        next_base = num_sinks
-        for i, node in enumerate(nodes):
-            if node.pid is None:
-                continue
-            root = node.fn_node
-            seen = {root}
-            stack = [root]
-            reach: list[int] = []
-            while stack:
-                u = stack.pop()
-                reach.append(u)
-                for child in (mlow[u], mhigh[u]):
-                    if child > TRUE and child not in seen:
-                        seen.add(child)
-                        stack.append(child)
-            reach.sort(key=lambda u: mvar[u])
-            reaches.append((i, next_base, reach))
-            entries[i] = next_base  # min-var node is the slice root
-            next_base += len(reach)
-        size = next_base
+        slices: list[tuple[object, int, list[int]]] = []
+        size = num_sinks
+        for node in nodes:
+            if node.pid is not None:
+                reach = _level_order(mvar, mlow, mhigh, node.fn_node)
+                slices.append((node, size, reach))
+                entry[id(node)] = size  # min-var node is the slice root
+                size += len(reach)
         f_var = [0] * size
         f_low = list(range(size))
         f_high = list(range(size))
         # Pass 2: fill slices; every child entry is already assigned.
-        # A sink is entered only from its parent row's slice: record that
+        # A sink is entered only from its parent's slice: record that
         # extent, where a split patch finds the edges to redirect.
         sink_lo = [0] * num_sinks
         sink_hi = [0] * num_sinks
-        for i, base, reach in reaches:
-            low_entry = entries[self.low_idx[i]]
-            high_entry = entries[self.high_idx[i]]
+        for node, base, reach in slices:
+            low_entry = entry[id(node.low)]
+            high_entry = entry[id(node.high)]
             for child in (low_entry, high_entry):
                 if child < num_sinks:
                     sink_lo[child] = base
@@ -876,20 +798,21 @@ class CompiledAPTree:
                     else low_entry if hi == 0
                     else index[hi]
                 )
+        top = self.num_vars - 1
         self._f_var = f_var
         self._f_low = f_low
         self._f_high = f_high
+        self._shifts = [top - v for v in f_var]
         self._num_sinks = num_sinks
-        self._f_root = entries[0]
+        self._f_root = entry[id(tree.root)]
         # The bookkeeping the in-place patches below navigate by: each
         # sink's source slice ``[lo, hi)``, the free sink slots (a fresh
         # compile has none spare) and, from the first patch on, each
-        # atom's sinks and leaf rows (:meth:`_index_atoms`).
+        # atom's sinks (:meth:`_index_atoms`).
         self._sink_lo = sink_lo
         self._sink_hi = sink_hi
         self._free_sinks: list[int] = []
         self._atom_sinks: dict[int, list[int]] | None = None
-        self._atom_rows: dict[int, list[int]] | None = None
         if __debug__:
             for u in range(num_sinks, size):
                 assert f_low[u] < num_sinks or f_low[u] > u
@@ -898,11 +821,10 @@ class CompiledAPTree:
     # -- in-place patches (incremental maintenance) ----------------------
     #
     # Both patches are append-only and keep one invariant: for every
-    # header, ``f_atom[descent(h)]`` is the atom the universe assigns it
-    # (and likewise ``atom_id`` at the scalar walk's final row).  The
-    # program computes the atom function exactly; it need not mirror the
-    # tree's shape.  Both finish by re-stamping ``tree_version``, so the
-    # fast path never drops into stale-fallback.  They apply only to
+    # header, ``f_atom[descent(h)]`` is the atom the universe assigns it.
+    # The program computes the atom function exactly; it need not mirror
+    # the tree's shape.  Both finish by re-stamping ``tree_version``, so
+    # the fast path never drops into stale-fallback.  They apply only to
     # engines compiled from a live tree (``patchable``); the caller
     # recompiles when the program has grown past twice
     # ``compiled_nodes`` (:mod:`repro.core.incremental`).
@@ -917,19 +839,16 @@ class CompiledAPTree:
         return len(self._f_var)
 
     def _index_atoms(self) -> None:
-        """Map each atom to its sinks and leaf rows (one of each on a
-        fresh compile; merges concatenate them).  Built by the first
-        patch, so a compile that is never patched does not pay for it."""
+        """Map each atom to its sinks (one on a fresh compile; merges
+        concatenate them).  Built by the first patch, so a compile that
+        is never patched does not pay for it."""
         if self._atom_sinks is None:
             self._atom_sinks = {
                 atom: [sink] for sink, atom in enumerate(self._f_atom)
             }
-            self._atom_rows = {
-                aid: [row] for row, aid in enumerate(self.atom_id) if aid >= 0
-            }
 
     def patch_splits(self, fn_node: int, splits) -> None:
-        """Mirror :meth:`APTree.apply_splits` onto the compiled arrays.
+        """Mirror :meth:`APTree.apply_splits` onto the program.
 
         For each split atom, one copy of the new predicate's flattened
         slice is appended with TRUE going to the atom's first sink
@@ -940,30 +859,15 @@ class CompiledAPTree:
         atom's other sinks (merges leave several) are now unreachable
         and become free slots: dead self-loops with atom ``-1``.  When
         no free slot is left the sink region doubles
-        (:meth:`_grow_sinks`).  Likewise every leaf row of a split atom
-        becomes an internal row testing the predicate, over one new pair
-        of leaf rows.
+        (:meth:`_grow_sinks`).
         """
         real = [s for s in splits if s.is_split]
         if real:
             self._index_atoms()
             self.patched = True
-            # --- shared predicate slice for the scalar tree arrays ----
             var, low, high, entry_of = flatten_bdds(
                 self.tree.manager, [fn_node]
             )
-            offset = len(self._bdd_var) - 2
-            shift = self.num_vars - 1
-            for j in range(2, len(var)):
-                self._bdd_var.append(var[j])
-                self._bdd_shift.append(shift - var[j])
-                lo, hi = low[j], high[j]
-                self._bdd_low.append(lo if lo <= TRUE else lo + offset)
-                self._bdd_high.append(hi if hi <= TRUE else hi + offset)
-            entry = entry_of[fn_node] + offset
-            for split in real:
-                self._split_rows(entry, split)
-            # --- fused program: one slice copy per split atom ---------
             grown = len(self._free_sinks) < len(real)
             if grown:
                 self._grow_sinks(len(real))
@@ -984,26 +888,6 @@ class CompiledAPTree:
             self._flush(first, redirected, changed, grown)
         self.tree_version = self.tree.version
 
-    def _split_rows(self, entry: int, split) -> None:
-        """Each leaf row of ``split.old_id`` tests the predicate at
-        ``entry``: high to a new inside leaf row, low to a new outside
-        one (rows of a merged atom share the pair)."""
-        in_row = len(self.pred_entry)
-        out_row = in_row + 1
-        for leaf_row, aid in ((in_row, split.inside_id),
-                              (out_row, split.outside_id)):
-            self.pred_entry.append(-1)
-            self.low_idx.append(leaf_row)
-            self.high_idx.append(leaf_row)
-            self.atom_id.append(aid)
-        for row in self._atom_rows.pop(split.old_id):
-            self.pred_entry[row] = entry
-            self.atom_id[row] = -1
-            self.high_idx[row] = in_row
-            self.low_idx[row] = out_row
-        self._atom_rows[split.inside_id] = [in_row]
-        self._atom_rows[split.outside_id] = [out_row]
-
     def _split_sinks(self, sinks, body, root: int, redirected) -> int:
         """Append one slice copy in front of ``sinks``; returns the fresh
         sink its FALSE edges reach (TRUE reaches ``sinks[0]``).  Nodes
@@ -1011,9 +895,12 @@ class CompiledAPTree:
         keep = sinks[0]
         fresh = self._free_sinks.pop()
         f_var, f_low, f_high = self._f_var, self._f_low, self._f_high
+        shifts = self._shifts
+        top = self.num_vars - 1
         base = len(f_var)
         for v, lo, hi in body:
             f_var.append(v)
+            shifts.append(top - v)
             f_low.append(
                 keep if lo == TRUE else fresh if lo == 0 else base + lo - 2
             )
@@ -1051,6 +938,7 @@ class CompiledAPTree:
         new = max(2 * old, old + need)
         delta = new - old
         self._f_var = [0] * new + self._f_var[old:]
+        self._shifts = [0] * new + self._shifts[old:]
         self._f_low = list(range(new)) + [
             v if v < old else v + delta for v in self._f_low[old:]
         ]
@@ -1089,9 +977,7 @@ class CompiledAPTree:
         idx = _np.asarray(changed, dtype=_np.intp)
         low = _np.asarray([self._f_low[u] for u in changed], dtype=_np.intp)
         high = _np.asarray([self._f_high[u] for u in changed], dtype=_np.intp)
-        column = (self.num_vars - 1) - _np.asarray(
-            [self._f_var[u] for u in changed], dtype=_np.intp
-        )
+        column = _np.asarray([self._shifts[u] for u in changed], dtype=_np.intp)
         self._np_f_child[2 * idx] = low
         self._np_f_child[2 * idx + 1] = high
         if self.backend == NATIVE_BACKEND:
@@ -1105,29 +991,24 @@ class CompiledAPTree:
         self._sync_program()
 
     def patch_merges(self, merges) -> None:
-        """Relabel the sinks and leaf rows of merged atoms.
+        """Relabel the sinks of merged atoms.
 
         ``merges`` is a sequence of ``(merged_id, parts)`` pairs (see
-        :class:`~.atomic.AtomMerge`).  Every sink and scalar row of each
-        part now answers ``merged_id``; the predicate test that used to
-        separate the parts stays in the program as a redundant test.  No
-        edge moves, so the merged atom owns all its parts' sinks and rows.
+        :class:`~.atomic.AtomMerge`).  Every sink of each part now
+        answers ``merged_id``; the predicate test that used to separate
+        the parts stays in the program as a redundant test.  No edge
+        moves, so the merged atom owns all its parts' sinks.
         """
         changed: list[int] = []
         if merges:
             self._index_atoms()
         for merged_id, parts in merges:
             sinks: list[int] = []
-            rows: list[int] = []
             for part in parts:
                 sinks += self._atom_sinks.pop(part)
-                rows += self._atom_rows.pop(part)
             for sink in sinks:
                 self._f_atom[sink] = merged_id
-            for row in rows:
-                self.atom_id[row] = merged_id
             self._atom_sinks[merged_id] = sinks
-            self._atom_rows[merged_id] = rows
             changed += sinks
         if changed:
             self.patched = True
@@ -1180,24 +1061,18 @@ class CompiledAPTree:
     # -- classification --------------------------------------------------
 
     def classify(self, header: int) -> int:
-        """Atom id of one packed header via the flat tree arrays."""
-        if not self._scalar_ready:
+        """Atom id of one packed header: one walk down the fused program."""
+        shifts = self._shifts
+        if shifts is None:
             self._materialize_scalar()
-        pred_entry = self.pred_entry
-        low_idx = self.low_idx
-        high_idx = self.high_idx
-        shifts = self._bdd_shift
-        low = self._bdd_low
-        high = self._bdd_high
-        i = 0
-        entry = pred_entry[0]
-        while entry >= 0:
-            u = entry
-            while u > TRUE:
-                u = high[u] if (header >> shifts[u]) & 1 else low[u]
-            i = high_idx[i] if u else low_idx[i]
-            entry = pred_entry[i]
-        return self.atom_id[i]
+            shifts = self._shifts
+        f_low = self._f_low
+        f_high = self._f_high
+        num_sinks = self._num_sinks
+        u = self._f_root
+        while u >= num_sinks:
+            u = f_high[u] if (header >> shifts[u]) & 1 else f_low[u]
+        return self._f_atom[u]
 
     def classify_batch(self, headers: Sequence[int]) -> list[int]:
         """Atom ids for a whole batch, all packets advanced together.
@@ -1310,17 +1185,11 @@ class CompiledAPTree:
     # -- accounting ------------------------------------------------------
 
     def stats(self) -> dict[str, int | str]:
-        """Sizes of the compiled artifact (memory accounting, reports)."""
-        ints = (
-            4 * len(self.pred_entry)  # pred_entry/low_idx/high_idx/atom_id
-            + 4 * len(self._bdd_var)  # var/low/high/shift slices
-            + 3 * len(self._f_var)  # fused program
-            + len(self._f_atom)
-        )
+        """Sizes of the compiled program (memory accounting, reports)."""
+        # var/low/high/shift per node and one atom per sink
+        ints = 4 * len(self._f_var) + len(self._f_atom)
         return {
             "backend": self.backend,
-            "tree_nodes": len(self.pred_entry),
-            "bdd_slice_nodes": len(self._bdd_var),
             "fused_nodes": len(self._f_var),
             "estimated_bytes": 4 * ints,  # int32-equivalent footprint
         }
@@ -1328,6 +1197,6 @@ class CompiledAPTree:
     def __repr__(self) -> str:
         freshness = "fresh" if self.fresh else "stale"
         return (
-            f"CompiledAPTree({len(self.pred_entry)} tree nodes, "
-            f"{len(self._f_var)} fused nodes, {self.backend}, {freshness})"
+            f"CompiledAPTree({len(self._f_var)} fused nodes, "
+            f"{self._num_sinks} sinks, {self.backend}, {freshness})"
         )

@@ -33,8 +33,14 @@ from repro.artifact import (
 )
 from repro.core.classifier import APClassifier
 from repro.core.compiled import available_backends
-from repro.datasets import internet2_like, random_headers, rule_update_stream, toy_network
-from repro.datasets.registry import get_scenario, list_scenarios
+from repro.datasets import (
+    internet2_like,
+    random_headers,
+    rule_update_stream,
+    toy_network,
+    uniform_over_atoms,
+)
+from repro.datasets.registry import derive_seed, get_scenario, list_scenarios
 from repro.core.aptree import snapshot_tree
 
 
@@ -134,6 +140,56 @@ class TestRoundTrip:
         assert summary["kind"] == CLASSIFIER_KIND
         assert summary["bytes"] == path.stat().st_size
         assert summary["atoms"] == original.universe.atom_count
+
+    def test_describe_lists_only_the_fused_program(self, tmp_path):
+        original = APClassifier.build(toy_network())
+        path = tmp_path / "toy.apc"
+        save_artifact(original, path)
+        summary = describe_artifact(path)
+        assert summary["payload_version"] == 3
+        compiled = [name for name in summary["sections"] if name.startswith("c_")]
+        assert compiled == ["c_f_var", "c_f_child", "c_f_atom"]
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_scalar_walk_exact_on_every_engine(name, tmp_path):
+    """Every registry scenario on every backend: a fresh compile, the
+    same program patched by churn, its compaction at save, and the
+    engines of a full and a serving-only load all walk the one fused
+    program to ``universe.classify``'s atom, as a plain ``int``.  A
+    loaded engine lists its zero-copy arrays on the first scalar call."""
+    scenario = get_scenario(name)
+    classifier = APClassifier.build(
+        scenario.network(), maintenance="incremental"
+    )
+    rng = random.Random(derive_seed(3, name))
+    path = tmp_path / f"{name}.apc"
+
+    def assert_exact(engines):
+        universe = classifier.universe
+        headers = uniform_over_atoms(universe, 128, rng).headers
+        expected = [universe.classify(header) for header in headers]
+        for engine in engines:
+            answers = [engine.classify(header) for header in headers]
+            assert answers == expected, engine
+            assert all(type(answer) is int for answer in answers), engine
+
+    for seed, backend in enumerate(available_backends()):
+        assert_exact([classifier.compile(backend=backend)])
+        apply_updates(classifier, scenario.network(), 8, seed)
+        patched = classifier.compiled
+        assert classifier.compiled_fresh
+        save_artifact(classifier, path)  # compacts a patched program
+        loaded = [
+            load_artifact(path, backend=backend).compiled,
+            load_serving(path, backend=backend),
+        ]
+        for engine in loaded:
+            assert engine._shifts is None, backend
+        assert_exact([patched, classifier.compiled, *loaded])
+        for engine in loaded:
+            assert engine._shifts is not None, backend
+    assert classifier._engine.patches > 0
 
 
 class TestGhostPredicates:
@@ -301,8 +357,9 @@ class TestCorruption:
         classifier = APClassifier.build(toy_network())
         manifest, sections = _manifest_and_sections(classifier)
         path = tmp_path / "payload.apc"
-        # 1 is the pre-image layout (per-root triples + offsets).
-        for version in (1, 999):
+        # 1 is the pre-image layout (per-root triples + offsets); 2 also
+        # saved the tree-shaped scalar program (seven more ``c_*``).
+        for version in (1, 2, 999):
             manifest = dict(manifest, payload_version=version)
             path.write_bytes(build_artifact_bytes(manifest, sections))
             with pytest.raises(ArtifactVersionError):

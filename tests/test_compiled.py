@@ -149,8 +149,7 @@ class TestCompiledAPTree:
         compiled = CompiledAPTree.compile(tree, backend=backend)
         stats = compiled.stats()
         assert stats["backend"] == backend
-        assert stats["tree_nodes"] == tree.node_count()
-        assert stats["fused_nodes"] > 0
+        assert stats["fused_nodes"] == compiled.node_count
         assert stats["estimated_bytes"] > 0
 
 
