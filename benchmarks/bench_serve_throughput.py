@@ -15,11 +15,10 @@ corrupt the shared session fixtures):
   must stay up, serve at capacity, shed the excess, and account for
   every request (served + shed + timed out == offered).
 * **Degradation curve.**  Continuous closed-loop load while the data
-  plane churns: rule updates stale the compiled artifact (queries fall
-  back to the interpreted tree -- exact, slower), then a live
-  reconstruction rebuilds and swaps behind the reader-preferring lock.
-  The timeline shows the stale dip and the post-swap recovery.  The
-  service runs with the hot-header result cache enabled, and every
+  plane churns: rule updates patch the compiled program in place, then
+  a live reconstruction rebuilds and swaps behind the reader-preferring
+  lock.  The timeline shows the dip at each churn event and the
+  post-swap recovery.  The service runs with the hot-header result cache enabled, and every
   bucket records the cache hit rate and the single-flight coalescing
   count: each rule update and the swap itself invalidate the cache
   (generation keying), so the timeline shows the hit rate collapse at
@@ -28,9 +27,7 @@ corrupt the shared session fixtures):
   so concurrent duplicates exist (and coalesce) without the lockstep
   platooning a shared sequential walk degenerates into.
 * **Churn storm.**  The degradation scenario at burst intensity (16
-  updates back to back), run once per maintenance mode.  Tombstone
-  maintenance pins the service in the stale interpreted-fallback regime
-  for the rest of the run; incremental maintenance
+  updates back to back).  The service's incremental maintenance
   (:mod:`repro.core.incremental`) patches the compiled program in place
   on every update, so the timeline stays fresh throughout and no
   reconstruction is needed.
@@ -38,7 +35,7 @@ corrupt the shared session fixtures):
 The churn-storm leg also runs standalone against any registry scenario:
 ``pytest bench_serve_throughput.py::test_churn_storm_scenario
 --scenario sdn-policy`` draws the storm from the scenario's own seeded
-update stream, serves it under incremental maintenance, and writes
+update stream, serves it, and writes
 ``results/serve_churn_<name>.json`` plus (with ``REPRO_OBS_SIDECAR=1``)
 a scenario-tagged ``results/serve_churn_<name>.obs.json`` sidecar.
 
@@ -246,7 +243,7 @@ async def run_open_loop(classifier, headers, offered_rate: float) -> dict:
 
 
 async def run_degradation(classifier, headers) -> list[dict]:
-    """Throughput timeline across fresh -> stale -> rebuild -> swapped.
+    """Throughput timeline across fresh -> updated -> rebuild -> swapped.
 
     Runs with the result cache enabled so each bucket can record the
     hit rate: the two rule updates and the reconstruction swap all
@@ -274,14 +271,15 @@ async def run_degradation(classifier, headers) -> list[dict]:
 
     async def controller() -> None:
         await asyncio.sleep(4 * BUCKET_S)
-        # Two /24 drop exceptions: structural changes that stale the
-        # compiled artifact and push queries onto the interpreted tree.
+        # Two /24 drop exceptions: structural changes the service
+        # patches into the compiled program in place.
         for dotted in ("10.3.77.0", "10.9.13.0"):
             rule = ForwardingRule(
                 Match.prefix("dst_ip", parse_ipv4(dotted), 24), (), 24
             )
             await service.insert_rule("SEAT", rule)
-        state["phase"] = "stale-fallback"
+            assert classifier.compiled_fresh
+        state["phase"] = "updated"
         await asyncio.sleep(4 * BUCKET_S)
         state["phase"] = "reconstructing"
         await service.reconstruct()
@@ -338,23 +336,17 @@ async def run_degradation(classifier, headers) -> list[dict]:
     return samples
 
 
-async def run_churn_storm(
-    classifier, headers, maintenance: str, storm=None, recorder=None
-) -> dict:
-    """Degradation timeline for a churn *storm* under one maintenance mode.
+async def run_churn_storm(classifier, headers, storm=None, recorder=None) -> dict:
+    """Degradation timeline for a churn *storm*.
 
     The counterpart to :func:`run_degradation`: the same client load and
     the same kind of structural churn, but a storm of it (a burst of
-    /24 inserts followed by their withdrawals).  Run once per
-    maintenance mode: under ``"tombstone"`` every update stales the
-    compiled artifact and nothing un-stales it, so the storm pins the
-    service in the degraded interpreted-fallback regime until a
-    reconstruction; under ``"incremental"`` every update splices the
-    tree and patches the compiled program in place, so the fast path
-    never goes stale and no reconstruction is needed.  The result cache
-    turns over its generation on every update in both modes (asserted
-    via the invalidation counter), so a patched artifact can never
-    serve a stale cached atom id.
+    /24 inserts followed by their withdrawals).  Every update splices
+    the tree and patches the compiled program in place, so the fast
+    path never goes stale and no reconstruction is needed.  The result
+    cache turns over its generation on every update (asserted via the
+    invalidation counter), so a patched program can never serve a
+    stale cached atom id.
 
     ``storm`` overrides the churn rules as ``(box, rule)`` pairs --
     inserted in order, then withdrawn in order.  The default is the
@@ -431,7 +423,6 @@ async def run_churn_storm(
         max_delay_s=0.0002,
         backend=ENGINE,
         cache_size=CACHE_SIZE,
-        maintenance=maintenance,
         recorder=recorder,
     )
     async with service:
@@ -442,19 +433,18 @@ async def run_churn_storm(
         await asyncio.gather(*clients)
     engine = classifier._engine
     updates = 2 * len(storm)
-    # No reconstruction ran in either mode, and every structural update
-    # retired the cached generation.
+    # No reconstruction ran, and every structural update retired the
+    # cached generation.
     assert service.counters.swaps == 0
     assert service.counters.cache_invalidations >= updates
     return {
-        "maintenance": maintenance,
         "timeline": samples,
         "updates": updates,
         "fresh_after_update": fresh_after_update,
-        "patches": getattr(engine, "patches", 0),
-        "splices": getattr(engine, "splices", 0),
-        "merges": getattr(engine, "merges_applied", 0),
-        "full_rebuilds": getattr(engine, "full_rebuilds", 0),
+        "patches": engine.patches,
+        "splices": engine.splices,
+        "merges": engine.merges_applied,
+        "full_rebuilds": engine.full_rebuilds,
     }
 
 
@@ -477,15 +467,12 @@ def test_serve_throughput():
     )
     degradation = asyncio.run(run_degradation(classifier, headers))
     means = phase_means(degradation)
-    # Own classifiers: the storm legs churn the data plane (and one runs
-    # incremental maintenance), which must not contaminate the other legs.
-    storms = {}
-    for mode in ("tombstone", "incremental"):
-        storm_classifier = fresh_classifier()
-        storms[mode] = asyncio.run(
-            run_churn_storm(storm_classifier, trace_headers(storm_classifier), mode)
-        )
-    storm = storms["incremental"]
+    # Own classifier: the storm churns the data plane, which must not
+    # contaminate the other legs.
+    storm_classifier = fresh_classifier()
+    storm = asyncio.run(
+        run_churn_storm(storm_classifier, trace_headers(storm_classifier))
+    )
     storm_means = phase_means(storm["timeline"])
 
     emit(
@@ -517,7 +504,7 @@ def test_serve_throughput():
     emit(
         "serve_degradation",
         render_series(
-            "Serving during churn: stale fallback, live rebuild, swap "
+            "Serving during churn: patched updates, live rebuild, swap "
             f"(cache {CACHE_SIZE})",
             "time",
             "throughput / cache hit rate",
@@ -534,22 +521,18 @@ def test_serve_throughput():
 
     emit(
         "serve_churn_storm",
-        "\n\n".join(
-            render_series(
-                f"Serving through a churn storm ({storms[mode]['updates']} "
-                f"updates, {mode} maintenance)",
-                "time",
-                "throughput / compiled",
-                [
-                    (
-                        f"{s['time_s']:.2f}s [{s['phase']}]",
-                        f"{format_qps(s['throughput_qps'])} "
-                        f"({'fresh' if s['compiled_fresh'] else 'STALE'})",
-                    )
-                    for s in storms[mode]["timeline"]
-                ],
-            )
-            for mode in ("tombstone", "incremental")
+        render_series(
+            f"Serving through a churn storm ({storm['updates']} updates)",
+            "time",
+            "throughput / compiled",
+            [
+                (
+                    f"{s['time_s']:.2f}s [{s['phase']}]",
+                    f"{format_qps(s['throughput_qps'])} "
+                    f"({'fresh' if s['compiled_fresh'] else 'STALE'})",
+                )
+                for s in storm["timeline"]
+            ],
         ),
     )
 
@@ -565,20 +548,9 @@ def test_serve_throughput():
     # swap (recompiled artifact; generous 0.3x floor keeps CI noise out).
     assert all(means[phase] > 0 for phase in means)
     assert means["swapped"] > 0.3 * means["fresh"]
-    # The churn-storm contrast: under tombstone maintenance the first
-    # update stales the compiled artifact and the service stays pinned in
-    # the degraded interpreted-fallback regime through and *after* the
-    # storm (nothing short of a reconstruction un-stales it).  Under
-    # incremental maintenance every update patches the compiled program
-    # in place, so the fast path never goes stale and the service exits
-    # the storm already recovered -- no reconstruction, no rebuilds.
-    tombstone_storm = storms["tombstone"]
-    assert not any(tombstone_storm["fresh_after_update"])
-    assert not any(
-        s["compiled_fresh"]
-        for s in tombstone_storm["timeline"]
-        if s["phase"] in ("storm", "after")
-    )
+    # The churn storm: every update patches the compiled program in
+    # place, so the fast path never goes stale and the service exits the
+    # storm already recovered -- no reconstruction, no rebuilds.
     assert all(storm["fresh_after_update"])
     assert all(s["compiled_fresh"] for s in storm["timeline"])
     assert storm["full_rebuilds"] == 0
@@ -587,7 +559,7 @@ def test_serve_throughput():
     # (each update intentionally retires the cache generation, so storm
     # buckets run without the ~100%-hit-rate boost the fresh phase
     # enjoys), and recovers the cache-hot floor immediately after --
-    # without the reconstruction the tombstone path would need.
+    # without a reconstruction.
     assert all(storm_means[phase] > 0 for phase in storm_means)
     assert storm_means["after"] > 0.3 * storm_means["fresh"]
     # The cache axis earned its keep on the recycled trace, and the
@@ -608,13 +580,7 @@ def test_serve_throughput():
         "open_loop": open_loop,
         "degradation_timeline": degradation,
         "degradation_phase_means_qps": means,
-        "churn_storm": {
-            mode: {
-                **storms[mode],
-                "phase_means_qps": phase_means(storms[mode]["timeline"]),
-            }
-            for mode in storms
-        },
+        "churn_storm": {**storm, "phase_means_qps": storm_means},
         "min_batched_speedup_required": MIN_BATCHED_SPEEDUP,
     }
     RESULT_JSON.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
@@ -645,7 +611,7 @@ def test_serve_throughput():
 
 
 def test_churn_storm_scenario(scenario_dataset, quick):
-    """Churn storm on the ``--scenario`` workload, incremental mode only.
+    """Churn storm on the ``--scenario`` workload.
 
     The storm rules come from the scenario's own seeded update stream
     (all inserts, so the withdraw half of the storm removes exactly what
@@ -673,11 +639,7 @@ def test_churn_storm_scenario(scenario_dataset, quick):
     with recorder.observe(classifier):
         result = asyncio.run(
             run_churn_storm(
-                classifier,
-                headers,
-                "incremental",
-                storm=storm,
-                recorder=recorder,
+                classifier, headers, storm=storm, recorder=recorder
             )
         )
     means = phase_means(result["timeline"])
@@ -686,7 +648,7 @@ def test_churn_storm_scenario(scenario_dataset, quick):
         f"serve_churn_{scenario.name}",
         render_series(
             f"Serving {scenario.name} through a churn storm "
-            f"({result['updates']} updates, incremental maintenance)",
+            f"({result['updates']} updates)",
             "time",
             "throughput / compiled",
             [
@@ -722,9 +684,8 @@ def test_churn_storm_scenario(scenario_dataset, quick):
             "params": dict(scenario.params),
             "seed": scenario.seed,
             "engine": ENGINE or "default",
-            "maintenance": "incremental",
             "quick": quick,
-            **{k: v for k, v in result.items() if k != "maintenance"},
+            **result,
             "phase_means_qps": means,
         },
     )

@@ -314,46 +314,6 @@ class FlatBDDSet:
     ) -> "FlatBDDSet":
         return cls(manager, roots, backend=backend)
 
-    # -- persistence (repro.artifact) ------------------------------------
-
-    def to_arrays(self) -> dict:
-        """The node arrays as plain data (see :meth:`from_arrays`)."""
-        return {
-            "num_vars": self.num_vars,
-            "entries": list(self._entries),
-            "var": list(self._var),
-            "low": list(self._low),
-            "high": list(self._high),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict, backend: str | None = None) -> "FlatBDDSet":
-        """Rehydrate a set from :meth:`to_arrays` output.
-
-        The result has no :class:`BDDManager` (``manager is None``) --
-        it can evaluate but not be recompiled against live BDDs.
-        """
-        self = cls.__new__(cls)
-        self.manager = None
-        self.backend = _resolve_backend(backend)
-        if self.backend == NATIVE_BACKEND:
-            self.backend = NUMPY_BACKEND
-        self.num_vars = int(arrays["num_vars"])
-        self._entries = _as_int_list(arrays["entries"])
-        var = _as_int_list(arrays["var"])
-        self._var = var
-        self._low = _as_int_list(arrays["low"])
-        self._high = _as_int_list(arrays["high"])
-        self.roots = list(range(len(self._entries)))
-        self._shifts = [self.num_vars - 1 - v for v in var]
-        if self.backend == NUMPY_BACKEND:
-            self._np_var = _np.asarray(var, dtype=_np.int32)
-            child = _np.empty(2 * len(var), dtype=_np.int32)
-            child[0::2] = self._low
-            child[1::2] = self._high
-            self._np_child = child
-        return self
-
     def __len__(self) -> int:
         return len(self.roots)
 

@@ -106,10 +106,10 @@ class IncrementalEngine(UpdateEngine):
     are patched in place (and compacted when patches have doubled them)
     instead of decaying into stale-fallback.
 
-    The depth budget ``depth_factor * ceil(log2(atoms)) + depth_slack``
-    bounds how unbalanced splices may leave the tree before a full
-    rebuild resets it; pure additions degrade slowly (each split deepens
-    one path by one), so on realistic churn the budget is rarely hit.
+    The depth budget (:meth:`depth_budget`) bounds how unbalanced
+    splices may leave the tree before a full rebuild resets it; pure
+    additions degrade slowly (each split deepens one path by one), so
+    on realistic churn the budget is rarely hit.
     """
 
     def __init__(
@@ -121,14 +121,10 @@ class IncrementalEngine(UpdateEngine):
         *,
         classifier=None,
         strategy: str = "oapt",
-        depth_factor: float = 4.0,
-        depth_slack: int = 8,
     ) -> None:
         super().__init__(universe, tree, counter, recorder)
         self.classifier = classifier
         self.strategy = strategy
-        self.depth_factor = depth_factor
-        self.depth_slack = depth_slack
         self.merges_applied = 0
         self.splices = 0
         self.patches = 0
@@ -146,6 +142,8 @@ class IncrementalEngine(UpdateEngine):
         # each update already knows; the exact walk runs only when the
         # bound passes the budget (see ``_maybe_rebuild``).
         self._depth_bound = tree.max_depth() if tree is not None else 0
+        # The max depth of the last full build or adopted tree.
+        self._built_depth = self._depth_bound
 
     # ------------------------------------------------------------------
     # Additions
@@ -495,9 +493,14 @@ class IncrementalEngine(UpdateEngine):
     # ------------------------------------------------------------------
 
     def depth_budget(self) -> float:
-        """Max depth tolerated before a splice-degraded tree is rebuilt."""
+        """Max depth tolerated before a splice-degraded tree is rebuilt:
+        ``4 * ceil(log2(atoms)) + 8``, or 1.5 times the depth of the last
+        full build or adopted tree if that is more.  A tree fresh from a
+        build is never over its own budget, so a plane whose built trees
+        are deep does not rebuild on every update."""
         atoms = max(self.universe.atom_count, 2)
-        return self.depth_factor * math.ceil(math.log2(atoms)) + self.depth_slack
+        absolute = 4.0 * math.ceil(math.log2(atoms)) + 8
+        return max(absolute, 1.5 * self._built_depth)
 
     def _maybe_rebuild(self, compiled=None) -> None:
         """Rebuild a tree past the depth budget; otherwise compact a
@@ -538,7 +541,7 @@ class IncrementalEngine(UpdateEngine):
         tree._leaf_index = report.tree._leaf_index
         tree.touch()
         self._labels_live = True
-        self._depth_bound = tree.max_depth()
+        self._depth_bound = self._built_depth = tree.max_depth()
         self.full_rebuilds += 1
         rec = self.recorder
         if rec is not None:

@@ -10,8 +10,8 @@ of a queue round-trip.
 
 Correctness hinges on *generation keying*.  Every event that can change
 what a header classifies to -- a rule update, a reconstruction swap, a
-generation handoff, or an out-of-band tree mutation observed as a
-staleness fallback -- bumps :attr:`ResultCache.generation` and empties
+generation handoff, or an out-of-band tree mutation observed through
+the tree-version stamp -- bumps :attr:`ResultCache.generation` and empties
 the map, so a hit can only ever return an atom id computed by the
 classifier generation currently serving.  The service performs all
 cache operations on the event-loop thread and never awaits between the

@@ -52,14 +52,20 @@ underneath it.  This module is that serving layer:
   work; classify futures may be shared by coalesced waiters, so the
   request runs to completion (seeding the result cache) and only the
   impatient caller sees the timeout.
-* **Graceful degradation during updates** (Section VI-B's
-  query-process/reconstruction-process split).  Rule updates stale the
-  compiled artifact; queries keep flowing through the interpreted-tree
-  fallback (still exact, just slower).  :meth:`QueryService.reconstruct`
-  rebuilds the universe and tree in a background executor thread --
-  against a *private* BDD manager, so the rebuild never races the
-  canonical manager the loop thread keeps updating -- while the
-  dispatcher keeps serving, journals updates that arrive mid-rebuild,
+* **Updates patch in place.**  The served classifier runs the
+  incremental maintenance engine (:mod:`repro.core.incremental`):
+  every rule update splices the tree and patches the compiled program
+  under the write side of the swap lock, so the batch fast path never
+  goes stale.  The one recompile the service makes is decided by
+  state: after an update or a swap it compiles a program that is not
+  fresh -- one restored by :func:`repro.persist.load` cannot be
+  patched, so its first update recompiles it once.
+* **Live reconstruction** (Section VI-B's
+  query-process/reconstruction-process split).
+  :meth:`QueryService.reconstruct` rebuilds the universe and tree in a
+  background executor thread -- against a *private* BDD manager, so
+  the rebuild never races the canonical manager the loop thread keeps
+  updating -- while the dispatcher keeps serving, journals updates that arrive mid-rebuild,
   replays them onto the staged structures, and swaps behind a
   *reader-preferring* lock -- queries are never blocked by a waiting
   swap; the swap slips into the next gap between batches.
@@ -224,13 +230,9 @@ class QueryService:
         Optional :class:`repro.obs.Recorder`; the service then feeds the
         ``serve`` section of its snapshots.  Without one, a private
         :class:`~repro.obs.ServeCounters` is kept (see :meth:`metrics`).
-    ``autocompile``
-        Compile the classifier's flat-array artifact at :meth:`start`
-        and re-compile at each reconstruction swap (recommended; the
-        batch path is what micro-batching amortizes).
-    ``recompile_after_updates``
-        If set, recompile inline once this many updates have staled the
-        artifact, instead of waiting for the next reconstruction.
+    ``backend``
+        Classification engine for the programs the service compiles
+        (``None``: ``REPRO_ENGINE``, else the best available).
     ``cache_size``
         Capacity of the hot-header result cache (``0``, the default,
         disables it).  A cached header's atom id is answered
@@ -242,16 +244,9 @@ class QueryService:
         next probe, so a swap can never serve a pre-swap atom id.
         Behavior queries (:meth:`query`) bypass the cache; only atom-id
         classifies are cached.
-    ``maintenance``
-        Update-maintenance mode for the owned classifier (see
-        :attr:`APClassifier.MAINTENANCE_MODES`).  ``"incremental"``
-        keeps the atom partition minimal under rule churn and patches
-        the compiled artifact in place, so the batch fast path stays
-        hot through update storms instead of sliding into the
-        interpreted staleness fallback; the result cache still turns
-        over its generation on every mutation (the tree version bumps
-        per update), so a patched artifact can never serve a stale
-        atom id from cache.
+
+    The service switches the classifier it serves (and each one
+    :meth:`adopt_generation` hands it) to ``maintenance="incremental"``.
     """
 
     OVERFLOW_POLICIES = ("wait", "shed")
@@ -266,11 +261,8 @@ class QueryService:
         overflow: str = "wait",
         timeout_s: float | None = None,
         recorder=None,
-        autocompile: bool = True,
         backend: str | None = None,
-        recompile_after_updates: int | None = None,
         cache_size: int = 0,
-        maintenance: str | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -285,11 +277,7 @@ class QueryService:
                 f"unknown overflow policy {overflow!r}; "
                 f"choose from {self.OVERFLOW_POLICIES}"
             )
-        if recompile_after_updates is not None and recompile_after_updates < 1:
-            raise ValueError("recompile_after_updates must be >= 1")
-        if maintenance is not None:
-            classifier.set_maintenance(maintenance)
-        self.maintenance = classifier.maintenance
+        classifier.set_maintenance("incremental")
         self.classifier = classifier
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
@@ -297,9 +285,7 @@ class QueryService:
         self.overflow = overflow
         self.timeout_s = timeout_s
         self.recorder = recorder
-        self.autocompile = autocompile
         self.backend = backend
-        self.recompile_after_updates = recompile_after_updates
         self.cache_size = cache_size
         self.counters: ServeCounters = (
             recorder.serve if recorder is not None else ServeCounters()
@@ -315,11 +301,10 @@ class QueryService:
         self._dispatcher: asyncio.Task | None = None
         self._journal: list[PredicateChange] | None = None
         self._reconstructing = False
-        self._updates_since_compile = 0
         # Hot-header result cache and stage-2 memo, confined to the
         # event-loop thread; the freshness stamp detects out-of-band
-        # tree changes (the staleness-fallback case) so even mutations
-        # that bypassed this service retire them.
+        # tree changes, so even mutations that bypassed this service
+        # retire them.
         self._cache = (
             ResultCache(cache_size, counters=self.counters)
             if cache_size
@@ -348,11 +333,11 @@ class QueryService:
         return self._dispatcher is not None and not self._dispatcher.done()
 
     async def start(self) -> None:
-        """Compile (if ``autocompile``) and start the dispatcher task."""
+        """Start the dispatcher task, compiling first only a classifier
+        with no fresh program (a loaded artifact's is served as loaded)."""
         if self.running:
             return
-        if self.autocompile and not self.classifier.compiled_fresh:
-            self.classifier.compile(self.backend)
+        self._compile_if_stale(self.classifier)
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop(), name="repro-serve-dispatch"
         )
@@ -692,10 +677,9 @@ class QueryService:
                 if not request.future.done():
                     request.future.set_exception(exc)
             return
-        # Re-stamp before populating: if the batch was answered by the
-        # interpreted staleness fallback after an out-of-band tree
-        # change, the old generation dies here and the new results seed
-        # the next one.
+        # Re-stamp before populating: if the batch was answered after an
+        # out-of-band tree change, the old generation dies here and the
+        # new results seed the next one.
         self._check_generation()
         cache = self._cache
         for request, atom_id in zip(live, atom_ids):
@@ -766,10 +750,9 @@ class QueryService:
         The supported mutation paths (:meth:`_apply_rule`,
         :meth:`adopt_generation`, :meth:`reconstruct`) invalidate
         eagerly; this stamp check is the backstop for out-of-band
-        mutations -- anything that would send queries down the
-        staleness fallback -- observed via the classifier's and tree's
-        identity and the tree's version (every applied predicate change
-        bumps it).  Runs on the loop thread with no awaits before use.
+        mutations, observed via the classifier's and tree's identity
+        and the tree's version (every applied predicate change bumps
+        it).  Runs on the loop thread with no awaits before use.
         """
         classifier = self.classifier
         tree = classifier.tree
@@ -817,12 +800,13 @@ class QueryService:
     # ------------------------------------------------------------------
 
     async def insert_rule(self, box: str, rule: ForwardingRule):
-        """Install a forwarding rule; queries degrade to the interpreted
-        fallback until the next recompile or reconstruction swap."""
+        """Install a forwarding rule; the tree is split or spliced and
+        the compiled program patched in place before the next batch."""
         return await self._apply_rule(box, rule, insert=True)
 
     async def remove_rule(self, box: str, rule: ForwardingRule):
-        """Remove a forwarding rule (tombstone semantics, Section VI-A)."""
+        """Remove a forwarding rule; atoms it alone separated merge and
+        the compiled program is patched in place before the next batch."""
         return await self._apply_rule(box, rule, insert=False)
 
     async def _apply_rule(self, box: str, rule: ForwardingRule, insert: bool):
@@ -837,24 +821,8 @@ class QueryService:
                 self._journal.extend(changes)
             if changes:
                 self._invalidate_cache()
-                # Incremental maintenance patches the artifact in place,
-                # so it usually stays fresh through the update -- only
-                # updates that actually staled it count toward the
-                # recompile threshold.
-                if not classifier.compiled_fresh:
-                    self._updates_since_compile += len(changes)
-                    if (
-                        self.recompile_after_updates is not None
-                        and self._updates_since_compile
-                        >= self.recompile_after_updates
-                    ):
-                        self._compile_now()
+            self._compile_if_stale(classifier)
         return results
-
-    async def recompile(self) -> None:
-        """Refresh the compiled artifact against the live tree now."""
-        async with self._swap_lock.write():
-            self._compile_now()
 
     async def adopt_generation(self, classifier: APClassifier) -> None:
         """Swap in a whole replacement classifier (generation handoff).
@@ -867,20 +835,25 @@ class QueryService:
         generation and the next batch sees the new one -- never a mix.
         """
         async with self._swap_lock.write():
-            classifier.set_maintenance(self.maintenance)
-            if self.autocompile and not classifier.compiled_fresh:
-                classifier.compile(self.backend)
+            classifier.set_maintenance("incremental")
+            self._compile_if_stale(classifier)
             if self.recorder is not None:
                 classifier.set_recorder(self.recorder)
             self.classifier = classifier
             self._invalidate_cache()
-            self._updates_since_compile = 0
             self.counters.swaps += 1
             self.counters.generations += 1
 
-    def _compile_now(self) -> None:
-        self.classifier.compile(self.backend)
-        self._updates_since_compile = 0
+    def _compile_if_stale(self, classifier: APClassifier) -> None:
+        """Compile ``classifier`` unless its program is fresh.
+
+        Updates patch a compiled program in place, so after one only a
+        program that cannot be patched (restored by
+        :func:`repro.persist.load`) or a change made around the service
+        leaves it stale; a reconstruction swap leaves no program.
+        """
+        if not classifier.compiled_fresh:
+            classifier.compile(self.backend)
 
     # ------------------------------------------------------------------
     # Verification queries: generation diff and what-if (repro.diff)
@@ -1013,12 +986,11 @@ class QueryService:
 
         The heavy work (atomic predicates, tree construction) runs in a
         worker thread via the event loop's default executor, so the
-        dispatcher keeps answering on the old structures -- on the stale
-        compiled artifact if it is still fresh for the old tree, on the
-        interpreted fallback otherwise.  Updates applied while the
-        rebuild runs are journaled and replayed onto the staged
-        structures at the swap (Fig. 8), so the swapped-in classifier is
-        exact for the *current* data plane.
+        dispatcher keeps answering on the old structures, whose compiled
+        program mid-rebuild updates keep patching.  Those updates are
+        also journaled and replayed onto the staged structures at the
+        swap (Fig. 8), so the swapped-in classifier is exact for the
+        *current* data plane.
 
         The rebuild thread never touches the canonical
         :class:`~repro.bdd.BDDManager`: that manager keeps taking
@@ -1056,8 +1028,7 @@ class QueryService:
                 if rec is not None and rec is not classifier.recorder:
                     rec.updates.replayed += replayed
                 self._invalidate_cache()
-                if self.autocompile:
-                    self._compile_now()
+                self._compile_if_stale(classifier)
                 self.counters.swaps += 1
         finally:
             self._reconstructing = False

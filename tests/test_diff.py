@@ -144,6 +144,34 @@ class TestDiffIdentity:
         assert report.cross_manager
         assert report.is_empty
 
+    def test_snapshot_of_a_tree_with_dead_labels_loads(self, tmp_path):
+        """Tombstone maintenance leaves a dead label in the live tree;
+        its classifier half must still load and diff."""
+        classifier = APClassifier.build(toy_network())
+        path = tmp_path / "gen.apc"
+        persist.save(classifier, path)
+        drop = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 16), (), 99
+        )
+        classifier.insert_rule("b1", drop)
+        assert classifier.maintenance == "tombstone"
+        assert any(
+            not classifier.universe.has_predicate(node.pid)
+            for node in classifier.tree._walk()
+            if not node.is_leaf
+        )
+        live = classifier_from_bytes(classifier_bytes(classifier))
+        saved = persist.load(path)
+        assert diff_generations(live, saved, "b1").changed_volume == 1 << 16
+        rule = parse_rule_spec(
+            "b1:dst_ip=10.3.0.0/16->drop@98", classifier.dataplane.layout
+        )
+        answer = what_if(classifier, "b1", add=[rule])
+        assert answer.applied == ["+b1:dst_ip=10.3.0.0/16->drop@98"]
+        classifier.remove_rule("b1", drop)
+        live = classifier_from_bytes(classifier_bytes(classifier))
+        assert diff_generations(live, saved, "b1").is_empty
+
     def test_layout_mismatch_rejected(self):
         a = APClassifier.build(toy_network())
         b = APClassifier.build(small_network())
@@ -430,9 +458,7 @@ class TestServeDiff:
         )
 
         async def scenario():
-            async with QueryService(
-                classifier, max_delay_s=0, maintenance="incremental"
-            ) as service:
+            async with QueryService(classifier, max_delay_s=0) as service:
                 before = await service.diff_generation(str(path), "b1")
                 await service.insert_rule("b1", drop)
                 after = await service.diff_generation(str(path), "b1")
@@ -447,10 +473,10 @@ class TestServeDiff:
         assert after["changed_volume"] == 1 << 16
         assert reverted["changed_volume"] == 0
 
-    def test_service_diff_sees_tombstone_updates(self, tmp_path):
-        """The default ``maintenance="tombstone"`` twin of the test above:
-        after an update the live tree carries a dead label, and the
-        service's snapshot of it must still load."""
+    def test_service_what_if_sees_service_updates(self, tmp_path):
+        """What-if answers, like diffs, start from the live generation:
+        the service's incremental update patches the program in place
+        and retires the cached snapshot."""
         classifier = APClassifier.build(toy_network())
         path = tmp_path / "gen.apc"
         persist.save(classifier, path)
@@ -460,8 +486,12 @@ class TestServeDiff:
 
         async def scenario():
             async with QueryService(classifier, max_delay_s=0) as service:
-                before = await service.diff_generation(str(path), "b1")
+                before = await service.what_if(
+                    "b1", add=["b1:dst_ip=10.2.0.0/16->drop@98"]
+                )
                 await service.insert_rule("b1", drop)
+                assert classifier.compiled_fresh
+                assert classifier.compiled.patched
                 after = await service.diff_generation(str(path), "b1")
                 answer = await service.what_if(
                     "b1", add=["b1:dst_ip=10.3.0.0/16->drop@98"]
@@ -472,7 +502,9 @@ class TestServeDiff:
                 return before, after, answer, reverted
 
         before, after, answer, reverted = run(scenario())
-        assert before["changed_volume"] == 0
+        # Before the update the candidate drop changed 10.2/16; after
+        # it, that region already drops and 10.3/16 is what changes.
+        assert before["changed_volume"] == 1 << 16
         assert after["changed_volume"] == 1 << 16
         assert answer["applied"] == ["+b1:dst_ip=10.3.0.0/16->drop@98"]
         assert reverted["changed_volume"] == 0

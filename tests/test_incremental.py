@@ -136,8 +136,7 @@ class TestChurnStormSmoke:
     def test_depth_budget_triggers_full_rebuild(self):
         classifier = fresh_classifier("incremental")
         engine = classifier._engine
-        engine.depth_factor = 0.0
-        engine.depth_slack = 0
+        engine.depth_budget = lambda: 0  # any split now passes it
         updates = rule_update_stream(
             classifier.dataplane.network, 3, random.Random(3), insert_fraction=1.0
         )

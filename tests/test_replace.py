@@ -11,7 +11,6 @@ tree and the patched compiled program must classify like the universe.
 
 from __future__ import annotations
 
-import math
 import random
 from unittest import mock
 
@@ -255,10 +254,8 @@ class TestDepthBound:
         )
         engine = classifier._engine
         # A budget just above today's depth: some updates cross it.
-        engine.depth_slack = 0
-        engine.depth_factor = (classifier.tree.max_depth() + 1) / math.ceil(
-            math.log2(classifier.universe.atom_count)
-        )
+        budget = classifier.tree.max_depth() + 1
+        engine.depth_budget = lambda: budget
         rebuilt = []
         real = IncrementalEngine._full_rebuild
 
@@ -279,6 +276,37 @@ class TestDepthBound:
             classifier.dataplane.predicates(),
         )
 
+
+    def test_a_fresh_tree_is_never_over_its_budget(self):
+        # clos-ecmp builds trees deeper than 4 * ceil(log2(atoms)) + 8;
+        # a budget that ignored the built depth rebuilt on nearly every
+        # update from ~1 060 of the canonical stream on.
+        scenario = get_scenario("clos-ecmp")
+        classifier = APClassifier.build(
+            scenario.network(), maintenance="incremental"
+        )
+        classifier.compile()
+        engine = classifier._engine
+        assert classifier.tree.max_depth() <= engine.depth_budget()
+        fresh = []
+        real = IncrementalEngine._full_rebuild
+
+        def spied(self):
+            real(self)
+            fresh.append(self.tree.max_depth() <= self.depth_budget())
+
+        with mock.patch.object(IncrementalEngine, "_full_rebuild", spied):
+            for update in get_scenario("clos-ecmp").update_stream(1500):
+                apply(classifier, update)
+        assert all(fresh)
+        assert engine.full_rebuilds == len(fresh) <= 2
+        assert classifier.tree.max_depth() <= engine.depth_budget()
+        assert_exact(
+            classifier.universe,
+            classifier.tree,
+            classifier.dataplane.predicates(),
+        )
+        assert_classifies(classifier, seed=5)
 
 class TestReplay:
     def test_a_journal_pair_replays_in_place(self):

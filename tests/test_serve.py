@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import persist
 from repro.core.behavior import Behavior, TraceNode
 from repro.core.classifier import APClassifier
 from repro.datasets import internet2_like, toy_network, uniform_over_atoms
@@ -517,52 +518,98 @@ class TestInlineAnswers:
 class TestDegradation:
     """Updates and reconstructions must never produce a wrong answer."""
 
-    def test_stale_artifact_fallback_serves_exact_results(self):
+    def test_updates_patch_in_place_and_serve_exact_results(self):
         classifier = APClassifier.build(toy_network())
         recorder = Recorder()
         classifier.set_recorder(recorder)
         rule = ForwardingRule(
             Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 24), (), 24
         )
+        probe = parse_ipv4("10.2.0.77")
 
         async def scenario():
             async with QueryService(
                 classifier, max_delay_s=0, recorder=recorder
             ) as service:
-                assert classifier.compiled_fresh
+                assert classifier.maintenance == "incremental"
+                compiled = classifier.compiled
+                compiles = recorder.updates.compiles
                 await service.insert_rule("b1", rule)
-                # The artifact is stale now; queries degrade to the
-                # interpreted tree but stay exact.
-                assert not classifier.compiled_fresh
-                dropped = await service.query(
-                    parse_ipv4("10.2.0.77"), "b1"
-                )
-                assert dropped.delivered_hosts() == frozenset()
-                await service.recompile()
+                # The program was patched, not recompiled: no window in
+                # which queries take the interpreted tree.
+                assert classifier.compiled is compiled and compiled.patched
                 assert classifier.compiled_fresh
-                recompiled = await service.query(
-                    parse_ipv4("10.2.0.77"), "b1"
+                assert recorder.updates.compiles == compiles
+                dropped = await service.query(probe, "b1")
+                assert await service.classify(probe) == (
+                    classifier.universe.classify(probe)
                 )
-                assert behavior_key(recompiled) == behavior_key(dropped)
+                await service.remove_rule("b1", rule)
+                assert classifier.compiled is compiled
+                assert classifier.compiled_fresh
+                assert recorder.updates.compiles == compiles
+                restored = await service.query(probe, "b1")
+                assert await service.classify(probe) == (
+                    classifier.universe.classify(probe)
+                )
+                return dropped, restored
 
-        run(scenario())
-        assert recorder.updates.stale_fallbacks > 0
-
-    def test_recompile_after_updates_policy(self):
-        classifier = APClassifier.build(toy_network())
-        rule = ForwardingRule(
-            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 24), (), 24
+        dropped, restored = run(scenario())
+        assert dropped.delivered_hosts() == frozenset()
+        assert restored.delivered_hosts()
+        assert recorder.updates.stale_fallbacks == 0
+        reference = APClassifier.build(classifier.dataplane.network)
+        assert behavior_key(restored) == behavior_key(
+            reference.query(probe, "b1")
         )
+
+    def test_loaded_artifact_recompiles_once_then_patches(self, tmp_path):
+        path = tmp_path / "toy.apc"
+        persist.save(APClassifier.build(toy_network()), path)
+        classifier = persist.load(path)
+        recorder = Recorder()
+        classifier.set_recorder(recorder)
+        loaded = classifier.compiled
+        assert classifier.compiled_fresh and not loaded.patchable
+        rules = [
+            ForwardingRule(
+                Match.prefix("dst_ip", parse_ipv4(dotted), 24), (), 24
+            )
+            for dotted in ("10.2.0.0", "10.3.0.0")
+        ]
+        headers = sample_headers(classifier, 64) + [
+            parse_ipv4("10.2.0.9"), parse_ipv4("10.3.0.9")
+        ]
 
         async def scenario():
             async with QueryService(
-                classifier, max_delay_s=0, recompile_after_updates=1
+                classifier, max_delay_s=0, recorder=recorder
             ) as service:
-                await service.insert_rule("b1", rule)
-                # The policy recompiled inline: no degradation window.
-                assert classifier.compiled_fresh
+                # start() serves the loaded program as it is.
+                assert classifier.compiled is loaded
+                assert recorder.updates.compiles == 0
+                await service.insert_rule("b1", rules[0])
+                # The loaded program cannot be patched: one recompile.
+                recompiled = classifier.compiled
+                assert recompiled is not loaded
+                assert recorder.updates.compiles == 1
+                await service.insert_rule("b1", rules[1])
+                await service.remove_rule("b1", rules[0])
+                assert classifier.compiled is recompiled
+                assert recompiled.patched and classifier.compiled_fresh
+                assert recorder.updates.compiles == 1
+                return [await service.classify(h) for h in headers]
 
-        run(scenario())
+        served = run(scenario())
+        assert served == [classifier.universe.classify(h) for h in headers]
+        # A classifier built from scratch for the same data plane gives
+        # every header the same behavior.
+        reference = APClassifier.build(classifier.dataplane.network)
+        for header, atom_id in zip(headers, served):
+            for ingress in ("b1", "b2"):
+                assert behavior_key(
+                    classifier.behavior_of_atom(atom_id, ingress)
+                ) == behavior_key(reference.query(header, ingress))
 
     def test_queries_during_reconstruction_match_quiesced(self, rebuild_gate):
         gate = rebuild_gate
@@ -678,9 +725,7 @@ class TestDegradation:
         headers = sample_headers(classifier, 32) + [parse_ipv4("10.1.0.9")]
 
         async def scenario():
-            async with QueryService(
-                classifier, max_delay_s=0, maintenance="incremental"
-            ) as service:
+            async with QueryService(classifier, max_delay_s=0) as service:
                 recon = asyncio.ensure_future(service.reconstruct())
                 await asyncio.sleep(0.01)
                 assert service.reconstructing

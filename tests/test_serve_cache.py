@@ -3,8 +3,10 @@
 The cache is only allowed to be fast: any event that can change what a
 header classifies to -- a rule update through the service, a
 reconstruction, a generation handoff, or an out-of-band tree mutation
-(the staleness-fallback path) -- must retire every cached entry before
-the next query can probe.  These tests poison the cache on purpose and
+-- must retire every cached entry before the next query can probe.  An
+update patches the compiled program in place, so the program staying
+fresh says nothing about the cache: its generation must turn over
+anyway.  These tests poison the cache on purpose and
 check the poison can never outlive the generation that wrote it.
 """
 
@@ -36,7 +38,7 @@ def sample_headers(classifier, count, seed=3):
     return list(trace.headers)
 
 
-def staling_rule():
+def drop_rule():
     return ForwardingRule(
         Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 24), (), 24
     )
@@ -280,16 +282,19 @@ class TestInvalidation:
                 for header in headers:
                     await service.classify(header)
                 generation = service._cache.generation
-                await service.insert_rule("b1", staling_rule())
+                compiled = classifier.compiled
+                await service.insert_rule("b1", drop_rule())
                 assert service._cache.generation == generation + 1
                 assert len(service._cache) == 0
-                # Post-update answers come from the (stale-fallback)
-                # interpreted tree, not the retired cache.
+                # Post-update answers come from the patched program,
+                # not the retired cache.
+                assert classifier.compiled is compiled
+                assert classifier.compiled_fresh and compiled.patched
                 answers = [await service.classify(h) for h in headers]
                 return answers, service.counters
 
         answers, counters = run(scenario())
-        assert answers == classifier.classify_batch(headers)
+        assert answers == [classifier.universe.classify(h) for h in headers]
         assert counters.cache_invalidations >= 1
 
     def test_adopt_generation_never_serves_pre_swap_atom_id(self):
@@ -325,7 +330,8 @@ class TestInvalidation:
             async with QueryService(
                 classifier, max_delay_s=0, cache_size=64
             ) as service:
-                await service.insert_rule("b1", staling_rule())
+                await service.insert_rule("b1", drop_rule())
+                assert classifier.compiled_fresh
                 await service.classify(header)
                 service._cache.put(header, 424242)
                 assert await service.classify(header) == 424242
@@ -335,14 +341,16 @@ class TestInvalidation:
 
         post_swap, counters = run(scenario())
         assert post_swap != 424242
-        assert post_swap == classifier.tree.classify(header)
+        assert post_swap == classifier.universe.classify(header)
+        assert classifier.compiled_fresh
         assert counters.swaps == 1
 
     def test_out_of_band_mutation_invalidates_via_staleness_stamp(self):
-        """The staleness-fallback case: the tree changes behind the
-        service's back (no insert_rule/adopt/reconstruct call), so only
-        the tree-version stamp can catch it -- and it must, before a
-        single post-mutation query is answered from the cache."""
+        """The tree changes behind the service's back (no
+        insert_rule/adopt/reconstruct call), so only the tree-version
+        stamp can catch it -- and it must, before a single
+        post-mutation query is answered from the cache.  The classifier
+        patches its program in place, so freshness cannot."""
         classifier = fresh_classifier()
         header = sample_headers(classifier, 1)[0]
 
@@ -355,14 +363,15 @@ class TestInvalidation:
                 assert await service.classify(header) == 515151
                 # Mutate the shared classifier directly: the service's
                 # eager invalidation hooks never run.
-                classifier.insert_rule("b1", staling_rule())
+                classifier.insert_rule("b1", drop_rule())
+                assert classifier.compiled_fresh
                 invalidations = service.counters.cache_invalidations
                 answer = await service.classify(header)
                 return answer, invalidations, service.counters
 
         answer, before, counters = run(scenario())
         assert answer != 515151
-        assert answer == classifier.tree.classify(header)
+        assert answer == classifier.universe.classify(header)
         assert counters.cache_invalidations == before + 1
 
 
@@ -383,10 +392,11 @@ class TestObservability:
                 for _ in range(2):
                     for header in headers:
                         await service.classify(header)
-                await service.insert_rule("b1", staling_rule())
+                await service.insert_rule("b1", drop_rule())
 
         run(scenario())
         snapshot = validate_snapshot(recorder.snapshot())
+        assert snapshot["updates"]["stale_fallbacks"]["total"] == 0
         assert snapshot["schema"] == "repro.obs.snapshot/9"
         section = snapshot["serve"]["result_cache"]
         assert section["hits"] >= len(set(headers))
