@@ -131,17 +131,16 @@ def test_fig12_static_throughput(which, engine, i2, stan, benchmark):
         # counts the gap shrinks proportionally but must stay decisive.
         assert oapt_qps > hsa_qps * 5
     elif NUMPY_BACKEND in available_backends():
-        # Batched evaluation compresses per-node costs, so the ordering
-        # survives with smaller margins: the tree still beats the scans,
-        # and shallower trees still win, within timing noise.
+        # The three trees compile to one program (the atom partition's),
+        # so they tie within timing noise; it still beats the scans.
         assert oapt_qps > quick_qps * 0.7
         assert oapt_qps > bfr_qps * 0.7
         assert oapt_qps > pscan_qps * 2
         assert oapt_qps > aplinear_qps * 1.5
     else:
-        # The stdlib backend's mask propagation costs one pass over the
-        # whole flat program regardless of depth, so relative ordering
-        # reflects program sizes, not the paper's figure; this leg is a
+        # The stdlib tree engine walks headers one at a time while the
+        # scan baselines propagate big-int lane masks, so the ordering
+        # says nothing about the paper's figure; this leg is a
         # correctness/availability smoke only.
         assert min(oapt_qps, quick_qps, bfr_qps, aplinear_qps, pscan_qps) > 0
 

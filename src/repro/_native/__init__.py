@@ -1,7 +1,7 @@
 """Optional native (C) classification kernel.
 
 The extension module :mod:`repro._native._kernel` holds one tight loop:
-the fused-program descent of :class:`repro.core.compiled.CompiledAPTree`
+the program descent of :class:`repro.core.compiled.CompiledAPTree`
 run directly over the little-endian ``uint64`` word buffers the artifact
 format already mmaps -- no numpy temporaries, no Python objects per
 packet.  It is built by ``python setup.py build_ext --inplace`` (or any

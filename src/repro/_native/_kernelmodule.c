@@ -1,6 +1,6 @@
-/* Native fused-program descent for the compiled AP Tree.
+/* Native program descent for the compiled AP Tree.
  *
- * One exported function, classify_words(), walks the fused branching
+ * One exported function, classify_words(), walks the compiled branching
  * program (the same int32/int64 little-endian arrays repro.artifact
  * stores and mmaps) for a batch of headers packed as uint64 words.
  * Per packet the loop is three array reads per node visit:

@@ -18,9 +18,11 @@ What gets persisted (one section table entry each, see ``container``):
   every tree-construction decision consume;
 * the AP Tree as preorder records (``tree``, via
   :func:`repro.core.aptree.snapshot_tree`);
-* the compiled engine's fused program (``c_f_var``, ``c_f_child``,
+* the compiled engine's program (``c_f_var``, ``c_f_child``,
   ``c_f_atom``) in exactly the layout :meth:`CompiledAPTree.from_arrays`
-  adopts zero-copy -- including the interleaved child array.
+  adopts zero-copy -- including the interleaved child array.  This build
+  writes the canonical atom program; the fused tree programs of earlier
+  version-3 artifacts have the same layout and load unchanged.
 
 Everything but the ``c_*`` sections is the *classifier half*
 (:func:`_classifier_half`); on its own it is how a classifier is copied
@@ -183,9 +185,9 @@ def _classifier_half(classifier: APClassifier) -> tuple[dict, list]:
 def _compiled_program(
     classifier: APClassifier, *, backend: str | None
 ) -> CompiledAPTree:
-    """The program the compiled half saves: fresh and compact.
+    """The program the compiled half saves: fresh and canonical.
 
-    Compiles the tree if no fresh program exists, and compacts a
+    Compiles the tree if no fresh program exists, and recompiles a
     patched one: an artifact carries no patch history (spare sinks,
     redundant tests, ``-1`` atoms), so it is byte-identical to one saved
     right after a compile of the same tree.
@@ -385,10 +387,12 @@ def _restore_classifier_half(
     if deep_verify:
         _deep_verify_predicates(network, image, slots)
 
-    # Rebuild the data plane over the *stored* functions.  DataPlane
-    # mints pids 0..n-1 box by box in network order, each box's list in
-    # stored order; ``order[new pid]`` is that predicate's stored index
-    # (stored pids may have gaps after update churn).
+    # Rebuild the data plane over the *stored* functions under their
+    # stored pids (which have gaps after update churn), box by box in
+    # network order, each box's list in stored order.
+    pids = [int(pid) for pid in stored_pids]
+    if len(set(pids)) != len(pids):
+        raise ArtifactMismatch("stored predicate pids are not unique")
     by_box: dict[str, list[int]] = {name: [] for name in network.boxes}
     for index, slot in enumerate(slots):
         if slot[1] not in by_box:
@@ -396,15 +400,14 @@ def _restore_classifier_half(
                 f"stored predicate slot {slot} names unknown box {slot[1]!r}"
             )
         by_box[slot[1]].append(index)
-    order = [index for indices in by_box.values() for index in indices]
-    pid_map = {int(stored_pids[index]): new for new, index in enumerate(order)}
-    if len(pid_map) != len(slots):
-        raise ArtifactMismatch("stored predicate pids are not unique")
     dataplane = DataPlane(
         network,
         manager,
         precompiled={
-            box: [(slots[i][0], slots[i][2], functions[i]) for i in indices]
+            box: [
+                (pids[i], slots[i][0], slots[i][2], functions[i])
+                for i in indices
+            ]
             for box, indices in by_box.items()
         },
     )
@@ -426,12 +429,12 @@ def _restore_classifier_half(
         raise ArtifactMismatch("R offsets disagree with the predicate count")
     pred_fns: dict[int, Function] = {}
     r: dict[int, list[int]] = {}
-    for new_pid, index in enumerate(order):
+    for index, pid in enumerate(pids):
         lo, hi = r_offsets[index], r_offsets[index + 1]
         if not 0 <= lo <= hi <= len(r_values):
             raise ArtifactMismatch("R offsets are not monotonic")
-        pred_fns[new_pid] = functions[index]
-        r[new_pid] = r_values[lo:hi]
+        pred_fns[pid] = functions[index]
+        r[pid] = r_values[lo:hi]
     try:
         universe = AtomicUniverse.assemble_with_ids(
             manager, pred_fns, atoms, r
@@ -441,7 +444,7 @@ def _restore_classifier_half(
 
     # Ghost predicates: functions the tree still evaluates but the
     # universe no longer holds (tombstoned by updates before the save).
-    if set(stored_ghost_pids) & set(pid_map):
+    if set(stored_ghost_pids) & set(pids):
         raise ArtifactMismatch(
             "ghost predicate pids overlap the live predicate pids"
         )
@@ -449,7 +452,6 @@ def _restore_classifier_half(
         tree = restore_tree(
             artifact.section_ints("tree"),
             universe,
-            pids=pid_map,
             ghosts=dict(zip(stored_ghost_pids, nodes[ghost_start:])),
         )
     except ValueError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, Sequence
 
-from ..bdd import BDDManager
 from .atomic import AtomicUniverse, LeafSplit
 
 __all__ = [
@@ -75,8 +74,11 @@ class APTreeNode:
 class APTree:
     """A built tree plus the search and maintenance entry points."""
 
-    def __init__(self, manager: BDDManager, root: APTreeNode) -> None:
-        self.manager = manager
+    def __init__(self, universe: AtomicUniverse, root: APTreeNode) -> None:
+        #: The universe whose atoms label the leaves (the compiled
+        #: program is built from its atom list, :mod:`repro.core.compiled`).
+        self.universe = universe
+        self.manager = universe.manager
         self.root = root
         #: Bumped on every structural mutation; compiled artifacts
         #: (:mod:`repro.core.compiled`) stamp the version they saw and
@@ -321,7 +323,6 @@ def build_ap_tree(
     """
     pids = list(universe.predicate_ids()) if candidate_pids is None else list(candidate_pids)
     r_sets = {pid: universe.r(pid) for pid in pids}
-    manager = universe.manager
 
     def build(candidates: list[int], atoms: frozenset[int]) -> APTreeNode:
         if len(atoms) == 1:
@@ -353,8 +354,8 @@ def build_ap_tree(
     if not atoms:
         raise ValueError("cannot build an AP Tree over zero atoms")
     if len(atoms) == 1:
-        return APTree(manager, APTreeNode.leaf(next(iter(atoms))))
-    return APTree(manager, build(pids, atoms))
+        return APTree(universe, APTreeNode.leaf(next(iter(atoms))))
+    return APTree(universe, build(pids, atoms))
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +423,6 @@ def restore_tree(
     records: Sequence[int],
     universe: AtomicUniverse,
     *,
-    pids: Mapping[int, int] | None = None,
     ghosts: Mapping[int, int] | None = None,
 ) -> APTree:
     """Rebuild :func:`snapshot_tree` records against a (restored) universe.
@@ -430,7 +430,7 @@ def restore_tree(
     Leaf positions resolve through the universe's sorted atom ids and
     internal nodes re-fetch their predicate's BDD node from the
     universe, so the tree is fully wired into the target manager.
-    ``pids`` renames stored pids (a load re-mints them).  ``ghosts``
+    ``ghosts``
     maps each stored pid the universe no longer holds -- a tombstoned
     predicate its nodes still evaluate (see :func:`tree_ghosts`) -- to
     its BDD node; those nodes get fresh *negative* pids in ``ghosts``
@@ -460,9 +460,8 @@ def restore_tree(
             continue
         if not index < first < count or not index < second < count:
             raise ValueError(f"record {index} has out-of-order children")
-        label = pid if pids is None else pids.get(pid)
-        if universe.has_predicate(label):
-            fn_node = universe.predicate_fn(label).node
+        if universe.has_predicate(pid):
+            label, fn_node = pid, universe.predicate_fn(pid).node
         elif pid in ghosts:
             label, fn_node = ghost_labels[pid], ghosts[pid]
         else:
@@ -470,7 +469,7 @@ def restore_tree(
         built[index] = APTreeNode.internal(
             label, fn_node, built[first], built[second]
         )
-    tree = APTree(universe.manager, built[0])
+    tree = APTree(universe, built[0])
     if not leaves == len(tree._leaf_index) == len(order):
         raise ValueError("tree leaves do not cover the atoms exactly once")
     return tree

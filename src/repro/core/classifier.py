@@ -190,11 +190,13 @@ class APClassifier:
     # ------------------------------------------------------------------
 
     def compile(self, backend: str | None = None) -> CompiledAPTree:
-        """Compile the current tree into a flat-array artifact.
+        """Compile the current atoms into a flat-array program.
 
-        Queries use the artifact while it is fresh; any structural
-        update (leaf split, tombstone) or tree swap invalidates it, and
-        queries transparently fall back to the interpreted tree until
+        Queries use the program while it is fresh.  Under
+        ``maintenance="incremental"`` updates patch it in place, so it
+        stays fresh; otherwise any structural update (leaf split,
+        tombstone) or tree swap invalidates it, and queries
+        transparently fall back to the interpreted tree until
         ``compile()`` is called again -- the query-process /
         reconstruction-process split of Section VI-B.
         """
@@ -259,7 +261,7 @@ class APClassifier:
     def classify_batch(self, packets) -> list[int]:
         """Stage 1 for a whole batch.
 
-        Uses the compiled engine's batched bit-parallel path when a
+        Uses the compiled engine's batch descent when a
         fresh artifact exists, otherwise the interpreted
         :meth:`APTree.classify_many`; results are identical.
         """
@@ -468,6 +470,42 @@ class APClassifier:
             rec.updates.reconstructs += 1
         self._swap_tree(universe, tree)
         return self._engine.replay(journal)
+
+    def rehome(self) -> None:
+        """Move every live BDD into a fresh manager of its own.
+
+        The manager never frees a node, so churn grows it without bound.
+        A round trip through the artifact codec's classifier half (the
+        path :func:`repro.diff.fork_shadow` takes) copies only what is
+        live; this classifier then adopts the decoded data plane,
+        universe and tree *in place* and recompiles if it was compiled.
+        Atom ids, pids and the next ids either will mint are kept, and
+        the data plane keeps this classifier's network object, so
+        answers and later updates are those of a classifier that never
+        moved.  Called by the incremental engine
+        (:data:`~repro.core.incremental.REHOME_GROWTH`).
+        """
+        # Imported lazily: the codec imports this module.
+        from ..artifact.codec import classifier_bytes, classifier_from_bytes
+
+        old_dataplane, old_universe = self.dataplane, self.universe
+        decoded = classifier_from_bytes(classifier_bytes(self))
+        dataplane, universe, tree = (
+            decoded.dataplane, decoded.universe, decoded.tree
+        )
+        dataplane.network = old_dataplane.network
+        dataplane._next_pid = old_dataplane._next_pid
+        universe._next_atom_id = old_universe._next_atom_id
+        self.dataplane, self.universe, self.tree = dataplane, universe, tree
+        self.behavior_computer = BehaviorComputer(dataplane, universe)
+        self._engine.universe, self._engine.tree = universe, tree
+        tree.recorder = self.recorder
+        observer = old_dataplane.manager.recorder
+        if observer is not None:
+            observer.replace_manager(old_dataplane.manager, dataplane.manager)
+        compiled, self._compiled = self._compiled, None  # bound to the old tree
+        if compiled is not None:
+            self.compile(backend=compiled.backend)
 
     def _swap_tree(self, universe: AtomicUniverse, tree: APTree) -> None:
         if universe is not self.universe:

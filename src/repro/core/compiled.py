@@ -19,28 +19,26 @@ Three layers, lowest first:
   evaluation: every packet's verdict for every root in one pass.  The
   ``aplinear``/``pscan`` baselines use it so Fig. 12's engine comparison
   stays apples-to-apples.
-* :class:`CompiledAPTree` -- a built AP Tree compiled to one *fused
-  program*: every tree node's predicate slice with its terminal edges
-  rewired to the child nodes' entries, so a whole classification is a
-  single branching-program descent.  The scalar
-  :meth:`CompiledAPTree.classify` walks it one header at a time;
-  :meth:`CompiledAPTree.classify_batch` advances all packets together.
+* :class:`CompiledAPTree` -- the atom partition of a built AP Tree
+  compiled to one *canonical program*: the reduced ordered decision
+  diagram of ``h -> atom of h``, which never tests a variable twice on a
+  path.  The tree stays the update index; the program is what serves.
+  The scalar :meth:`CompiledAPTree.classify` walks it one header at a
+  time; :meth:`CompiledAPTree.classify_batch` runs a whole batch.
 
-Three batch backends produce identical results and are auto-selected
+Three backends produce identical results and are auto-selected
 (preference order ``native`` > ``numpy`` > ``stdlib``, overridable with
 the ``REPRO_ENGINE`` environment knob -- see :mod:`repro.core.kernel`):
 
 * ``native`` -- the optional C extension (:mod:`repro._native`) walks
-  each packet's fused-program path in a GIL-free scalar loop over
-  word-packed headers; work is the sum of path lengths.
+  each packet's path in a GIL-free scalar loop over word-packed
+  headers; work is the sum of path lengths.
 * ``numpy`` -- packets are packed into uint64 words; all cursors
   advance together with vectorized gathers, finished lanes are
   compacted away.
-* ``stdlib`` -- pure-Python *bit-parallel* evaluation: each header bit
-  column is packed into one arbitrary-precision int (bit ``j`` = packet
-  ``j``), and a single topological pass pushes lane masks through the
-  fused program with big-int AND/ANDNOT.  Cost scales with program
-  size, not ``packets x path length``.
+* ``stdlib`` -- the scalar walk per header.  On the canonical program
+  it beats big-int lane-mask propagation on every measured plane, so
+  the bit-parallel masks live on only in :class:`FlatBDDSet`.
 
 The batch entry points accept numpy arrays end-to-end:
 :meth:`CompiledAPTree.classify_batch_array` takes a ``uint64`` header
@@ -50,17 +48,19 @@ list, while :meth:`CompiledAPTree.classify_batch` keeps the
 list-in/list-out contract and dispatches on input type instead of
 unconditionally copying.
 
-Staleness protocol: artifacts stamp ``tree.version`` at compile time.
-Every structural mutation (leaf splits, tombstones) bumps the version,
-so a stale artifact is detected by one integer comparison and queries
-transparently fall back to the interpreted tree until a recompile --
-mirroring the paper's query-process/reconstruction-process split
-(Section VI-B).
+Freshness protocol: a program stamps ``tree.version`` at compile time.
+Every structural mutation (leaf splits, tombstones, splices) bumps the
+version.  Incremental maintenance patches the program in place and
+re-stamps it, so it stays fresh through churn; after any other change
+one integer comparison detects the stale program and queries answer
+from the interpreted tree (Section VI-B's query process) until the
+owner recompiles.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import gc
+from typing import Sequence
 
 from .. import config
 from ..bdd.manager import BDDManager, TRUE
@@ -138,12 +138,11 @@ def _header_ints(headers, num_vars: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
-#: Below this batch size the tree's batch entry points walk each header
-#: on its own.  Measured numpy/scalar time on i2-14, stanford-like,
-#: stanford and acl-heavy: 0.90-1.37 at 48 headers, 0.67-1.04 at 64,
-#: 0.50-0.72 at 96, 0.38-0.57 at 128.  The numpy break-even is now
-#: ~64, but the stdlib crossover is 100-300 and no serving workload
-#: batches 48-127 headers, so the one cutover stays at 128.
+#: Below this batch size the numpy engine walks each header on its own.
+#: Measured numpy/scalar time on the fused tree program (i2-14,
+#: stanford-like, stanford, acl-heavy): 0.90-1.37 at 48 headers,
+#: 0.67-1.04 at 64, 0.50-0.72 at 96, 0.38-0.57 at 128.  No serving
+#: workload batches 48-127 headers, so the cutover stays at 128.
 _MIN_BATCH = 128
 
 #: The same cutover for the PScan/AP-linear predicate-set baselines,
@@ -285,8 +284,8 @@ class FlatBDDSet:
         backend: str | None = None,
     ) -> None:
         self.manager = manager
-        # The native kernel runs only the fused tree program; predicate
-        # sets step down to the numpy descent.
+        # The native kernel runs only the compiled tree program;
+        # predicate sets step down to the numpy descent.
         self.backend = _resolve_backend(backend)
         if self.backend == NATIVE_BACKEND:
             self.backend = NUMPY_BACKEND
@@ -502,20 +501,112 @@ class FlatBDDSet:
 # ----------------------------------------------------------------------
 
 
-class CompiledAPTree:
-    """A built :class:`APTree` compiled to one fused branching program.
+def _atom_program(manager: BDDManager, atoms) -> tuple[list, list, list, int]:
+    """The reduced ordered decision diagram of ``h -> atom of h``.
 
-    Construction walks the tree once (BFS).  Each internal tree node
-    gets its own level-ordered copy of its predicate's BDD (as in
-    :func:`flatten_bdds`) whose FALSE/TRUE edges go to the low/high
-    child's entry; each leaf becomes a *sink*, one of the self-looping
-    nodes ``0 .. num_sinks - 1``.  The program is four parallel arrays
-    -- ``f_var`` / ``f_low`` / ``f_high`` per node, ``f_atom`` per sink
-    -- entered at ``f_root``, with every non-sink edge pointing forward.
+    Sink ``i`` is atom ``i`` of ``atoms`` (``(atom_id, function)``
+    pairs).  A state is the tuple of live ``(sink, cofactor)`` pairs;
+    each step splits every cofactor on the smallest top variable and
+    drops FALSE ones, and memoising on the state (the atom function on
+    the path's subspace) makes the diagram reduced.  With two pairs
+    left the second is the first's complement, so the diagram is the
+    first's BDD on the two sinks (``two``; most states are of this kind).
+
+    Returns the interior ``(var, low, high)`` lists, sorted by variable
+    and numbered from ``len(atoms)``, and the root; children test larger
+    variables than their parents, so every edge points forward.
+    """
+    mvar, mlow, mhigh = manager.node_arrays()
+    num_sinks = len(atoms)
+    var: list[int] = []
+    low: list[int] = []
+    high: list[int] = []
+    memo: dict[tuple, int] = {}
+
+    def two(inside: int, u: int, outside: int) -> int:
+        if u <= TRUE:
+            return inside if u == TRUE else outside
+        key = (inside, u, outside)
+        node = memo.get(key)
+        if node is None:
+            low_child = two(inside, mlow[u], outside)
+            high_child = two(inside, mhigh[u], outside)
+            node = memo[key] = num_sinks + len(var)
+            var.append(mvar[u])
+            low.append(low_child)
+            high.append(high_child)
+        return node
+
+    def build(live: tuple) -> int:
+        if len(live) <= 2:
+            if len(live) == 2:
+                return two(live[0][0], live[0][1], live[1][0])
+            assert live[0][1] == TRUE, "atoms do not partition the header space"
+            return live[0][0]
+        node = memo.get(live)
+        if node is None:
+            top = min([mvar[u] for _, u in live])
+            lo: list[tuple[int, int]] = []
+            hi: list[tuple[int, int]] = []
+            for pair in live:
+                u = pair[1]
+                if mvar[u] == top:
+                    if mlow[u]:
+                        lo.append((pair[0], mlow[u]))
+                    if mhigh[u]:
+                        hi.append((pair[0], mhigh[u]))
+                else:
+                    lo.append(pair)
+                    hi.append(pair)
+            low_child = build(tuple(lo))
+            high_child = build(tuple(hi))
+            node = memo[live] = num_sinks + len(var)
+            var.append(top)
+            low.append(low_child)
+            high.append(high_child)
+        return node
+
+    # The recursion builds no cycle, so a collection in it reclaims
+    # nothing yet traverses every tracked object in the process (a
+    # quarter of the compile on the coldstart plane).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        root = build(tuple(
+            (sink, fn.node) for sink, (_, fn) in enumerate(atoms)
+        ))
+    finally:
+        if collecting:
+            gc.enable()
+    # Creation order is post-order; renumber in (stable) variable order.
+    order = sorted(range(len(var)), key=var.__getitem__)
+    renumber = list(range(num_sinks)) + [0] * len(var)
+    for position, k in enumerate(order):
+        renumber[num_sinks + k] = num_sinks + position
+    return (
+        [var[k] for k in order],
+        [renumber[low[k]] for k in order],
+        [renumber[high[k]] for k in order],
+        renumber[root],
+    )
+
+
+class CompiledAPTree:
+    """The atom partition of an :class:`APTree` compiled to one program.
+
+    The program is the reduced ordered decision diagram of
+    ``h -> atom of h`` (:func:`_atom_program`): the sinks ``0 ..
+    num_sinks - 1`` are the tree's atoms in id order and self-loop, and
+    the interior nodes follow, sorted by variable.  No path tests a
+    variable twice, and the program depends on the partition only, not
+    on the shape of the tree.  It is four parallel arrays -- ``f_var`` /
+    ``f_low`` / ``f_high`` per node, ``f_atom`` per sink -- entered at
+    ``f_root``, with every non-sink edge pointing forward.
 
     Every lane reads this one program: the scalar :meth:`classify`, the
-    three batch engines, the artifact's ``c_*`` sections and the
-    in-place patches of incremental maintenance.
+    batch engines, the artifact's ``c_*`` sections and the in-place
+    patches of incremental maintenance.  :meth:`from_arrays` also adopts
+    the fused tree programs of earlier version-3 artifacts.
     """
 
     def __init__(self, tree: APTree, backend: str | None = None) -> None:
@@ -523,16 +614,30 @@ class CompiledAPTree:
         self.tree_version = tree.version
         self.backend = _resolve_backend(backend)
         self.num_vars = tree.manager.num_vars
-        self._build_fused(tree)
-        #: Engines compiled from a live tree keep enough indices
-        #: (atom -> sinks, each sink's source slice) for in-place
-        #: patching; artifact-restored engines (:meth:`from_arrays`) do not.
-        self._patchable = True
-        #: Has a patch changed the arrays since the compile?
-        self.patched = False
-        #: Fused-program size at the compile (the compaction yardstick).
-        self.compiled_nodes = len(self._f_var)
+        atoms = sorted(tree.universe.atoms().items())
+        assert [atom for atom, _ in atoms] == sorted(tree._leaf_index), (
+            "the tree's leaves are not its universe's atoms"
+        )
+        f_var, f_low, f_high, self._f_root = _atom_program(tree.manager, atoms)
+        self._num_sinks = num_sinks = len(atoms)
+        self._f_atom = [atom for atom, _ in atoms]
+        self._f_var = [0] * num_sinks + f_var
+        self._f_low = list(range(num_sinks)) + f_low
+        self._f_high = list(range(num_sinks)) + f_high
+        top = self.num_vars - 1
+        self._shifts = [top - v for v in self._f_var]
+        self._reset_patching()
         self._refresh_accelerated()
+
+    def _reset_patching(self) -> None:
+        #: Has a patch changed the arrays since the compile (or load)?
+        self.patched = False
+        #: Program size at the compile (the compaction yardstick).
+        self.compiled_nodes = len(self._f_var)
+        # What the in-place patches navigate by (:meth:`_begin_patch`).
+        self._atom_sinks: dict[int, list[int]] | None = None
+        self._parents: list[list[int]] | None = None
+        self._free_sinks: list[int] = []
 
     def _refresh_accelerated(self, capacity: int = 0) -> None:
         """(Re)build the numpy mirrors + kernel view from the list arrays.
@@ -558,7 +663,7 @@ class CompiledAPTree:
     def compile(
         cls, tree: APTree, backend: str | None = None
     ) -> "CompiledAPTree":
-        """Flatten ``tree`` for the given (or auto-selected) backend."""
+        """Compile ``tree``'s atoms for the given (or auto-selected) backend."""
         return cls(tree, backend=backend)
 
     # -- persistence (repro.artifact) ------------------------------------
@@ -566,7 +671,7 @@ class CompiledAPTree:
     def to_arrays(self) -> dict:
         """Every array and scalar needed to rebuild this engine.
 
-        The fused program's children are interleaved (``child[2i]`` =
+        The program's children are interleaved (``child[2i]`` =
         low, ``child[2i+1]`` = high) -- exactly the layout the numpy
         descent gathers from, so an artifact section can be mapped
         straight into ``_np_f_child`` without a shuffle.
@@ -606,7 +711,8 @@ class CompiledAPTree:
 
         ``tree=None`` produces a *serving-only* engine: it classifies
         but is fresh for no live tree (see :meth:`is_fresh_for`).  Pass
-        the restored tree plus its version to stamp the engine fresh.
+        the restored tree plus its version to stamp the engine fresh;
+        such an engine is patched in place like a compiled one.
         """
         self = cls.__new__(cls)
         self.tree = tree
@@ -614,9 +720,6 @@ class CompiledAPTree:
             tree.version if tree is not None and tree_version is None
             else (tree_version or 0)
         )
-        self._patchable = False
-        self.patched = False
-        self.compiled_nodes = len(arrays["f_var"])
         self.backend = _resolve_backend(backend)
         self.num_vars = int(arrays["num_vars"])
         self._num_sinks = int(arrays["num_sinks"])
@@ -638,6 +741,7 @@ class CompiledAPTree:
             self._f_low = f_child[0::2]
             self._f_high = f_child[1::2]
             self._f_atom = _as_int_list(arrays["f_atom"])
+        self._reset_patching()
         return self
 
     def _materialize_scalar(self) -> None:
@@ -698,114 +802,52 @@ class CompiledAPTree:
             **tables,
         )
 
-    # -- construction ----------------------------------------------------
-
-    def _build_fused(self, tree: APTree) -> None:
-        """Rewire predicate terminals to child entries: one flat program.
-
-        Tree nodes are taken in BFS order.  The leaves become the sinks
-        ``0 .. num_sinks - 1`` and self-loop, so "done" is one
-        comparison.  The internal nodes' slices follow in the same
-        order, level-ordered within, keeping every non-sink edge
-        strictly forward -- the invariant the stdlib mask propagation
-        needs and asserted at build time.
-        """
-        mvar, mlow, mhigh = tree.manager.node_arrays()
-        nodes = [tree.root]
-        for node in nodes:  # BFS: the loop reaches what it appends
-            if node.pid is not None:
-                nodes += (node.low, node.high)
-        leaves = [node for node in nodes if node.pid is None]
-        num_sinks = len(leaves)
-        self._f_atom = [node.atom_id for node in leaves]
-        entry = {id(node): sink for sink, node in enumerate(leaves)}
-        # Pass 1: per-internal-node reachable sets and slice bases.
-        slices: list[tuple[object, int, list[int]]] = []
-        size = num_sinks
-        for node in nodes:
-            if node.pid is not None:
-                reach = _level_order(mvar, mlow, mhigh, node.fn_node)
-                slices.append((node, size, reach))
-                entry[id(node)] = size  # min-var node is the slice root
-                size += len(reach)
-        f_var = [0] * size
-        f_low = list(range(size))
-        f_high = list(range(size))
-        # Pass 2: fill slices; every child entry is already assigned.
-        # A sink is entered only from its parent's slice: record that
-        # extent, where a split patch finds the edges to redirect.
-        sink_lo = [0] * num_sinks
-        sink_hi = [0] * num_sinks
-        for node, base, reach in slices:
-            low_entry = entry[id(node.low)]
-            high_entry = entry[id(node.high)]
-            for child in (low_entry, high_entry):
-                if child < num_sinks:
-                    sink_lo[child] = base
-                    sink_hi[child] = base + len(reach)
-            index = {u: base + offset for offset, u in enumerate(reach)}
-            for u in reach:
-                k = index[u]
-                f_var[k] = mvar[u]
-                lo, hi = mlow[u], mhigh[u]
-                f_low[k] = (
-                    high_entry if lo == TRUE
-                    else low_entry if lo == 0
-                    else index[lo]
-                )
-                f_high[k] = (
-                    high_entry if hi == TRUE
-                    else low_entry if hi == 0
-                    else index[hi]
-                )
-        top = self.num_vars - 1
-        self._f_var = f_var
-        self._f_low = f_low
-        self._f_high = f_high
-        self._shifts = [top - v for v in f_var]
-        self._num_sinks = num_sinks
-        self._f_root = entry[id(tree.root)]
-        # The bookkeeping the in-place patches below navigate by: each
-        # sink's source slice ``[lo, hi)``, the free sink slots (a fresh
-        # compile has none spare) and, from the first patch on, each
-        # atom's sinks (:meth:`_index_atoms`).
-        self._sink_lo = sink_lo
-        self._sink_hi = sink_hi
-        self._free_sinks: list[int] = []
-        self._atom_sinks: dict[int, list[int]] | None = None
-        if __debug__:
-            for u in range(num_sinks, size):
-                assert f_low[u] < num_sinks or f_low[u] > u
-                assert f_high[u] < num_sinks or f_high[u] > u
-
     # -- in-place patches (incremental maintenance) ----------------------
     #
     # Both patches are append-only and keep one invariant: for every
     # header, ``f_atom[descent(h)]`` is the atom the universe assigns it.
-    # The program computes the atom function exactly; it need not mirror
-    # the tree's shape.  Both finish by re-stamping ``tree_version``, so
-    # the fast path never drops into stale-fallback.  They apply only to
-    # engines compiled from a live tree (``patchable``); the caller
-    # recompiles when the program has grown past twice
+    # The patched program computes the atom function exactly but is no
+    # longer reduced.  Both finish by re-stamping ``tree_version``, so
+    # the fast path never drops into stale-fallback.  They apply to any
+    # engine bound to a live tree (``patchable``); the caller recompiles
+    # when the program has grown past ``COMPACT_GROWTH`` times
     # ``compiled_nodes`` (:mod:`repro.core.incremental`).
 
     @property
     def patchable(self) -> bool:
-        return self._patchable
+        return self.tree is not None
 
     @property
     def node_count(self) -> int:
-        """Fused-program nodes, spare sink slots included."""
+        """Program nodes, spare sink slots included."""
         return len(self._f_var)
 
-    def _index_atoms(self) -> None:
-        """Map each atom to its sinks (one on a fresh compile; merges
-        concatenate them).  Built by the first patch, so a compile that
-        is never patched does not pay for it."""
-        if self._atom_sinks is None:
-            self._atom_sinks = {
-                atom: [sink] for sink, atom in enumerate(self._f_atom)
-            }
+    def _begin_patch(self) -> None:
+        """Build the patch indices on the first patch: each atom's sinks
+        (merges leave several), each sink's parents (nodes with an edge
+        into it) and the free sink slots (atom ``-1``).  An adopted
+        program (:meth:`from_arrays`) first gets lists and mirrors of
+        its own: its arrays may be read-only views of an artifact."""
+        if self._parents is not None:
+            return
+        if self._shifts is None:
+            self._materialize_scalar()
+        if not isinstance(self._f_var, list):
+            self._f_var = self._f_var.tolist()
+            self._refresh_accelerated()
+        num_sinks = self._num_sinks
+        parents: list[list[int]] = [[] for _ in range(num_sinks)]
+        for edges in (self._f_low, self._f_high):
+            for u in range(num_sinks, len(edges)):
+                if edges[u] < num_sinks:
+                    parents[edges[u]].append(u)
+        self._parents = parents
+        self._atom_sinks = {}
+        for sink, atom in enumerate(self._f_atom):
+            if atom == -1:
+                self._free_sinks.append(sink)
+            else:
+                self._atom_sinks.setdefault(atom, []).append(sink)
 
     def patch_splits(self, fn_node: int, splits) -> None:
         """Mirror :meth:`APTree.apply_splits` onto the program.
@@ -813,17 +855,16 @@ class CompiledAPTree:
         For each split atom, one copy of the new predicate's flattened
         slice is appended with TRUE going to the atom's first sink
         (reused for the inside atom) and FALSE to a fresh sink (the
-        outside atom), and the edges that entered any of the atom's
-        sinks -- each sink's are inside its recorded source slice --
-        move to the copy's root.  Every new edge points forward.  The
-        atom's other sinks (merges leave several) are now unreachable
-        and become free slots: dead self-loops with atom ``-1``.  When
-        no free slot is left the sink region doubles
+        outside atom), and every edge that entered any of the atom's
+        sinks (its parents) moves to the copy's root.  Every new edge
+        points forward.  The atom's other sinks (merges leave several)
+        are now unreachable and become free slots: dead self-loops with
+        atom ``-1``.  When no free slot is left the sink region doubles
         (:meth:`_grow_sinks`).
         """
         real = [s for s in splits if s.is_split]
         if real:
-            self._index_atoms()
+            self._begin_patch()
             self.patched = True
             var, low, high, entry_of = flatten_bdds(
                 self.tree.manager, [fn_node]
@@ -856,8 +897,23 @@ class CompiledAPTree:
         fresh = self._free_sinks.pop()
         f_var, f_low, f_high = self._f_var, self._f_low, self._f_high
         shifts = self._shifts
+        parents = self._parents
         top = self.num_vars - 1
         base = len(f_var)
+        entry = base + root
+        for sink in sinks:
+            for u in parents[sink]:
+                if f_low[u] == sink:
+                    f_low[u] = entry
+                if f_high[u] == sink:
+                    f_high[u] = entry
+                redirected.append(u)
+            parents[sink] = []
+            if self._f_root == sink:
+                self._f_root = entry
+        for sink in sinks[1:]:
+            self._f_atom[sink] = -1
+            self._free_sinks.append(sink)
         for v, lo, hi in body:
             f_var.append(v)
             shifts.append(top - v)
@@ -867,24 +923,10 @@ class CompiledAPTree:
             f_high.append(
                 keep if hi == TRUE else fresh if hi == 0 else base + hi - 2
             )
-        entry = base + root
-        for sink in sinks:
-            for u in range(self._sink_lo[sink], self._sink_hi[sink]):
-                if f_low[u] == sink:
-                    f_low[u] = entry
-                    redirected.append(u)
-                if f_high[u] == sink:
-                    f_high[u] = entry
-                    redirected.append(u)
-            if self._f_root == sink:
-                self._f_root = entry
-        for sink in sinks[1:]:
-            self._f_atom[sink] = -1
-            self._sink_hi[sink] = self._sink_lo[sink]
-            self._free_sinks.append(sink)
-        for sink in (keep, fresh):
-            self._sink_lo[sink] = base
-            self._sink_hi[sink] = len(f_var)
+        for u in range(base, len(f_var)):
+            for child in (f_low[u], f_high[u]):
+                if child == keep or child == fresh:
+                    parents[child].append(u)
         return fresh
 
     def _grow_sinks(self, need: int) -> None:
@@ -908,9 +950,10 @@ class CompiledAPTree:
         self._f_atom.extend([-1] * delta)
         if self._f_root >= old:
             self._f_root += delta
-        # Source slices shift with the program; empty ones stay empty.
-        self._sink_lo = [lo + delta for lo in self._sink_lo] + [0] * delta
-        self._sink_hi = [hi + delta for hi in self._sink_hi] + [0] * delta
+        # Parents are interior nodes: they shift with the program.
+        self._parents = [
+            [u + delta for u in nodes] for nodes in self._parents
+        ] + [[] for _ in range(delta)]
         self._free_sinks.extend(range(new - 1, old - 1, -1))
         self._num_sinks = new
 
@@ -955,13 +998,13 @@ class CompiledAPTree:
 
         ``merges`` is a sequence of ``(merged_id, parts)`` pairs (see
         :class:`~.atomic.AtomMerge`).  Every sink of each part now
-        answers ``merged_id``; the predicate test that used to separate
-        the parts stays in the program as a redundant test.  No edge
-        moves, so the merged atom owns all its parts' sinks.
+        answers ``merged_id``; the test that used to separate the parts
+        stays in the program as a redundant test.  No edge moves, so the
+        merged atom owns all its parts' sinks.
         """
         changed: list[int] = []
         if merges:
-            self._index_atoms()
+            self._begin_patch()
         for merged_id, parts in merges:
             sinks: list[int] = []
             for part in parts:
@@ -1021,7 +1064,7 @@ class CompiledAPTree:
     # -- classification --------------------------------------------------
 
     def classify(self, header: int) -> int:
-        """Atom id of one packed header: one walk down the fused program."""
+        """Atom id of one packed header: one walk down the program."""
         shifts = self._shifts
         if shifts is None:
             self._materialize_scalar()
@@ -1042,18 +1085,16 @@ class CompiledAPTree:
         (``tolist`` only at the very end, to honor the list-out contract
         -- callers that want arrays out call ``classify_batch_array``
         directly); a list is used as-is; only foreign sequences are
-        materialized.  Below ``_MIN_BATCH`` headers the numpy and stdlib
-        engines walk each header with the scalar :meth:`classify`.
+        materialized.  The stdlib engine, and the numpy engine below
+        ``_MIN_BATCH`` headers, walk each header with the scalar
+        :meth:`classify`.
         """
         if self.backend != STDLIB_BACKEND:
             if not isinstance(headers, _np.ndarray):
                 headers = _as_int_list(headers)
             return self.classify_batch_array(headers).tolist()
-        headers = _header_ints(headers, self.num_vars)
-        if len(headers) < _MIN_BATCH:
-            classify = self.classify
-            return [classify(h) for h in headers]
-        return self._classify_batch_stdlib(headers)
+        classify = self.classify
+        return [classify(h) for h in _header_ints(headers, self.num_vars)]
 
     def classify_batch_array(self, headers, out=None):
         """Atom ids as an ``int64`` array -- numpy arrays end-to-end.
@@ -1065,14 +1106,14 @@ class CompiledAPTree:
         is leased from the engine's :class:`~.kernel.KernelScratch` when
         uncontended.
 
-        The numpy descent pays a fixed cost per fused-program level
+        The numpy descent pays a fixed cost per program level
         however few headers it carries, so below ``_MIN_BATCH`` headers
         the numpy engine writes the scalar :meth:`classify` of each
         header into ``out`` instead.  The native loop has no such floor.
 
         Requires an accelerated backend (``native`` or ``numpy``);
-        stdlib engines raise -- their batch substrate is big-int lane
-        masks, not arrays (use :meth:`classify_batch`).
+        stdlib engines raise -- their batch is the scalar walk, with no
+        array form (use :meth:`classify_batch`).
         """
         if self.backend == STDLIB_BACKEND:
             raise RuntimeError(
@@ -1100,48 +1141,6 @@ class CompiledAPTree:
                 scratch.release()
         return out
 
-    def _classify_batch_stdlib(self, headers: list[int]) -> list[int]:
-        """Bit-parallel descent: one topological mask-propagation pass.
-
-        Lane masks are arbitrary-precision ints (bit ``j`` = packet
-        ``j``); each program node splits its incoming mask by the
-        variable's bit column.  Total big-int work is proportional to
-        the number of program nodes reached, independent of batch size
-        per node.
-        """
-        n = len(headers)
-        columns = _BitColumns(headers, self.num_vars)
-        column = columns.column
-        f_var = self._f_var
-        f_low = self._f_low
-        f_high = self._f_high
-        num_sinks = self._num_sinks
-        size = len(f_var)
-        masks = [0] * size
-        masks[self._f_root] = (1 << n) - 1
-        for u in range(num_sinks, size):
-            mask = masks[u]
-            if not mask:
-                continue
-            hi_m = mask & column(f_var[u])
-            lo_m = mask ^ hi_m
-            if lo_m:
-                masks[f_low[u]] |= lo_m
-            if hi_m:
-                masks[f_high[u]] |= hi_m
-        out = [0] * n
-        f_atom = self._f_atom
-        for sink in range(num_sinks):
-            mask = masks[sink]
-            if not mask:
-                continue
-            atom = f_atom[sink]
-            while mask:
-                lsb = mask & -mask
-                out[lsb.bit_length() - 1] = atom
-                mask ^= lsb
-        return out
-
     # -- accounting ------------------------------------------------------
 
     def stats(self) -> dict[str, int | str]:
@@ -1157,6 +1156,6 @@ class CompiledAPTree:
     def __repr__(self) -> str:
         freshness = "fresh" if self.fresh else "stale"
         return (
-            f"CompiledAPTree({len(self._f_var)} fused nodes, "
+            f"CompiledAPTree({len(self._f_var)} nodes, "
             f"{self._num_sinks} sinks, {self.backend}, {freshness})"
         )

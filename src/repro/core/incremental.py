@@ -37,8 +37,16 @@ maintaining the atomic-predicate universe itself under churn:
 
 Both patches only append, so the program grows; once it is past
 ``COMPACT_GROWTH`` times its size at the last compile the engine
-recompiles it (a *compaction*, counted as ``patch_fallbacks``).  That
-is the only recompile on the update path.
+recompiles it (a *compaction*, counted as ``patch_fallbacks``): a fresh
+canonical compile, so a compacted program equals a fresh one.
+
+The BDD manager never frees a node, and every update mints a few
+hundred.  Once the manager holds ``REHOME_GROWTH`` times its nodes after
+the last build or move, the engine has the owning classifier *re-home*
+(:meth:`~repro.core.classifier.APClassifier.rehome`): its live BDDs are
+copied into a fresh manager through the artifact codec, ids kept, and
+the program recompiled.  Engines without a classifier (the Section VI
+simulation) never move.
 
 Why the splice is globally complete: under pure incremental maintenance
 every tree label is a live predicate, so for any pair of atoms that a
@@ -68,17 +76,24 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..network.dataplane import LabeledPredicate
+from ..network.dataplane import LabeledPredicate, PredicateChange
 from .aptree import APTreeNode
 from .atomic import AtomMerge
 from .construction import build_tree
-from .update import UpdateEngine
+from .update import UpdateEngine, UpdateResult
 
 __all__ = ["IncrementalEngine"]
 
 #: A patched program is recompiled once it exceeds this multiple of its
-#: fused-node count at the last compile.
+#: node count at the last compile.
 COMPACT_GROWTH = 2
+
+#: The classifier's BDDs move to a fresh manager
+#: (:meth:`~repro.core.classifier.APClassifier.rehome`) once the manager
+#: holds more than this multiple of its nodes after the last build or
+#: move: a manager never frees a node, and churn grows it by a few
+#: hundred nodes an update.
+REHOME_GROWTH = 4
 
 
 def _leaf_atoms(node: APTreeNode) -> list[int]:
@@ -130,6 +145,10 @@ class IncrementalEngine(UpdateEngine):
         self.patches = 0
         self.patch_fallbacks = 0
         self.full_rebuilds = 0
+        self.rehomes = 0
+        # Manager size after the last build or re-home (the yardstick
+        # of ``REHOME_GROWTH``).
+        self._manager_base = len(universe.manager)
         # A tree carrying tombstoned labels predates this engine (the
         # splice-completeness argument needs every label live); the
         # first removal cleans it up with one full rebuild.
@@ -521,6 +540,27 @@ class IncrementalEngine(UpdateEngine):
         ):
             self._note_patch_fallback()
 
+    def apply_all(self, changes: list[PredicateChange]) -> list[UpdateResult]:
+        """Apply one rule update's changes, then re-home the owning
+        classifier once its manager holds more than ``REHOME_GROWTH``
+        times its nodes after the last build or move.
+
+        The check waits for the whole batch: the data plane already
+        holds every change of the update, so only here do the two
+        agree.  Only a compiled classifier moves -- the re-home
+        recompiles, and an uncompiled one is a what-if shadow whose
+        caller holds its BDDs across its updates.
+        """
+        results = super().apply_all(changes)
+        clf = self.classifier
+        if clf is not None and clf.compiled is not None and (
+            len(self.universe.manager) > REHOME_GROWTH * self._manager_base
+        ):
+            clf.rehome()  # re-points self.universe and self.tree
+            self._manager_base = len(self.universe.manager)
+            self.rehomes += 1
+        return results
+
     def _full_rebuild(self) -> None:
         """Coalesce the universe and rebuild the tree *in place*.
 
@@ -581,12 +621,12 @@ class IncrementalEngine(UpdateEngine):
             rec.updates.incremental_patches += 1
 
     def _note_patch_fallback(self) -> None:
-        """Compact the patched program: recompile it from the live tree.
+        """Compact the patched program: recompile it from the live atoms.
 
         Patches only append (slice copies, fresh sinks, redundant tests
         left by merges), so the program grows with churn; a recompile
-        resets it to the tree's exact shape.  Counted as a patch
-        fallback, the one recompile left on the update path.
+        resets it to the canonical program.  Counted as a patch
+        fallback.
         """
         self.patch_fallbacks += 1
         rec = self.recorder

@@ -17,9 +17,9 @@
   silently fall back to fresh allocations -- correctness never depends
   on winning the lock.
 * **Descent** (:func:`descend_numpy` / :func:`descend_native`).  The
-  same fused branching program either advanced batch-wide with numpy
+  same branching program either advanced batch-wide with numpy
   (header bits unpacked once per batch, then two gathers and a child
-  lookup per fused level, finished lanes compacted away) or handed to
+  lookup per program level, finished lanes compacted away) or handed to
   the optional C kernel (:mod:`repro._native`), which walks each
   packet's path in a tight scalar loop over the word-packed headers --
   including arrays mmapped straight out of a binary artifact.
@@ -237,7 +237,7 @@ def pack_headers(headers, num_vars: int, scratch: "KernelScratch | None" = None)
 
 
 class Program:
-    """The fused branching program as the descents consume it.
+    """The compiled branching program as the descents consume it.
 
     A thin, immutable bundle of the little-endian arrays (built once at
     compile/load time): ``f_child`` interleaved int32 (``child[2i]`` =
@@ -316,14 +316,14 @@ class KernelScratch:
 
 
 def descend_numpy(program, words, out):
-    """Vectorized fused-program descent over word-packed headers.
+    """Vectorized program descent over word-packed headers.
 
     ``program`` is the compiled engine's kernel view (built by
     :meth:`repro.core.compiled.CompiledAPTree._init_kernel`).  The
     batch's header bits are unpacked once into one ``uint8`` per bit --
     ``64 * W`` columns a header, column ``j`` holding bit ``j`` of the
     packed integer -- and each lane's cursor holds ``2 * node``, so one
-    fused level is two gathers plus a child lookup,
+    program level is two gathers plus a child lookup,
     ``cur = child2[cur + bits[base + bit2[cur]]]``, whatever the header
     width.  Lanes that reached a sink are compacted away every
     ``_COMPACT_BLOCK`` levels.  ``out`` is filled with atom ids and

@@ -416,7 +416,7 @@ class DynamicSimulation:
     * ``"compiled"`` -- the structure is flattened
       (:class:`~repro.core.compiled.CompiledAPTree` for the tree,
       :class:`~repro.core.compiled.FlatBDDSet` for the scan baselines)
-      and cost comes from the batched bit-parallel path.  Compile time
+      and cost comes from the batched descent.  Compile time
       after an update is charged to the query process (the artifact went
       stale and had to be rebuilt inline); compile time at a swap is
       charged to the reconstruction core, like the tree build itself

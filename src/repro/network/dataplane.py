@@ -63,7 +63,9 @@ class DataPlane:
         self,
         network: Network,
         manager: BDDManager | None = None,
-        precompiled: Mapping[str, Sequence[tuple[str, str, Function]]] | None = None,
+        precompiled: Mapping[
+            str, Sequence[tuple[int, str, str, Function]]
+        ] | None = None,
     ) -> None:
         self.network = network
         self.layout = network.layout
@@ -80,15 +82,14 @@ class DataPlane:
         for box in network.boxes.values():
             if precompiled is not None:
                 # The artifact loader already restored this box's
-                # functions (into *this* manager); mint them in the
-                # canonical order so pids match a fresh compile exactly.
-                for kind, port, fn in precompiled[box.name]:
+                # functions (into *this* manager) with their saved pids.
+                for pid, kind, port, fn in precompiled[box.name]:
                     if fn.manager is not self.manager:
                         raise ValueError(
                             "precompiled predicates must live in the data "
                             "plane's manager"
                         )
-                    self._mint(kind, box.name, port, fn)
+                    self._mint(kind, box.name, port, fn, pid)
             else:
                 self._compile_box(box)
 
@@ -96,9 +97,14 @@ class DataPlane:
     # Compilation
     # ------------------------------------------------------------------
 
-    def _mint(self, kind: str, box: str, port: str, fn: Function) -> LabeledPredicate:
-        predicate = LabeledPredicate(self._next_pid, kind, box, port, fn)
-        self._next_pid += 1
+    def _mint(
+        self, kind: str, box: str, port: str, fn: Function,
+        pid: int | None = None,
+    ) -> LabeledPredicate:
+        if pid is None:
+            pid = self._next_pid
+        predicate = LabeledPredicate(pid, kind, box, port, fn)
+        self._next_pid = max(self._next_pid, pid + 1)
         self._predicates[predicate.pid] = predicate
         self._by_slot[(kind, box, port)] = predicate
         if kind == FORWARD:

@@ -8,6 +8,7 @@ BDD predicates lives in :mod:`repro.network.predicates`.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Iterator
 
 from ..headerspace.header import Packet
@@ -15,6 +16,10 @@ from .lpm import PrefixTrie
 from .rules import AclRule, ForwardingRule
 
 __all__ = ["ForwardingTable", "Acl"]
+
+
+def _descending_priority(rule: ForwardingRule) -> int:
+    return -rule.priority
 
 
 class ForwardingTable:
@@ -47,11 +52,9 @@ class ForwardingTable:
         return self._version
 
     def add(self, rule: ForwardingRule) -> None:
-        """Insert keeping the list sorted by descending priority."""
-        index = len(self._rules)
-        while index > 0 and self._rules[index - 1].priority < rule.priority:
-            index -= 1
-        self._rules.insert(index, rule)
+        """Insert keeping the list sorted by descending priority, after
+        every rule of equal priority (earlier wins ties)."""
+        bisect.insort(self._rules, rule, key=_descending_priority)
         self._version += 1
 
     def remove(self, rule: ForwardingRule) -> None:

@@ -645,6 +645,19 @@ class Recorder:
             self._managers.append(manager)
             self._nodes_at_attach.append(len(manager))
 
+    def replace_manager(self, old, new) -> None:
+        """Observe ``new`` in place of ``old`` (a classifier moved its
+        BDDs to a fresh manager); the node baseline restarts at ``new``'s
+        size, and ``old`` is no longer kept alive."""
+        for index, existing in enumerate(self._managers):
+            if existing is old:
+                del self._managers[index]
+                del self._nodes_at_attach[index]
+                break
+        if old.recorder is self:
+            old.recorder = None
+        self.attach_manager(new)
+
     def attach_tree(self, tree) -> None:
         """Start observing an :class:`APTree`."""
         tree.recorder = self

@@ -2,7 +2,7 @@
 
 Real query streams are heavily skewed: a handful of (flow, behavior)
 headers dominate -- the Zipf-shaped workloads the serve benchmarks
-replay.  For those, even the fused batch kernel is wasted work after the
+replay.  For those, even the batch kernel is wasted work after the
 first sighting, and so is the whole micro-batching machinery (future,
 queue slot, dispatcher pass).  :class:`ResultCache` lets the service
 answer repeats synchronously at admission time: one dict probe instead

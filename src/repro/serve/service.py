@@ -11,7 +11,7 @@ underneath it.  This module is that serving layer:
   event-loop pass adds nothing, at ``max_batch`` requests, or after
   ``max_delay_s``, whichever comes first -- into one
   :meth:`~repro.core.classifier.APClassifier.classify_batch` call, so
-  the compiled engine's bit-parallel path is amortized across requests
+  the compiled engine's batch descent is amortized across requests
   that arrived independently.
 * **Inline answers for a lone query.**  A ``query`` that is the first
   request of its event-loop pass, finds the queue empty and no writer
@@ -56,10 +56,10 @@ underneath it.  This module is that serving layer:
   incremental maintenance engine (:mod:`repro.core.incremental`):
   every rule update splices the tree and patches the compiled program
   under the write side of the swap lock, so the batch fast path never
-  goes stale.  The one recompile the service makes is decided by
-  state: after an update or a swap it compiles a program that is not
-  fresh -- one restored by :func:`repro.persist.load` cannot be
-  patched, so its first update recompiles it once.
+  goes stale; a program restored by :func:`repro.persist.load` is
+  patched the same way.  The one recompile the service makes is
+  decided by state: after an update or a swap it compiles a program
+  that is not fresh (a change made around the service).
 * **Live reconstruction** (Section VI-B's
   query-process/reconstruction-process split).
   :meth:`QueryService.reconstruct` rebuilds the universe and tree in a
@@ -810,8 +810,10 @@ class QueryService:
         return await self._apply_rule(box, rule, insert=False)
 
     async def _apply_rule(self, box: str, rule: ForwardingRule, insert: bool):
-        classifier = self.classifier
         async with self._swap_lock.write():
+            # Read inside the write section: a generation adopted while
+            # this update waited for the lock is the one it must reach.
+            classifier = self.classifier
             if insert:
                 changes = classifier.dataplane.insert_rule(box, rule)
             else:
@@ -847,10 +849,9 @@ class QueryService:
     def _compile_if_stale(self, classifier: APClassifier) -> None:
         """Compile ``classifier`` unless its program is fresh.
 
-        Updates patch a compiled program in place, so after one only a
-        program that cannot be patched (restored by
-        :func:`repro.persist.load`) or a change made around the service
-        leaves it stale; a reconstruction swap leaves no program.
+        Updates patch a compiled program in place (a loaded one too),
+        so after one only a change made around the service leaves it
+        stale; a reconstruction swap leaves no program.
         """
         if not classifier.compiled_fresh:
             classifier.compile(self.backend)
@@ -981,7 +982,7 @@ class QueryService:
     def reconstructing(self) -> bool:
         return self._reconstructing
 
-    async def reconstruct(self) -> None:
+    async def reconstruct(self) -> bool:
         """Rebuild universe + tree in the background, then swap.
 
         The heavy work (atomic predicates, tree construction) runs in a
@@ -1001,13 +1002,20 @@ class QueryService:
         same function :class:`repro.core.reconstruction.ReconstructionProcess`
         runs in a separate *process*), and the result is restored into the
         canonical manager back on the loop thread, under the write lock.
+
+        Returns True once the rebuild is swapped in.  A rebuild whose
+        classifier was replaced (:meth:`adopt_generation`) or moved to a
+        fresh BDD manager (a re-home inside an update) while it ran
+        describes structures no longer served: it is dropped, and the
+        call returns False.
         """
         if self._reconstructing:
             raise RuntimeError("a reconstruction is already in flight")
         self._reconstructing = True
         try:
-            classifier = self.classifier
             async with self._swap_lock.write():
+                classifier = self.classifier
+                manager = classifier.dataplane.manager
                 pids, dumped = snapshot_predicates(
                     classifier.dataplane.predicates()
                 )
@@ -1016,9 +1024,12 @@ class QueryService:
                 None, rebuild_snapshot, pids, dumped, classifier.strategy
             )
             async with self._swap_lock.write():
-                universe, tree = restore_rebuild(
-                    payload, classifier.dataplane.manager
-                )
+                if (
+                    self.classifier is not classifier
+                    or classifier.dataplane.manager is not manager
+                ):
+                    return False
+                universe, tree = restore_rebuild(payload, manager)
                 replayed = classifier.install_rebuild(
                     universe, tree, self._journal
                 )
@@ -1030,6 +1041,7 @@ class QueryService:
                 self._invalidate_cache()
                 self._compile_if_stale(classifier)
                 self.counters.swaps += 1
+            return True
         finally:
             self._reconstructing = False
             self._journal = None

@@ -281,12 +281,11 @@ def test_registry_round_trips_exact_and_byte_stable(name):
         restored = load(first)
         assert structure(restored) == structure(original)
         assert classify_all(restored, headers) == classify_all(original, headers)
-        # Every later generation is byte-identical; the first is too
-        # unless the load renumbered pids (boxes not built in sorted order).
+        # Every generation is byte-identical: the load keeps the saved
+        # pids, whatever order the boxes were built in.
         second = save(restored)
         assert save(load(second)) == second
-        if list(network.boxes) == sorted(network.boxes):
-            assert second == first
+        assert second == first
 
 
 class TestCorruption:

@@ -98,6 +98,39 @@ def test_patched_program_stays_exact(name, backend):
     assert engine.patches > 0
 
 
+def program_arrays(compiled) -> dict:
+    return {
+        name: value.tolist() if hasattr(value, "tolist") else value
+        for name, value in compiled.to_arrays().items()
+    }
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_compacted_program_equals_fresh_compile(name):
+    """A compaction is a fresh canonical compile, and that program
+    depends on the atom partition only: after any patch sequence it
+    equals the compile of a tree built from scratch over the same
+    universe, array for array."""
+    classifier, scenario = build(name, available_backends()[0])
+    engine = classifier._engine
+    rng = random.Random(derive_seed(11, name))
+    for update in rule_update_stream(scenario.network(), UPDATES, rng):
+        fallbacks = engine.patch_fallbacks
+        apply(classifier, update)
+        if engine.patch_fallbacks == fallbacks:
+            continue
+        scratch = build_tree(classifier.universe, strategy="random").tree
+        assert program_arrays(classifier.compiled) == program_arrays(
+            CompiledAPTree.compile(scratch)
+        )
+    assert classifier.compiled.patched
+    engine._note_patch_fallback()
+    scratch = build_tree(classifier.universe, strategy="random").tree
+    assert program_arrays(classifier.compiled) == program_arrays(
+        CompiledAPTree.compile(scratch)
+    )
+
+
 @pytest.mark.parametrize("backend", available_backends())
 def test_splits_patched_without_compaction(backend):
     """Split after split on one program, never recompiled: the lone

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro.baselines.mdd import MddClassifier
 from repro.core.classifier import APClassifier
+from repro.core.compiled import CompiledAPTree
 from repro.datasets import internet2_like, random_network, toy_network
+from repro.datasets.registry import get_scenario
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,20 @@ class TestStructure:
         advantage the paper concedes to [10]."""
         _, mdd = toy_pair
         assert mdd.levels == 4  # 32-bit header / 8-bit chunks
+
+
+class TestCanonicalProgram:
+    """The compiled program is the reduced ordered diagram of the atom
+    function: a one-bit-chunk MDD over the same atoms has exactly its
+    interior nodes."""
+
+    @pytest.mark.parametrize("name", ["internet2", "stanford", "clos-ecmp"])
+    def test_one_bit_mdd_matches_compiled_program(self, name):
+        classifier = APClassifier.build(get_scenario(name).network())
+        compiled = CompiledAPTree.compile(classifier.tree)
+        interior = compiled.node_count - compiled.to_arrays()["num_sinks"]
+        mdd = MddClassifier(classifier.universe, chunk_bits=1)
+        assert mdd.node_count == interior
 
 
 class TestTradeoff:

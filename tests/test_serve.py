@@ -532,22 +532,30 @@ class TestDegradation:
                 classifier, max_delay_s=0, recorder=recorder
             ) as service:
                 assert classifier.maintenance == "incremental"
-                compiled = classifier.compiled
+                engine = classifier._engine
                 compiles = recorder.updates.compiles
                 await service.insert_rule("b1", rule)
-                # The program was patched, not recompiled: no window in
-                # which queries take the interpreted tree.
-                assert classifier.compiled is compiled and compiled.patched
+                # The program was patched in place (and, the toy's
+                # canonical program being smaller than the rule's
+                # predicate slice, compacted inline): no window in which
+                # queries take the interpreted tree.
+                assert engine.patches == 1
                 assert classifier.compiled_fresh
-                assert recorder.updates.compiles == compiles
+                assert recorder.updates.compiles == (
+                    compiles + engine.patch_fallbacks
+                )
                 dropped = await service.query(probe, "b1")
                 assert await service.classify(probe) == (
                     classifier.universe.classify(probe)
                 )
+                patched = classifier.compiled
                 await service.remove_rule("b1", rule)
-                assert classifier.compiled is compiled
+                assert engine.patches == 2
+                assert classifier.compiled is patched and patched.patched
                 assert classifier.compiled_fresh
-                assert recorder.updates.compiles == compiles
+                assert recorder.updates.compiles == (
+                    compiles + engine.patch_fallbacks
+                )
                 restored = await service.query(probe, "b1")
                 assert await service.classify(probe) == (
                     classifier.universe.classify(probe)
@@ -563,14 +571,14 @@ class TestDegradation:
             reference.query(probe, "b1")
         )
 
-    def test_loaded_artifact_recompiles_once_then_patches(self, tmp_path):
+    def test_loaded_artifact_is_patched_in_place(self, tmp_path):
         path = tmp_path / "toy.apc"
         persist.save(APClassifier.build(toy_network()), path)
         classifier = persist.load(path)
         recorder = Recorder()
         classifier.set_recorder(recorder)
         loaded = classifier.compiled
-        assert classifier.compiled_fresh and not loaded.patchable
+        assert classifier.compiled_fresh and loaded.patchable
         rules = [
             ForwardingRule(
                 Match.prefix("dst_ip", parse_ipv4(dotted), 24), (), 24
@@ -588,16 +596,17 @@ class TestDegradation:
                 # start() serves the loaded program as it is.
                 assert classifier.compiled is loaded
                 assert recorder.updates.compiles == 0
+                engine = classifier._engine
                 await service.insert_rule("b1", rules[0])
-                # The loaded program cannot be patched: one recompile.
-                recompiled = classifier.compiled
-                assert recompiled is not loaded
-                assert recorder.updates.compiles == 1
+                # The loaded program is patched like a compiled one:
+                # its only recompiles are compactions.
+                assert loaded.patched
                 await service.insert_rule("b1", rules[1])
                 await service.remove_rule("b1", rules[0])
-                assert classifier.compiled is recompiled
-                assert recompiled.patched and classifier.compiled_fresh
-                assert recorder.updates.compiles == 1
+                # (The second rule changes no predicate of b1.)
+                assert engine.patches == 2
+                assert classifier.compiled_fresh
+                assert recorder.updates.compiles == engine.patch_fallbacks
                 return [await service.classify(h) for h in headers]
 
         served = run(scenario())
@@ -610,6 +619,60 @@ class TestDegradation:
                 assert behavior_key(
                     classifier.behavior_of_atom(atom_id, ingress)
                 ) == behavior_key(reference.query(header, ingress))
+
+    def test_update_queued_behind_a_generation_swap_reaches_it(self):
+        """An update that waits for the write lock behind an
+        ``adopt_generation`` lands on the adopted classifier, not on the
+        retired one it would have read before waiting."""
+        retired = APClassifier.build(toy_network())
+        adopted = APClassifier.build(toy_network())
+        rule = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 24), (), 24
+        )
+        probe = parse_ipv4("10.2.0.77")
+
+        async def scenario():
+            async with QueryService(retired, max_delay_s=0) as service:
+                async with service._swap_lock.write():
+                    adopt = asyncio.ensure_future(
+                        service.adopt_generation(adopted)
+                    )
+                    await asyncio.sleep(0.01)
+                    insert = asyncio.ensure_future(
+                        service.insert_rule("b1", rule)
+                    )
+                    await asyncio.sleep(0.01)
+                await adopt
+                await insert
+                assert service.classifier is adopted
+                return await service.query(probe, "b1")
+
+        served = run(scenario())
+        assert served.delivered_hosts() == frozenset()
+        assert adopted.compiled_fresh
+        assert adopted.query(probe, "b1").delivered_hosts() == frozenset()
+        assert retired.query(probe, "b1").delivered_hosts()
+
+    def test_reconstruction_of_a_replaced_generation_is_dropped(
+        self, rebuild_gate
+    ):
+        retired = APClassifier.build(internet2_like())
+        adopted = APClassifier.build(internet2_like())
+        tree = adopted.tree
+
+        async def scenario():
+            async with QueryService(retired, max_delay_s=0) as service:
+                recon = asyncio.ensure_future(service.reconstruct())
+                await asyncio.sleep(0.01)
+                assert service.reconstructing
+                await service.adopt_generation(adopted)
+                rebuild_gate.set()
+                return await recon, service
+
+        swapped, service = run(scenario())
+        assert swapped is False
+        assert service.classifier is adopted and adopted.tree is tree
+        assert service.counters.swaps == 1  # the adoption only
 
     def test_queries_during_reconstruction_match_quiesced(self, rebuild_gate):
         gate = rebuild_gate

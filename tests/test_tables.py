@@ -35,6 +35,21 @@ class TestForwardingTable:
         table.add(prefix_rule("10.0.0.0", 8, "second"))
         assert table.lookup(packet("10.5.5.5")) == ("first",)
 
+    def test_insert_goes_after_equal_priorities(self):
+        """Interleaved priorities: each rule lands after every rule of
+        its priority and before every lower one."""
+        table = ForwardingTable()
+        order = [(8, "a"), (16, "b"), (8, "c"), (24, "d"), (16, "e"),
+                 (8, "f"), (24, "g"), (0, "h"), (16, "i")]
+        for plen, port in order:
+            table.add(prefix_rule("10.0.0.0", plen, port))
+        assert [(r.priority, r.out_ports[0]) for r in table] == [
+            (24, "d"), (24, "g"),
+            (16, "b"), (16, "e"), (16, "i"),
+            (8, "a"), (8, "c"), (8, "f"),
+            (0, "h"),
+        ]
+
     def test_no_match_is_drop(self):
         table = ForwardingTable([prefix_rule("10.0.0.0", 8, "p")])
         assert table.lookup(packet("11.0.0.0")) == ()
