@@ -24,6 +24,13 @@ What gets persisted (one section table entry each, see ``container``):
   writes the canonical atom program; the fused tree programs of earlier
   version-3 artifacts have the same layout and load unchanged.
 
+Header bits and BDD variables: the network's layout carries its variable
+order (``var_order``, written only when it is not packing order), and the
+compiled half's manifest entry carries the same mapping as ``var_shifts``
+(again only when it is not the identity), so :func:`load_serving` needs
+no network.  Version 4 added both; a version-3 artifact has neither and
+reads as packing order, the order it was built in.
+
 Everything but the ``c_*`` sections is the *classifier half*
 (:func:`_classifier_half`); on its own it is how a classifier is copied
 within a process (:func:`classifier_bytes` /
@@ -55,6 +62,7 @@ import time
 from typing import Mapping
 
 from ..bdd import BDDManager, Function
+from ..bdd.manager import packing_shifts
 from ..bdd.serialize import dump_image, load_image
 from ..core.aptree import restore_tree, snapshot_tree, tree_ghosts
 from ..core.atomic import AtomicUniverse
@@ -87,7 +95,9 @@ __all__ = [
 ]
 
 CLASSIFIER_KIND = "repro.classifier"
-PAYLOAD_VERSION = 3
+PAYLOAD_VERSION = 4
+#: Payload versions this build reads: 3 is 4 in packing order.
+_READABLE_VERSIONS = (3, PAYLOAD_VERSION)
 
 
 def _network_digest(network_bytes: bytes) -> str:
@@ -217,6 +227,8 @@ def _manifest_and_sections(
         "f_root": arrays["f_root"],
         "saved_backend": compiled.backend,
     }
+    if arrays["var_shifts"] != packing_shifts(arrays["num_vars"]):
+        manifest["compiled"]["var_shifts"] = list(arrays["var_shifts"])
     sections += [
         (f"c_{name}", dtype, arrays[name]) for name, dtype in _COMPILED_SECTIONS
     ]
@@ -275,10 +287,11 @@ def _check_payload(artifact: Artifact) -> dict:
         raise ArtifactMismatch(
             f"artifact holds {manifest.get('kind')!r}, not a classifier"
         )
-    if manifest.get("payload_version") != PAYLOAD_VERSION:
+    if manifest.get("payload_version") not in _READABLE_VERSIONS:
         raise ArtifactVersionError(
             f"classifier payload version {manifest.get('payload_version')!r} "
-            f"is not supported (this build reads version {PAYLOAD_VERSION})"
+            "is not supported (this build reads versions "
+            f"{', '.join(map(str, _READABLE_VERSIONS))})"
         )
     return manifest
 
@@ -310,6 +323,7 @@ def _compiled_engine(
         compiled = CompiledAPTree.from_arrays(
             {
                 "num_vars": meta.get("num_vars", manifest.get("num_vars")),
+                "var_shifts": meta.get("var_shifts"),
                 "num_sinks": meta["num_sinks"],
                 "f_root": meta["f_root"],
                 **arrays,
@@ -359,7 +373,7 @@ def _restore_classifier_half(
             f"manifest num_vars {num_vars} disagrees with the stored "
             f"network's header layout ({network.layout.total_width} bits)"
         )
-    manager = BDDManager(num_vars)
+    manager = BDDManager(num_vars, var_shifts=network.layout.var_shifts)
 
     meta = manifest.get("predicates") or {}
     stored_pids = meta.get("pids") or []

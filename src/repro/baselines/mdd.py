@@ -57,7 +57,37 @@ class MddClassifier:
             (atom_id, fn.node) for atom_id, fn in sorted(universe.atoms().items())
         )
         self._manager = manager
+        self._reads = self._chunk_reads(manager.var_shifts)
         self.root = self._build(state, level=0)
+
+    def _chunk_reads(self, var_shifts) -> list[tuple[tuple[int, int, int], ...]]:
+        """Per level, how to read its chunk value from a packed header.
+
+        A chunk is ``chunk_bits`` consecutive *variables*, its first one
+        the value's top bit.  Their header bits (``var_shifts``) are
+        split into runs of adjacent bits, each read as one
+        ``(header >> shift) & mask`` placed at ``place`` in the value:
+        one run per chunk when the chunk lies inside one field.
+        """
+        reads = []
+        for level in range(self.levels):
+            first_var = level * self.chunk_bits
+            bits = min(self.chunk_bits, self.width - first_var)
+            runs: list[list[int]] = []  # [lowest shift, length, place]
+            for offset in range(bits):
+                shift = var_shifts[first_var + offset]
+                place = bits - 1 - offset
+                if runs and runs[-1][0] == shift + 1:  # the next bit down
+                    runs[-1][0] = shift
+                    runs[-1][1] += 1
+                    runs[-1][2] = place
+                else:
+                    runs.append([shift, 1, place])
+            reads.append(tuple(
+                (shift, (1 << length) - 1, place)
+                for shift, length, place in runs
+            ))
+        return reads
 
     # ------------------------------------------------------------------
     # Construction
@@ -114,13 +144,11 @@ class MddClassifier:
     def classify(self, header: int) -> int:
         """Atom id of a packed header; O(levels) table indexings."""
         node = self.root
-        width = self.width
-        chunk_bits = self.chunk_bits
+        reads = self._reads
         while isinstance(node, _MddNode):
-            first_var = node.level * chunk_bits
-            bits = min(chunk_bits, width - first_var)
-            shift = width - first_var - bits
-            value = (header >> shift) & ((1 << bits) - 1)
+            value = 0
+            for shift, mask, place in reads[node.level]:
+                value |= ((header >> shift) & mask) << place
             node = node.children[value]
         return node
 

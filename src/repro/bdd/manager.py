@@ -18,8 +18,13 @@ Design notes
   ``apply`` algorithm.  Negation is a memoized terminal swap (no complement
   edges; simplicity wins over the constant-factor saving).
 * Variable order is fixed at construction time: variable 0 is closest to the
-  root.  Callers lay out header bits most-significant-first per field, which
-  keeps prefix-match predicates linear in prefix length.
+  root.  Which header bit a variable stands for is the manager's
+  ``var_shifts`` (variable ``v`` is bit ``var_shifts[v]`` of a packed
+  header), which a :class:`~repro.headerspace.fields.HeaderLayout`
+  computes; the default reads variable 0 as the most significant bit.
+  Node structure never depends on it -- only :meth:`BDDManager.evaluate`,
+  :meth:`~BDDManager.first_sat` and :meth:`~BDDManager.random_sat`, which
+  translate between variables and packed headers, read it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ from __future__ import annotations
 from time import perf_counter as _perf_counter
 from typing import Iterator
 
-__all__ = ["BDDManager", "DEFAULT_CACHE_LIMIT", "FALSE", "TRUE"]
+__all__ = [
+    "BDDManager", "DEFAULT_CACHE_LIMIT", "FALSE", "TRUE", "checked_shifts",
+    "packing_shifts",
+]
 
 FALSE = 0
 TRUE = 1
@@ -59,6 +67,22 @@ _MAX_VARS = 1 << 16
 DEFAULT_CACHE_LIMIT = 1 << 18
 
 
+def packing_shifts(num_vars: int) -> tuple[int, ...]:
+    """The identity mapping: variable ``v`` is bit ``num_vars - 1 - v``."""
+    return tuple(range(num_vars - 1, -1, -1))
+
+
+def checked_shifts(num_vars: int, shifts) -> tuple[int, ...]:
+    """``shifts`` as a tuple of ints; :class:`ValueError` unless it maps
+    ``num_vars`` variables one-to-one onto bits ``0 .. num_vars - 1``."""
+    shifts = tuple(int(shift) for shift in shifts)
+    if sorted(shifts) != list(range(num_vars)):
+        raise ValueError(
+            f"var_shifts must be a permutation of 0..{num_vars - 1}"
+        )
+    return shifts
+
+
 class BDDManager:
     """Owns a universe of BDD nodes over ``num_vars`` Boolean variables.
 
@@ -66,10 +90,17 @@ class BDDManager:
     manager.  The manager never garbage-collects nodes; for this workload
     (predicates of a data plane snapshot) the node population is small and
     stable, and keeping ids immortal keeps every cache valid forever.
+
+    ``var_shifts`` maps each variable to its packed header bit (a
+    layout's :attr:`~repro.headerspace.fields.HeaderLayout.var_shifts`);
+    it defaults to :func:`packing_shifts`.
     """
 
     def __init__(
-        self, num_vars: int, cache_limit: int = DEFAULT_CACHE_LIMIT
+        self,
+        num_vars: int,
+        cache_limit: int = DEFAULT_CACHE_LIMIT,
+        var_shifts=None,
     ) -> None:
         if not 0 < num_vars <= _MAX_VARS:
             raise ValueError(
@@ -86,9 +117,12 @@ class BDDManager:
         #: state costs one attribute check per operation.
         self.recorder = None
         self._cache_clears = 0
-        # Evaluation reads variable i at bit position num_vars - 1 - i;
-        # cache the shift base so the hot loop never recomputes it.
-        self._shift = num_vars - 1
+        #: ``var_shifts[v]``: the right shift that brings variable ``v``
+        #: to bit 0 of a packed header.
+        self.var_shifts = (
+            packing_shifts(num_vars) if var_shifts is None
+            else checked_shifts(num_vars, var_shifts)
+        )
         # Parallel arrays for node fields; indices 0/1 are terminals and the
         # var entries hold a sentinel that sorts after every real variable.
         self._var = [_TERMINAL_VAR, _TERMINAL_VAR]
@@ -105,6 +139,25 @@ class BDDManager:
         self._var_nodes = [self._mk(i, FALSE, TRUE) for i in range(num_vars)]
         self._nvar_nodes = [self._mk(i, TRUE, FALSE) for i in range(num_vars)]
         # Prebound evaluation entry point; see :meth:`make_evaluator`.
+        self.evaluate_from = self.make_evaluator()
+
+    def adopt_var_shifts(self, shifts) -> None:
+        """Take a layout's variable-to-bit mapping on a manager that has
+        built nothing yet (only its terminals and single-variable nodes).
+
+        Node structure does not depend on the mapping, but every function
+        already built means headers of the old one.  Raises
+        :class:`ValueError` on a used manager whose mapping differs.
+        """
+        shifts = checked_shifts(self.num_vars, shifts)
+        if shifts == self.var_shifts:
+            return
+        if len(self) != 2 + 2 * self.num_vars:
+            raise ValueError(
+                "cannot change the variable-to-bit mapping of a manager "
+                f"that already holds {len(self)} nodes"
+            )
+        self.var_shifts = shifts
         self.evaluate_from = self.make_evaluator()
 
     # ------------------------------------------------------------------
@@ -512,20 +565,19 @@ class BDDManager:
     def evaluate(self, u: int, assignment: int) -> bool:
         """Evaluate ``u`` under a packed assignment.
 
-        ``assignment`` carries variable ``i`` in bit position
-        ``num_vars - 1 - i`` so that the integer reads naturally as the
-        packet header with variable 0 as the most significant bit.  This is
-        the single hottest operation of the whole library: every AP Tree
-        node visit and every linear-scan baseline step lands here.  Hot
-        loops should prefer :attr:`evaluate_from`, which has the node
-        arrays and shift prebound.
+        ``assignment`` is a packed header: it carries variable ``i`` at
+        bit ``var_shifts[i]``.  This is the single hottest operation of the
+        whole library: every AP Tree node visit and every linear-scan
+        baseline step lands here.  Hot loops should prefer
+        :attr:`evaluate_from`, which has the node arrays and shifts
+        prebound.
         """
         var = self._var
         low = self._low
         high = self._high
-        shift = self._shift
+        shifts = self.var_shifts
         while u > TRUE:
-            if (assignment >> (shift - var[u])) & 1:
+            if (assignment >> shifts[var[u]]) & 1:
                 u = high[u]
             else:
                 u = low[u]
@@ -534,7 +586,7 @@ class BDDManager:
     def make_evaluator(self):
         """Build ``evaluate_from(entry, header)`` with prebound locals.
 
-        The closure captures the node arrays and the shift base once, so
+        The closure captures the node arrays and the shifts once, so
         repeated calls skip every ``self.`` lookup of :meth:`evaluate`.
         It stays valid as the manager grows: the arrays are only ever
         appended to in place, never replaced.  An instance is installed as
@@ -543,12 +595,12 @@ class BDDManager:
         var = self._var
         low = self._low
         high = self._high
-        shift = self._shift
+        shifts = self.var_shifts
 
         def evaluate_from(entry: int, assignment: int) -> bool:
             u = entry
             while u > TRUE:
-                if (assignment >> (shift - var[u])) & 1:
+                if (assignment >> shifts[var[u]]) & 1:
                     u = high[u]
                 else:
                     u = low[u]
@@ -601,8 +653,10 @@ class BDDManager:
     def random_sat(self, u: int, rng) -> int:
         """Sample a uniformly random satisfying assignment of ``u``.
 
-        Returns a packed integer in the same layout as :meth:`evaluate`.
-        Used by workload generators to synthesize packets "randomly with
+        Returns a packed header, as :meth:`evaluate` reads one.  The walk
+        draws variables in variable order, so one ``rng`` stream yields
+        different headers under different orders (each uniform).  Used
+        by workload generators to synthesize packets "randomly with
         respect to the atomic predicates" (Section VII-D).
         """
         if u == FALSE:
@@ -627,14 +681,14 @@ class BDDManager:
             return hit
 
         assignment = 0
-        shift = self.num_vars - 1
+        shifts = self.var_shifts
         var = 0
         node = u
         while var < self.num_vars:
             if node <= TRUE or self._var[node] > var:
                 # Variable unconstrained here: flip a fair coin.
                 if rng.random() < 0.5:
-                    assignment |= 1 << (shift - var)
+                    assignment |= 1 << shifts[var]
                 var += 1
                 continue
             lo, hi = self._low[node], self._high[node]
@@ -642,7 +696,7 @@ class BDDManager:
             hi_weight = models(hi) << (self._gap(var, hi) - 1)
             total = lo_weight + hi_weight
             if rng.randrange(total) < hi_weight:
-                assignment |= 1 << (shift - var)
+                assignment |= 1 << shifts[var]
                 node = hi
             else:
                 node = lo
@@ -650,27 +704,28 @@ class BDDManager:
         return assignment
 
     def first_sat(self, u: int) -> int:
-        """The smallest satisfying assignment of ``u`` as a packed integer.
+        """The least satisfying assignment of ``u``, as a packed header.
 
         Walks from the root preferring the low (0) branch whenever it is
-        satisfiable; variables the BDD does not constrain stay 0.  Because
-        variable ``i`` sits at bit ``num_vars - 1 - i``, this greedy walk
-        yields the numerically minimal witness -- a canonical, label-free
-        representative of the satisfying set, which the parallel pipeline
-        uses both to locate overlapping atoms during universe merges and
-        to renumber atoms deterministically.
+        satisfiable; variables the BDD does not constrain stay 0.  The
+        witness is therefore minimal in *variable* order (read variable
+        0 as the most significant digit) -- the numerically smallest
+        header only when variables follow packing order.  Either way it
+        is a canonical, label-free representative of the satisfying set,
+        which atom renumbering (:meth:`AtomicUniverse.renumber_canonical`)
+        and the diff peel rely on.
         """
         if u == FALSE:
             raise ValueError("cannot extract a witness from an unsatisfiable BDD")
         assignment = 0
-        shift = self._shift
+        shifts = self.var_shifts
         node = u
         while node > TRUE:
             low = self._low[node]
             if low != FALSE:
                 node = low
             else:
-                assignment |= 1 << (shift - self._var[node])
+                assignment |= 1 << shifts[self._var[node]]
                 node = self._high[node]
         return assignment
 

@@ -63,7 +63,7 @@ import gc
 from typing import Sequence
 
 from .. import config
-from ..bdd.manager import BDDManager, TRUE
+from ..bdd.manager import BDDManager, TRUE, checked_shifts, packing_shifts
 from . import kernel as _kernel
 from .aptree import APTree
 from .kernel import (
@@ -217,34 +217,34 @@ def _level_order(mvar, mlow, mhigh, root: int) -> list[int]:
 def _bit_matrix(headers: Sequence[int], num_vars: int):
     """``(len(headers), num_vars)`` uint8 matrix of header bits (numpy).
 
-    Variable ``i`` lives at bit ``num_vars - 1 - i`` of a packed header,
-    so dumping each header big-endian and unpacking bits yields columns
-    already indexed by variable.
+    Column ``j`` is bit ``j`` of the packed header (little-endian
+    bytes, unpacked little-endian), so variable ``v`` is column
+    ``var_shifts[v]``.
     """
     nbytes = (num_vars + 7) // 8
-    pad = nbytes * 8 - num_vars
-    buf = b"".join((h << pad).to_bytes(nbytes, "big") for h in headers)
+    buf = b"".join(h.to_bytes(nbytes, "little") for h in headers)
     packed = _np.frombuffer(buf, dtype=_np.uint8).reshape(len(headers), nbytes)
-    return _np.unpackbits(packed, axis=1)[:, :num_vars]
+    return _np.unpackbits(packed, axis=1, bitorder="little")[:, :num_vars]
 
 
 class _BitColumns:
     """Lazy per-variable lane masks for the stdlib bit-parallel path.
 
     Column ``v`` is one big int whose bit ``j`` is header ``j``'s value
-    of variable ``v``.  Columns are built on first use: only variables
-    that actually appear in a program are ever transposed.
+    of variable ``v`` (its bit ``var_shifts[v]``).  Columns are built on
+    first use: only variables that actually appear in a program are
+    ever transposed.
     """
 
-    def __init__(self, headers: Sequence[int], num_vars: int) -> None:
+    def __init__(self, headers: Sequence[int], var_shifts) -> None:
         self._headers = headers
-        self._shift = num_vars - 1
+        self._var_shifts = var_shifts
         self._cols: dict[int, int] = {}
 
     def column(self, var: int) -> int:
         col = self._cols.get(var)
         if col is None:
-            shift = self._shift - var
+            shift = self._var_shifts[var]
             word = 0
             bit = 0
             parts: list[bytes] = []
@@ -296,9 +296,11 @@ class FlatBDDSet:
         self._low = low
         self._high = high
         self._entries = [entry_of[root] for root in self.roots]
-        self._shifts = [self.num_vars - 1 - v for v in var]
+        var_shifts = manager.var_shifts
+        self._shifts = [var_shifts[v] for v in var]
         if self.backend == NUMPY_BACKEND:
-            self._np_var = _np.asarray(var, dtype=_np.int32)
+            # Per node, the :func:`_bit_matrix` column it tests.
+            self._np_column = _np.asarray(self._shifts, dtype=_np.int32)
             child = _np.empty(2 * len(var), dtype=_np.int32)
             child[0::2] = low
             child[1::2] = high
@@ -351,7 +353,7 @@ class FlatBDDSet:
         """Per-root lane masks: bit ``j`` of mask ``i`` is root ``i``'s
         verdict for header ``j`` (stdlib bit-parallel propagation)."""
         full = (1 << len(headers)) - 1
-        columns = _BitColumns(headers, self.num_vars)
+        columns = _BitColumns(headers, self.manager.var_shifts)
         return [
             self._propagate(entry, full, columns) for entry in self._entries
         ]
@@ -429,7 +431,7 @@ class FlatBDDSet:
             flat_bits = _np.ascontiguousarray(bits).ravel()
             base = lanes * self.num_vars
             child = self._np_child
-            var = self._np_var
+            column = self._np_column
             for index, entry in enumerate(self._entries):
                 if base.size == 0:
                     break
@@ -438,8 +440,7 @@ class FlatBDDSet:
                     active = cur > TRUE
                     if not active.any():
                         break
-                    v = var.take(cur)
-                    b = flat_bits.take(base + v)
+                    b = flat_bits.take(base + column.take(cur))
                     step = child.take(2 * cur + b)
                     cur = _np.where(active, step, cur)
                 matched = cur == TRUE
@@ -450,7 +451,7 @@ class FlatBDDSet:
                     lanes = lanes[keep]
                     base = base[keep]
         else:
-            columns = _BitColumns(headers, self.num_vars)
+            columns = _BitColumns(headers, self.manager.var_shifts)
             remaining = (1 << n) - 1
             for index, entry in enumerate(self._entries):
                 if not remaining:
@@ -474,7 +475,7 @@ class FlatBDDSet:
         flat_bits = _np.ascontiguousarray(bits).ravel()
         base = _np.arange(n, dtype=_np.int32) * self.num_vars
         child = self._np_child
-        var = self._np_var
+        column = self._np_column
         matrix = _np.empty((len(self._entries), n), dtype=_np.uint8)
         for row, entry in enumerate(self._entries):
             cur = _np.full(n, entry, dtype=_np.int32)
@@ -482,8 +483,7 @@ class FlatBDDSet:
                 active = cur > TRUE
                 if not active.any():
                     break
-                v = var.take(cur)
-                b = flat_bits.take(base + v)
+                b = flat_bits.take(base + column.take(cur))
                 step = child.take(2 * cur + b)
                 cur = _np.where(active, step, cur)
             matrix[row] = cur
@@ -614,6 +614,8 @@ class CompiledAPTree:
         self.tree_version = tree.version
         self.backend = _resolve_backend(backend)
         self.num_vars = tree.manager.num_vars
+        #: Variable ``v`` is bit ``var_shifts[v]`` of a packed header.
+        self.var_shifts = tree.manager.var_shifts
         atoms = sorted(tree.universe.atoms().items())
         assert [atom for atom, _ in atoms] == sorted(tree._leaf_index), (
             "the tree's leaves are not its universe's atoms"
@@ -624,8 +626,8 @@ class CompiledAPTree:
         self._f_var = [0] * num_sinks + f_var
         self._f_low = list(range(num_sinks)) + f_low
         self._f_high = list(range(num_sinks)) + f_high
-        top = self.num_vars - 1
-        self._shifts = [top - v for v in self._f_var]
+        var_shifts = self.var_shifts
+        self._shifts = [var_shifts[v] for v in self._f_var]
         self._reset_patching()
         self._refresh_accelerated()
 
@@ -684,6 +686,7 @@ class CompiledAPTree:
             f_child[1::2] = _as_int_list(self._f_high)
         return {
             "num_vars": self.num_vars,
+            "var_shifts": self.var_shifts,
             "num_sinks": self._num_sinks,
             "f_root": self._f_root,
             "f_var": self._f_var,
@@ -713,6 +716,8 @@ class CompiledAPTree:
         but is fresh for no live tree (see :meth:`is_fresh_for`).  Pass
         the restored tree plus its version to stamp the engine fresh;
         such an engine is patched in place like a compiled one.
+        Without a ``var_shifts`` entry variables follow packing order;
+        with a tree, the entry must be its manager's mapping.
         """
         self = cls.__new__(cls)
         self.tree = tree
@@ -722,6 +727,15 @@ class CompiledAPTree:
         )
         self.backend = _resolve_backend(backend)
         self.num_vars = int(arrays["num_vars"])
+        var_shifts = arrays.get("var_shifts")
+        self.var_shifts = (
+            packing_shifts(self.num_vars) if var_shifts is None
+            else checked_shifts(self.num_vars, var_shifts)
+        )
+        if tree is not None and tree.manager.var_shifts != self.var_shifts:
+            raise ValueError(
+                "the program's variable-to-bit mapping is not its tree's"
+            )
         self._num_sinks = int(arrays["num_sinks"])
         self._f_root = int(arrays["f_root"])
         self._shifts = None  # derived with the scalar lists
@@ -754,8 +768,8 @@ class CompiledAPTree:
         self._f_low = _as_int_list(self._f_low)
         self._f_high = _as_int_list(self._f_high)
         self._f_atom = _as_int_list(self._f_atom)
-        top = self.num_vars - 1
-        self._shifts = [top - v for v in _as_int_list(self._f_var)]
+        var_shifts = self.var_shifts
+        self._shifts = [var_shifts[v] for v in _as_int_list(self._f_var)]
 
     def _init_kernel(self, f_var) -> None:
         """Precompute the descent's bit-lookup tables and scratch.
@@ -769,11 +783,11 @@ class CompiledAPTree:
         """
         if self.backend == NATIVE_BACKEND:
             self._f_word, self._f_shift = _kernel.shift_arrays(
-                f_var, self.num_vars
+                f_var, self.var_shifts
             )
         else:
             self._bit2, self._child2 = _kernel.doubled_tables(
-                f_var, self._np_f_child, self.num_vars
+                f_var, self._np_f_child, self.var_shifts
             )
         self._scratch = _kernel.KernelScratch()
         self._sync_program()
@@ -897,8 +911,8 @@ class CompiledAPTree:
         fresh = self._free_sinks.pop()
         f_var, f_low, f_high = self._f_var, self._f_low, self._f_high
         shifts = self._shifts
+        var_shifts = self.var_shifts
         parents = self._parents
-        top = self.num_vars - 1
         base = len(f_var)
         entry = base + root
         for sink in sinks:
@@ -916,7 +930,7 @@ class CompiledAPTree:
             self._free_sinks.append(sink)
         for v, lo, hi in body:
             f_var.append(v)
-            shifts.append(top - v)
+            shifts.append(var_shifts[v])
             f_low.append(
                 keep if lo == TRUE else fresh if lo == 0 else base + lo - 2
             )

@@ -6,10 +6,11 @@
   For the common ``num_vars <= 64`` case a caller-supplied numpy
   ``uint64`` array *is already* the packed form, so array-in callers pay
   zero packing work; list-in callers get one ``np.fromiter`` pass.
-  Variable ``v`` of a header is bit ``num_vars - 1 - v`` of the packed
-  integer, so where each program node reads its bit is a compile-time
-  constant (:func:`doubled_tables` for numpy, :func:`shift_arrays` for
-  the C kernel).
+  Variable ``v`` of a header is bit ``var_shifts[v]`` of the packed
+  integer (the layout's mapping, owned by its BDD manager), so where
+  each program node reads its bit is a compile-time constant
+  (:func:`doubled_tables` for numpy, :func:`shift_arrays` for the C
+  kernel).
 * **Scratch reuse** (:class:`KernelScratch`).  The list packing buffer
   is allocated once per engine and reused across batches; a
   non-blocking lock hands it to one caller at a time and concurrent
@@ -149,35 +150,47 @@ def words_per_header(num_vars: int) -> int:
     return max(1, (num_vars + 63) // 64)
 
 
-def shift_arrays(f_var, num_vars: int):
+def _node_shifts(f_var, var_shifts):
+    """``var_shifts[f_var[i]]`` per program node, as int64.
+
+    Sinks carry var 0 placeholders, so every entry is a valid bit; a
+    variable outside the mapping (a corrupt program) is a ValueError.
+    """
+    table = _np.asarray(var_shifts, dtype=_np.int64)
+    f_var = _np.asarray(f_var)
+    if f_var.size and not (
+        0 <= int(f_var.min()) and int(f_var.max()) < table.size
+    ):
+        raise ValueError(
+            f"program tests a variable outside 0..{table.size - 1}"
+        )
+    return table.take(f_var)
+
+
+def shift_arrays(f_var, var_shifts):
     """Per-program-node ``(word, shift)`` int32 arrays for the C kernel.
 
-    Variable ``v`` is bit ``num_vars - 1 - v`` of the packed header, so
+    Variable ``v`` is bit ``var_shifts[v]`` of the packed header, so
     node ``i`` testing ``f_var[i]`` reads word ``shift >> 6`` at in-word
     shift ``shift & 63``.  Precomputed once at compile/load time.
     """
-    shifts = (num_vars - 1) - _np.asarray(f_var, dtype=_np.int64)
-    # Sinks carry var 0 placeholders; clamp so derived indices stay valid.
-    shifts = _np.maximum(shifts, 0)
+    shifts = _node_shifts(f_var, var_shifts)
     word = (shifts >> 6).astype(_np.int32)
     shift = (shifts & 63).astype(_np.int32)
     return _np.ascontiguousarray(word), _np.ascontiguousarray(shift)
 
 
-def doubled_tables(f_var, f_child, num_vars: int):
+def doubled_tables(f_var, f_child, var_shifts):
     """Per-program-node ``(bit2, child2)`` intp tables for the numpy descent.
 
     Its cursors hold ``2 * node``: ``bit2[2i]`` is the bit column node
-    ``i`` tests (variable ``v`` is column ``num_vars - 1 - v``; cursors
-    are always even, so odd slots are never read), and
-    ``child2 = 2 * f_child``, so ``child2[cur + bit]`` is already the
-    next doubled cursor.
+    ``i`` tests (variable ``v`` is column ``var_shifts[v]``, the bit of
+    the packed integer; cursors are always even, so odd slots are never
+    read), and ``child2 = 2 * f_child``, so ``child2[cur + bit]`` is
+    already the next doubled cursor.
     """
     bit2 = _np.zeros(2 * len(f_var), dtype=_np.intp)
-    column = bit2[0::2]
-    _np.subtract(num_vars - 1, f_var, out=column)
-    # Sinks carry var 0 placeholders; clamp so derived indices stay valid.
-    _np.maximum(column, 0, out=column)
+    bit2[0::2] = _node_shifts(f_var, var_shifts)
     child2 = f_child.astype(_np.intp)
     child2 <<= 1
     return bit2, child2

@@ -122,7 +122,9 @@ def _restore_universe(payload: dict, manager: BDDManager) -> AtomicUniverse:
     )
 
 
-def rebuild_snapshot(pids: Sequence[int], image: Image, strategy: str) -> dict:
+def rebuild_snapshot(
+    pids: Sequence[int], image: Image, strategy: str, var_shifts=None
+) -> dict:
     """The one isolated rebuild: predicate snapshot in, payload out.
 
     Receives only plain data and deserializes into a manager of its own,
@@ -131,8 +133,12 @@ def rebuild_snapshot(pids: Sequence[int], image: Image, strategy: str) -> dict:
     touching the canonical, lock-free :class:`BDDManager` the query
     process keeps mutating.  Canonical renumbering plus a fixed tree
     ``rng`` make the payload a function of the snapshot alone.
+    ``var_shifts`` is the snapshot manager's mapping (packing order when
+    omitted): canonical renumbering orders atoms by their
+    :meth:`~BDDManager.first_sat` header, which depends on it.
     """
-    manager = BDDManager(image[0])  # the image carries its num_vars
+    # The image carries its num_vars.
+    manager = BDDManager(image[0], var_shifts=var_shifts)
     labeled = [
         LabeledPredicate(pid, "forward", "recon", "recon", Function(manager, node))
         for pid, node in zip(pids, load_image(manager, image))
@@ -241,7 +247,9 @@ class ReconstructionProcess:
             raise ReconstructionWorkerDied("reconstruction worker is closed")
         pids, image = snapshot_predicates(predicates)
         try:
-            self._conn.send((pids, image, self.strategy))
+            self._conn.send(
+                (pids, image, self.strategy, self.manager.var_shifts)
+            )
         except OSError:  # BrokenPipeError included
             raise self._died("receiving a rebuild") from None
         if self.recorder is not None:

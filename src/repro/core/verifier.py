@@ -154,10 +154,11 @@ class NetworkVerifier:
                 break
             constraints = []
             for field in layout.fields:
+                first = field.var_offset
                 bits = [
-                    (var - field.offset, polarity)
+                    (var - first, polarity)
                     for var, polarity in cube.items()
-                    if field.offset <= var < field.offset + field.width
+                    if first <= var < first + field.width
                 ]
                 if not bits:
                     continue

@@ -245,7 +245,8 @@ def diff_generations(
     """
     if before.dataplane.layout != after.dataplane.layout:
         raise ValueError(
-            "cannot diff generations over different header layouts"
+            "cannot diff generations over different header layouts "
+            "(fields or BDD variable order)"
         )
     started = time.perf_counter()
     manager = before.dataplane.manager
@@ -363,8 +364,9 @@ def _sweep(
         # tree) the unique before-atom covering it.  Before-atoms
         # partition the space, so ``remaining`` strictly shrinks and
         # the loop body runs exactly once per non-empty overlap.  The
-        # witness is ``remaining``'s least header, so also the overlap's;
-        # the last overlap, ``remaining`` itself, is found building nothing.
+        # witness is ``remaining``'s least header in variable order, so
+        # also the overlap's; the last overlap, ``remaining`` itself, is
+        # found building nothing.
         remaining = after_fn
         while True:
             witness = remaining.first_sat()

@@ -113,11 +113,13 @@ def format_ipv6(value: int) -> str:
 
 @dataclass(frozen=True)
 class HeaderField:
-    """One named field with a width in bits and a computed bit offset."""
+    """One named field: a width in bits, its bit offset in packing order
+    and its first BDD variable (``var_offset``)."""
 
     name: str
     width: int
     offset: int = 0
+    var_offset: int = 0
 
     def __post_init__(self) -> None:
         if self.width <= 0:
@@ -129,24 +131,61 @@ class HeaderField:
 
 
 class HeaderLayout:
-    """An ordered collection of fields defining the packet header format."""
+    """An ordered collection of fields defining the packet header format.
 
-    def __init__(self, fields: Iterable[tuple[str, int]]) -> None:
+    ``fields`` are ``(name, width)`` pairs in packing order.
+    ``var_order`` lists the same names in BDD variable order; omitted,
+    variables follow packing order.
+    """
+
+    def __init__(
+        self,
+        fields: Iterable[tuple[str, int]],
+        var_order: Iterable[str] | None = None,
+    ) -> None:
+        specs = list(fields)
+        widths: dict[str, int] = {}
+        offsets: dict[str, int] = {}
         offset = 0
-        ordered: list[HeaderField] = []
-        by_name: dict[str, HeaderField] = {}
-        for name, width in fields:
-            if name in by_name:
+        for name, width in specs:
+            if name in widths:
                 raise ValueError(f"duplicate field name {name!r}")
-            field = HeaderField(name, width, offset)
-            ordered.append(field)
-            by_name[name] = field
+            widths[name] = width
+            offsets[name] = offset
             offset += width
-        if not ordered:
+        if not specs:
             raise ValueError("a header layout needs at least one field")
-        self.fields: tuple[HeaderField, ...] = tuple(ordered)
+        order = tuple(widths) if var_order is None else tuple(var_order)
+        if sorted(order) != sorted(widths):
+            raise ValueError(
+                f"var_order {list(order)} must list each field of "
+                f"{list(widths)} exactly once"
+            )
+        var_offsets: dict[str, int] = {}
+        first_var = 0
+        for name in order:
+            var_offsets[name] = first_var
+            first_var += widths[name]
+        by_name = {
+            name: HeaderField(name, width, offsets[name], var_offsets[name])
+            for name, width in specs
+        }
+        self.fields: tuple[HeaderField, ...] = tuple(by_name.values())
         self._by_name = by_name
         self.total_width = offset
+        #: Field names in BDD variable order.
+        self.var_order: tuple[str, ...] = order
+        shifts = [0] * offset
+        for field in self.fields:
+            top = offset - 1 - field.offset  # the field's MSB, as a shift
+            first = field.var_offset
+            shifts[first : first + field.width] = range(
+                top, top - field.width, -1
+            )
+        #: ``var_shifts[v]`` is the right shift that brings variable
+        #: ``v`` to bit 0 of a packed header; in packing order it is
+        #: ``total_width - 1 - v``.
+        self.var_shifts: tuple[int, ...] = tuple(shifts)
 
     def field(self, name: str) -> HeaderField:
         try:
@@ -162,7 +201,14 @@ class HeaderLayout:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
+    @property
+    def packing_var_order(self) -> bool:
+        """Do BDD variables follow packing order?"""
+        return self.var_order == tuple(field.name for field in self.fields)
+
     def __eq__(self, other: object) -> bool:
+        # ``fields`` carry their var offsets, so equal layouts also
+        # agree on the variable order.
         return isinstance(other, HeaderLayout) and self.fields == other.fields
 
     def __hash__(self) -> int:
@@ -209,13 +255,13 @@ class HeaderLayout:
         return (header >> shift) & field.max_value
 
     # ------------------------------------------------------------------
-    # Bit positions (= BDD variable indices)
+    # BDD variable indices
     # ------------------------------------------------------------------
 
     def bit_positions(self, name: str) -> range:
         """Variable indices covering field ``name``, MSB first."""
         field = self.field(name)
-        return range(field.offset, field.offset + field.width)
+        return range(field.var_offset, field.var_offset + field.width)
 
     def exact_literals(self, name: str, value: int) -> dict[int, bool]:
         """Literals (var -> polarity) for ``field == value``."""
@@ -223,7 +269,7 @@ class HeaderLayout:
         if not 0 <= value <= field.max_value:
             raise ValueError(f"value {value} out of range for {name!r}")
         return {
-            field.offset + i: bool((value >> (field.width - 1 - i)) & 1)
+            field.var_offset + i: bool((value >> (field.width - 1 - i)) & 1)
             for i in range(field.width)
         }
 
@@ -239,7 +285,7 @@ class HeaderLayout:
                 f"prefix length {prefix_len} out of range for {name!r}"
             )
         return {
-            field.offset + i: bool((value >> (field.width - 1 - i)) & 1)
+            field.var_offset + i: bool((value >> (field.width - 1 - i)) & 1)
             for i in range(prefix_len)
         }
 
@@ -249,8 +295,17 @@ def dst_ip_layout() -> HeaderLayout:
     return HeaderLayout([("dst_ip", 32)])
 
 
+#: Destination first: every forwarding predicate tests the destination,
+#: so refinements are not built below the untested source levels.
+_FIVE_TUPLE_VAR_ORDER = ("dst_ip", "src_ip", "src_port", "dst_port", "proto")
+
+
 def five_tuple_layout() -> HeaderLayout:
-    """Classic 5-tuple layout used when ACLs filter on transport fields."""
+    """Classic 5-tuple layout used when ACLs filter on transport fields.
+
+    Packed ``src_ip, dst_ip, src_port, dst_port, proto``; BDD variables
+    run destination first.
+    """
     return HeaderLayout(
         [
             ("src_ip", 32),
@@ -258,7 +313,8 @@ def five_tuple_layout() -> HeaderLayout:
             ("src_port", 16),
             ("dst_port", 16),
             ("proto", 8),
-        ]
+        ],
+        var_order=_FIVE_TUPLE_VAR_ORDER,
     )
 
 
@@ -268,7 +324,11 @@ def dst_ip6_layout() -> HeaderLayout:
 
 
 def five_tuple6_layout() -> HeaderLayout:
-    """IPv6 5-tuple: 296 header bits; exercises the engine at full width."""
+    """IPv6 5-tuple: 296 header bits; exercises the engine at full width.
+
+    Packed source first, BDD variables destination first, like
+    :func:`five_tuple_layout`.
+    """
     return HeaderLayout(
         [
             ("src_ip6", 128),
@@ -276,5 +336,6 @@ def five_tuple6_layout() -> HeaderLayout:
             ("src_port", 16),
             ("dst_port", 16),
             ("proto", 8),
-        ]
+        ],
+        var_order=("dst_ip6", "src_ip6", "src_port", "dst_port", "proto"),
     )

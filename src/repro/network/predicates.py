@@ -36,12 +36,20 @@ class PredicateCompiler:
 
     def __init__(self, layout: HeaderLayout, manager: BDDManager | None = None) -> None:
         self.layout = layout
-        self.manager = manager if manager is not None else BDDManager(layout.total_width)
-        if self.manager.num_vars != layout.total_width:
+        if manager is None:
+            manager = BDDManager(
+                layout.total_width, var_shifts=layout.var_shifts
+            )
+        elif manager.num_vars != layout.total_width:
             raise ValueError(
-                f"manager has {self.manager.num_vars} variables but layout "
+                f"manager has {manager.num_vars} variables but layout "
                 f"needs {layout.total_width}"
             )
+        else:
+            # A manager made bare (``BDDManager(n)``) takes the layout's
+            # variable-to-bit mapping before it builds anything.
+            manager.adopt_var_shifts(layout.var_shifts)
+        self.manager = manager
         self._true = Function.true(self.manager)
         self._false = Function.false(self.manager)
 

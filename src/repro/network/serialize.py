@@ -6,7 +6,9 @@ to a JSON document and back. Used to freeze dataset instances to disk
 to move a plane between processes without re-generating it.
 
 The format is versioned and deliberately flat: one object per rule, no
-cross-references, so snapshots stay diff-able and hand-editable.
+cross-references, so snapshots stay diff-able and hand-editable.  The
+layout's BDD variable order is written as ``var_order`` only when it is
+not packing order; a document without it reads as packing order.
 """
 
 from __future__ import annotations
@@ -84,10 +86,15 @@ def network_to_json(network: Network) -> str:
                 },
             }
         )
+    layout = network.layout
     payload = {
         "version": FORMAT_VERSION,
         "name": network.name,
-        "layout": [[field.name, field.width] for field in network.layout.fields],
+        "layout": [[field.name, field.width] for field in layout.fields],
+    }
+    if not layout.packing_var_order:
+        payload["var_order"] = list(layout.var_order)
+    payload.update({
         "boxes": boxes,
         "links": [
             {"src_box": src.box, "src_port": src.port,
@@ -98,7 +105,7 @@ def network_to_json(network: Network) -> str:
             {"box": ref.box, "port": ref.port, "host": host}
             for ref, host in sorted(network.topology.hosts())
         ],
-    }
+    })
     return json.dumps(payload, indent=2)
 
 
@@ -111,7 +118,10 @@ def network_from_json(text: str) -> Network:
             f"unsupported snapshot version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    layout = HeaderLayout([(name, width) for name, width in payload["layout"]])
+    layout = HeaderLayout(
+        [(name, width) for name, width in payload["layout"]],
+        var_order=payload.get("var_order"),
+    )
     network = Network(layout, name=payload["name"])
     for box_obj in payload["boxes"]:
         box = network.add_box(box_obj["name"])

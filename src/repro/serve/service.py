@@ -79,6 +79,7 @@ timeouts, p50/p99 service latency, swaps) lands in
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 import weakref
 from collections import deque
@@ -147,6 +148,29 @@ class _Request:
         self.ingress = ingress
         self.in_port = in_port
         self.admitted_at = admitted_at
+
+
+class _Snapshot:
+    """One generation's classifier half, and its replica decoded on
+    first use.
+
+    The replica is the read-only ``before`` side of every what-if at
+    the generation (classify, stage 2, slot lookups); overlaps are built
+    in each what-if's own shadow.  Retiring the snapshot retires both.
+    """
+
+    __slots__ = ("blob", "_replica", "_lock")
+
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+        self._replica: APClassifier | None = None
+        self._lock = threading.Lock()  # executor threads decode it
+
+    def replica(self) -> APClassifier:
+        with self._lock:
+            if self._replica is None:
+                self._replica = classifier_from_bytes(self.blob)
+            return self._replica
 
 
 class _SwapLock:
@@ -319,10 +343,10 @@ class QueryService:
         # classify request for it.  Confined to the event-loop thread;
         # entries are removed wherever their future is completed.
         self._inflight: dict[int, asyncio.Future] = {}
-        # The live generation's classifier half (artifact bytes) for
-        # diff/what-if isolation, retired with the result cache.
-        # Confined to the event-loop thread.
-        self._snapshot: bytes | None = None
+        # The live generation's classifier half for diff/what-if
+        # isolation, retired with the result cache.  Set and cleared on
+        # the event-loop thread only.
+        self._snapshot: _Snapshot | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -860,7 +884,7 @@ class QueryService:
     # Verification queries: generation diff and what-if (repro.diff)
     # ------------------------------------------------------------------
 
-    def _live_snapshot(self) -> bytes:
+    def _live_snapshot(self) -> _Snapshot:
         """The live generation's classifier half, cached per generation.
 
         Must run under a read section of the swap lock on the loop
@@ -870,12 +894,13 @@ class QueryService:
         see a half-applied update.  Encoding reads the classifier but
         never its compiled program, so a patched program is not
         recompiled here.  Repeated diff/what-if calls at the same
-        generation reuse the cached bytes, so only the first call after
-        a mutation pays the serialization.
+        generation reuse the cached bytes (and what-ifs its decoded
+        replica), so only the first call after a mutation pays the
+        serialization.
         """
         self._check_generation()
         if self._snapshot is None:
-            self._snapshot = classifier_bytes(self.classifier)
+            self._snapshot = _Snapshot(classifier_bytes(self.classifier))
         return self._snapshot
 
     async def diff_generation(
@@ -899,13 +924,17 @@ class QueryService:
             snapshot = self._live_snapshot()
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            None, self._diff_worker, snapshot, other, ingress_box, limit
+            None, self._diff_worker, snapshot.blob, other, ingress_box, limit
         )
 
     def _diff_worker(
         self, snapshot: bytes, other, ingress_box: str, limit: int | None
     ) -> dict:
-        """Executor-thread half of :meth:`diff_generation`."""
+        """Executor-thread half of :meth:`diff_generation`.
+
+        Decodes a replica of its own: the sweep loads the other
+        generation's atoms into the live side's manager.
+        """
         from .. import persist
         from ..diff import diff_generations
 
@@ -958,19 +987,21 @@ class QueryService:
         )
 
     def _what_if_worker(
-        self, snapshot: bytes, add, remove, ingress_box: str, limit: int | None
+        self, snapshot: _Snapshot, add, remove, ingress_box: str,
+        limit: int | None,
     ) -> dict:
         """Executor-thread half of :meth:`what_if`.
 
-        The shadow is forked from ``snapshot`` itself, which ``live`` is
-        decoded from: encoding ``live`` again would only rebuild an
-        equivalent blob.
+        The shadow is forked from the snapshot's bytes, and the sweep's
+        live side is the snapshot's replica, decoded once per
+        generation: encoding it again would only rebuild an equivalent
+        blob.
         """
         from ..diff import _what_if
 
-        live = classifier_from_bytes(snapshot)
         report = _what_if(
-            live, snapshot, ingress_box, add, remove, recorder=self.recorder
+            snapshot.replica(), snapshot.blob, ingress_box, add, remove,
+            recorder=self.recorder,
         )
         return report.to_json(limit)
 
@@ -1021,7 +1052,8 @@ class QueryService:
                 )
                 self._journal = []
             payload = await asyncio.get_running_loop().run_in_executor(
-                None, rebuild_snapshot, pids, dumped, classifier.strategy
+                None, rebuild_snapshot, pids, dumped, classifier.strategy,
+                manager.var_shifts,
             )
             async with self._swap_lock.write():
                 if (

@@ -146,7 +146,7 @@ class TestRoundTrip:
         path = tmp_path / "toy.apc"
         save_artifact(original, path)
         summary = describe_artifact(path)
-        assert summary["payload_version"] == 3
+        assert summary["payload_version"] == 4
         compiled = [name for name in summary["sections"] if name.startswith("c_")]
         assert compiled == ["c_f_var", "c_f_child", "c_f_atom"]
 

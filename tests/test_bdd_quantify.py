@@ -67,7 +67,7 @@ def test_exists_matches_semantics(points, variables):
     mgr = BDDManager(NUM_VARS)
     fn = from_points(mgr, points)
     quantified = fn.exists(variables)
-    masks = [1 << (NUM_VARS - 1 - v) for v in variables]
+    masks = [1 << mgr.var_shifts[v] for v in variables]
     for assignment in range(1 << NUM_VARS):
         expected = any(
             completion in points
@@ -82,7 +82,7 @@ def test_forall_matches_semantics(points, variables):
     mgr = BDDManager(NUM_VARS)
     fn = from_points(mgr, points)
     quantified = fn.forall(variables)
-    masks = [1 << (NUM_VARS - 1 - v) for v in variables]
+    masks = [1 << mgr.var_shifts[v] for v in variables]
     for assignment in range(1 << NUM_VARS):
         expected = all(
             completion in points

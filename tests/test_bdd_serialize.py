@@ -204,6 +204,6 @@ class TestDeepBDDs:
         assert len(image[1]) == 3 * width  # one node per variable
         other = BDDManager(width)
         (rebuilt,) = load_image(other, image)
-        witness = sum(1 << (width - 1 - v) for v in range(width) if v % 2)
+        witness = sum(1 << other.var_shifts[v] for v in range(width) if v % 2)
         assert other.evaluate_from(rebuilt, witness)
         assert not other.evaluate_from(rebuilt, witness ^ 1)

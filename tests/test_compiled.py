@@ -94,7 +94,7 @@ class TestFlatBDDSet:
         with pytest.raises(ValueError):
             flat.first_true(no_match)
         with pytest.raises(ValueError):
-            flat.first_true_batch([1 << (manager.num_vars - 1), no_match])
+            flat.first_true_batch([1 << manager.var_shifts[0], no_match])
 
     def test_empty_batch(self, toy_dataplane, backend):
         labeled = toy_dataplane.predicates()

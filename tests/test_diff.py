@@ -509,6 +509,97 @@ class TestServeDiff:
         assert answer["applied"] == ["+b1:dst_ip=10.3.0.0/16->drop@98"]
         assert reverted["changed_volume"] == 0
 
+    def test_service_what_if_decodes_the_live_snapshot_once(self, monkeypatch):
+        """What-ifs at one generation share one decoded live replica; an
+        update retires it with the snapshot.  Every answer is still the
+        library call's."""
+        from repro.serve import service as service_module
+
+        live_decodes = []
+        decode = service_module.classifier_from_bytes
+
+        def spy(blob):
+            live_decodes.append(len(blob))
+            return decode(blob)
+
+        monkeypatch.setattr(service_module, "classifier_from_bytes", spy)
+        classifier = APClassifier.build(toy_network())
+        layout = classifier.dataplane.layout
+        specs = [
+            "b1:dst_ip=10.2.0.0/16->drop@99",
+            "b1:dst_ip=10.1.0.0/16->drop@99",
+            "b1:dst_ip=10.3.0.0/16->drop@98",
+        ]
+        drop = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 16), (), 97
+        )
+        expected = []
+
+        def library(spec):
+            rule = parse_rule_spec(spec, layout)
+            expected.append(untimed(what_if(classifier, "b1", add=[rule]).to_json()))
+
+        async def scenario():
+            async with QueryService(classifier, max_delay_s=0) as service:
+                answers = []
+                for spec in specs[:2]:
+                    answers.append(await service.what_if("b1", add=[spec]))
+                    library(spec)
+                decoded_at_one_generation = len(live_decodes)
+                await service.insert_rule("b1", drop)
+                answers.append(await service.what_if("b1", add=[specs[2]]))
+                library(specs[2])
+                return answers, decoded_at_one_generation
+
+        answers, decoded_at_one_generation = run(scenario())
+        assert decoded_at_one_generation == 1
+        assert len(live_decodes) == 2
+        assert [untimed(answer) for answer in answers] == expected
+
+    def test_concurrent_what_ifs_share_one_replica(self, monkeypatch):
+        """More concurrent what-ifs than cores, with a short switch
+        interval: the replica is decoded once, and every answer is the
+        library call's for its own rule."""
+        import sys
+
+        from repro.serve import service as service_module
+
+        live_decodes = []
+        decode = service_module.classifier_from_bytes
+
+        def spy(blob):
+            live_decodes.append(len(blob))
+            return decode(blob)
+
+        monkeypatch.setattr(service_module, "classifier_from_bytes", spy)
+        classifier = APClassifier.build(toy_network())
+        layout = classifier.dataplane.layout
+        specs = [f"b1:dst_ip=10.{octet}.0.0/16->drop@99" for octet in range(8)]
+        expected = [
+            untimed(what_if(
+                classifier, "b1", add=[parse_rule_spec(spec, layout)]
+            ).to_json())
+            for spec in specs
+        ]
+
+        async def scenario():
+            async with QueryService(classifier, max_delay_s=0) as service:
+                return await asyncio.wait_for(
+                    asyncio.gather(*(
+                        service.what_if("b1", add=[spec]) for spec in specs
+                    )),
+                    timeout=120,
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            answers = run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(live_decodes) == 1
+        assert [untimed(answer) for answer in answers] == expected
+
     def test_json_line_ops(self, tmp_path):
         classifier = APClassifier.build(toy_network())
         path = tmp_path / "gen.apc"

@@ -106,8 +106,13 @@ class TestPacking:
 
 class TestLiterals:
     def test_bit_positions(self):
+        # Variables run destination first; packing keeps src_ip first.
         layout = five_tuple_layout()
-        assert layout.bit_positions("dst_ip") == range(32, 64)
+        assert layout.bit_positions("dst_ip") == range(0, 32)
+        assert layout.bit_positions("src_ip") == range(32, 64)
+        assert layout.bit_positions("proto") == range(96, 104)
+        packed = HeaderLayout([(f.name, f.width) for f in layout.fields])
+        assert packed.bit_positions("dst_ip") == range(32, 64)
 
     def test_exact_literals_full_width(self):
         layout = HeaderLayout([("a", 4)])
@@ -136,3 +141,57 @@ class TestLiterals:
         layout = HeaderLayout([("a", 4)])
         with pytest.raises(ValueError):
             layout.prefix_literals("a", 0, 5)
+
+
+class TestVarOrder:
+    """The BDD variable order is separate from the packing order."""
+
+    def test_default_is_packing_order(self):
+        layout = HeaderLayout([("a", 4), ("b", 2)])
+        assert layout.packing_var_order
+        assert layout.var_order == ("a", "b")
+        assert layout.var_shifts == (5, 4, 3, 2, 1, 0)
+        assert [f.var_offset for f in layout.fields] == [0, 4]
+
+    def test_reordered_shifts(self):
+        layout = HeaderLayout([("a", 4), ("b", 2)], var_order=["b", "a"])
+        assert not layout.packing_var_order
+        # b (bits 1..0) is variables 0..1, a (bits 5..2) variables 2..5.
+        assert layout.var_shifts == (1, 0, 5, 4, 3, 2)
+        assert layout.field("b").var_offset == 0
+        assert layout.field("a").var_offset == 2
+        assert layout.field("a").offset == 0
+        assert layout.exact_literals("b", 0b10) == {0: True, 1: False}
+        header = layout.pack({"a": 0b1001, "b": 0b10})
+        assert header == 0b100110
+        for var, polarity in layout.exact_literals("a", 0b1001).items():
+            assert (header >> layout.var_shifts[var]) & 1 == polarity
+
+    def test_order_is_part_of_equality(self):
+        fields = [("a", 4), ("b", 2)]
+        packed = HeaderLayout(fields)
+        reordered = HeaderLayout(fields, var_order=["b", "a"])
+        assert packed != reordered
+        assert reordered == HeaderLayout(fields, var_order=("b", "a"))
+        assert hash(reordered) == hash(HeaderLayout(fields, ["b", "a"]))
+        assert packed == HeaderLayout(fields, var_order=["a", "b"])
+
+    def test_bad_orders_rejected(self):
+        for order in (["a"], ["a", "a"], ["a", "c"], ["a", "b", "b"]):
+            with pytest.raises(ValueError):
+                HeaderLayout([("a", 4), ("b", 2)], var_order=order)
+
+    def test_five_tuple_packing_did_not_move(self):
+        # The wire format: packed header ints are packing order, whatever
+        # the variable order.
+        layout = five_tuple_layout()
+        assert layout.var_order[0] == "dst_ip"
+        header = layout.pack({
+            "src_ip": parse_ipv4("10.0.0.1"),
+            "dst_ip": parse_ipv4("171.64.1.2"),
+            "src_port": 1234,
+            "dst_port": 80,
+            "proto": 6,
+        })
+        assert header == 0x0A000001_AB400102_04D2_0050_06
+        assert header == 792281633024015065122548502534

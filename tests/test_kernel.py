@@ -31,6 +31,7 @@ from repro.core.classifier import APClassifier
 from repro.core.construction import build_tree
 from repro.datasets import toy_network
 from repro.network.dataplane import LabeledPredicate
+from repro.headerspace.fields import HeaderLayout
 
 np = pytest.importorskip("numpy")
 
@@ -197,13 +198,12 @@ class TestDoubledDescent:
     THREE_WORD_VARS = 130
     #: Packed-integer bit positions on both sides of each word boundary,
     #: plus the lowest and the top bit; variable ``v`` is bit
-    #: ``num_vars - 1 - v``.
+    #: ``manager.var_shifts[v]``.
     EDGE_BITS = (0, 63, 64, 127, 128, 129)
 
-    def _three_word_tree(self):
-        top = self.THREE_WORD_VARS - 1
-        var = {bit: top - bit for bit in self.EDGE_BITS}
-        manager = BDDManager(self.THREE_WORD_VARS)
+    def _three_word_tree(self, var_shifts=None):
+        manager = BDDManager(self.THREE_WORD_VARS, var_shifts=var_shifts)
+        var = {bit: v for v, bit in enumerate(manager.var_shifts)}
         specs = [
             {var[0]: True},
             {var[63]: True, var[64]: False},
@@ -220,6 +220,23 @@ class TestDoubledDescent:
         ]
         universe = AtomicUniverse.compute(manager, predicates)
         return universe, build_tree(universe, strategy="oapt").tree
+
+    def test_three_word_headers_reordered_variables(self):
+        """Variables in another order than the packed bits: each
+        program node reads the bit its variable maps to."""
+        import random
+
+        layout = HeaderLayout([("a", 66), ("b", 64)], var_order=["b", "a"])
+        universe, tree = self._three_word_tree(layout.var_shifts)
+        rng = random.Random(17)
+        batch = [rng.getrandbits(self.THREE_WORD_VARS) for _ in range(300)]
+        expected = [universe.classify(header) for header in batch]
+        assert expected == [tree.classify(header) for header in batch]
+        assert len(set(expected)) == len(universe.atom_ids())
+        for backend in available_backends():
+            compiled = CompiledAPTree.compile(tree, backend=backend)
+            for n in (127, 128, 300):
+                assert_engine_agrees(compiled, batch[:n], expected[:n])
 
     def test_three_word_headers(self):
         import random

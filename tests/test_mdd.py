@@ -111,6 +111,23 @@ class TestCanonicalProgram:
         assert mdd.node_count == interior
 
 
+class TestVariableOrder:
+    def test_chunks_read_the_bits_of_their_variables(self):
+        """On a destination-first five-tuple plane a chunk is a run of
+        variables, not of packed bits: a 3-bit chunk across the dst/src
+        boundary reads two separate bit runs, and lookups stay exact."""
+        from repro.datasets import uniform_over_atoms
+
+        classifier = APClassifier.build(get_scenario("stanford").network())
+        universe = classifier.universe
+        mdd = MddClassifier(universe, chunk_bits=3)
+        assert len(mdd._reads[10]) == 2  # variables 30, 31 | 32
+        trace = uniform_over_atoms(universe, 1000, random.Random(5)).headers
+        assert [mdd.classify(h) for h in trace] == [
+            universe.classify(h) for h in trace
+        ]
+
+
 class TestTradeoff:
     def test_mdd_lookup_faster_but_build_slower(self, internet2_classifier):
         """The paper's positioning of [10]: faster lookups, costlier and

@@ -40,7 +40,7 @@ def random_universe(
         for point in points:
             fn = fn | Function.cube(
                 mgr,
-                {i: bool((point >> (num_vars - 1 - i)) & 1) for i in range(num_vars)},
+                {i: bool((point >> mgr.var_shifts[i]) & 1) for i in range(num_vars)},
             )
         labeled.append(LabeledPredicate(pid, "forward", "b", f"p{pid}", fn))
     return AtomicUniverse.compute(mgr, labeled)

@@ -53,9 +53,9 @@ class TestMatch:
         )
         literals = match.to_literals(layout)
         packet = Packet.of(layout, dst_ip="171.65.3.4", dst_port=23)
-        width = layout.total_width
         for var, polarity in literals.items():
-            assert bool((packet.value >> (width - 1 - var)) & 1) == polarity
+            bit = (packet.value >> layout.var_shifts[var]) & 1
+            assert bool(bit) == polarity
         assert match.matches(packet)
 
     def test_wildcard_agrees_with_matches(self):
