@@ -5,7 +5,7 @@ micro-batching dispatcher so many concurrent callers share the compiled
 engine's batch path, with bounded admission (backpressure or shedding),
 per-request deadlines, and graceful degradation while the data plane
 churns and reconstructions swap trees underneath the queries.  An
-optional generation-keyed :class:`ResultCache` answers repeated hot
+optional per-generation :class:`ResultCache` answers repeated hot
 headers synchronously at admission.  Every serving process -- single
 node or :class:`ServeGrid` worker -- runs the one connection loop of
 :mod:`repro.serve.tcp`.  See ``docs/serving.md``

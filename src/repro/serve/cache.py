@@ -8,19 +8,18 @@ queue slot, dispatcher pass).  :class:`ResultCache` lets the service
 answer repeats synchronously at admission time: one dict probe instead
 of a queue round-trip.
 
-Correctness hinges on *generation keying*.  Every event that can change
-what a header classifies to -- a rule update, a reconstruction swap, a
-generation handoff, or an out-of-band tree mutation observed through
-the tree-version stamp -- bumps :attr:`ResultCache.generation` and empties
-the map, so a hit can only ever return an atom id computed by the
-classifier generation currently serving.  The service performs all
-cache operations on the event-loop thread and never awaits between the
-generation check and the probe, which makes bump-then-clear atomic with
-respect to queries.
+A cache belongs to one classifier generation.  Every event that can
+change what a header classifies to -- a rule update, a reconstruction
+swap, a generation handoff, or a tree change made around the service --
+makes the service replace its generation record, and the next record
+gets a new, empty cache, so a hit can only ever return an atom id
+computed by the generation currently serving.  The service performs all
+cache operations on the event-loop thread and never awaits between its
+generation check and the probe.
 
 Eviction is plain LRU over an ordered dict: hits refresh recency,
 inserts beyond ``capacity`` evict the oldest entry.  Counters (hits,
-misses, evictions, invalidations) land in
+misses, evictions; the service counts invalidations) land in
 :class:`repro.obs.ServeCounters` when one is attached, feeding the
 ``serve.result_cache`` snapshot section (schema /5).
 """
@@ -39,15 +38,12 @@ class ResultCache:
     confines every call to its event-loop thread.
     """
 
-    __slots__ = ("capacity", "generation", "_entries", "_counters")
+    __slots__ = ("capacity", "_entries", "_counters")
 
     def __init__(self, capacity: int, counters=None) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        #: Bumped on every invalidation; exposed so tests and benchmarks
-        #: can assert that a swap really retired the cached generation.
-        self.generation = 0
         self._entries: OrderedDict[int, int] = OrderedDict()
         self._counters = counters
 
@@ -81,23 +77,9 @@ class ResultCache:
                 self._counters.cache_evictions += 1
         entries[header] = atom_id
 
-    def invalidate(self) -> None:
-        """Retire the whole generation: clear the map, bump the counter."""
-        self.generation += 1
-        self._entries.clear()
-        if self._counters is not None:
-            self._counters.cache_invalidations += 1
-
     def stats(self) -> dict:
         """Instantaneous gauges (the cumulative counters live in obs)."""
-        return {
-            "capacity": self.capacity,
-            "entries": len(self._entries),
-            "generation": self.generation,
-        }
+        return {"capacity": self.capacity, "entries": len(self._entries)}
 
     def __repr__(self) -> str:
-        return (
-            f"ResultCache({len(self._entries)}/{self.capacity} entries, "
-            f"generation {self.generation})"
-        )
+        return f"ResultCache({len(self._entries)}/{self.capacity} entries)"

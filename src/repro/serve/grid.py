@@ -164,7 +164,7 @@ async def _member_serve(conn, name: str, host: str, port: int,
     # in SharedMemory.__del__ ("exported pointers exist").
     blocks = [block for block, _loaded in generations.values()]
     generations.clear()
-    service.classifier = None
+    service.generation = None
     for block in blocks:
         _detach(block)
 

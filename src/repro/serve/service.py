@@ -20,12 +20,15 @@ underneath it.  This module is that serving layer:
   pass.  Later arrivals in the same pass queue, so concurrent callers
   still coalesce.  ``classify`` always queues: stage 1 alone is the
   work batching amortizes.
-* **Stage 2 memoised per generation.**  An atom is one packet class
-  network-wide, so stage 2 depends only on ``(atom, ingress, in_port)``.
-  Both paths share a memo retired with the result cache and filled only
-  for ``in_port=None`` or a known input-ACL slot (at most atoms x slots
-  entries); the returned :class:`~repro.core.behavior.Behavior` objects
-  are shared between callers and read-only.
+* **One record per generation.**  The served classifier, its stage-2
+  memo, result cache and diff/what-if snapshot live in one record that
+  every update, swap, reconstruction -- or tree change made around the
+  service, caught on the read path -- replaces, so they retire
+  together.  An atom is one packet class network-wide, so stage 2
+  depends only on ``(atom, ingress, in_port)``; both paths share the
+  memo, filled only for ``in_port=None`` or a known input-ACL slot (at
+  most atoms x slots entries), and its
+  :class:`~repro.core.behavior.Behavior` objects are read-only.
 * **Bounded admission with selectable saturation policy.**  The queue
   holds at most ``queue_limit`` requests.  ``overflow="wait"`` applies
   backpressure (callers suspend until a slot frees -- closed-loop
@@ -33,16 +36,14 @@ underneath it.  This module is that serving layer:
   :class:`QueryShed` (open-loop load peaks are dropped and counted
   instead of growing the queue without bound).
 * **Hot-header result cache** (optional, ``cache_size > 0``).  Skewed
-  query streams repeat a small set of headers; a generation-keyed LRU
+  query streams repeat a small set of headers; the record's LRU
   (:mod:`repro.serve.cache`) answers repeats synchronously at admission
-  -- one dict probe instead of a future + queue + dispatcher round-trip
-  -- and is invalidated inside every mutation's write-lock section, so
-  a swap can never serve a pre-swap atom id.
+  -- one dict probe instead of a future + queue + dispatcher round-trip.
 * **Single-flight request coalescing.**  A ``classify`` for a header
   that is already queued does not take a second queue slot: it awaits
   the in-flight request's future and both callers share one
   classification.  Without this, concurrent callers replaying a shared
-  trace *platoon* after every cache invalidation -- whole batches carry
+  trace *platoon* after every generation change -- whole batches carry
   one distinct header, every probe misses because the put lands after
   all of them -- and the cache never refills.  Coalescing collapses
   each platoon to one batch slot and one cache insert.
@@ -81,7 +82,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-import weakref
 from collections import deque
 from contextlib import asynccontextmanager
 from typing import AsyncIterator
@@ -156,7 +156,9 @@ class _Snapshot:
 
     The replica is the read-only ``before`` side of every what-if at
     the generation (classify, stage 2, slot lookups); overlaps are built
-    in each what-if's own shadow.  Retiring the snapshot retires both.
+    in each what-if's own shadow.  Executor work holds this, never the
+    :class:`_Generation`, so a what-if in flight pins no retired
+    classifier.
     """
 
     __slots__ = ("blob", "_replica", "_lock")
@@ -171,6 +173,29 @@ class _Snapshot:
             if self._replica is None:
                 self._replica = classifier_from_bytes(self.blob)
             return self._replica
+
+
+class _Generation:
+    """One served classifier generation and what is derived from it.
+
+    ``behaviors`` (the stage-2 memo), ``cache`` (``None`` when disabled)
+    and ``snapshot`` (made on first use) answer for ``classifier`` while
+    its tree is ``tree`` at ``version``.  Retiring a generation is
+    replacing its record.  Used on the event-loop thread only.
+    """
+
+    __slots__ = ("classifier", "tree", "version", "number", "behaviors",
+                 "cache", "snapshot")
+
+    def __init__(self, classifier: APClassifier, number: int,
+                 cache_size: int, counters: ServeCounters) -> None:
+        self.classifier = classifier
+        self.tree = classifier.tree
+        self.version = classifier.tree.version
+        self.number = number  # 0 for the first, +1 per retirement
+        self.behaviors: dict[tuple, Behavior] = {}
+        self.cache = ResultCache(cache_size, counters) if cache_size else None
+        self.snapshot: _Snapshot | None = None
 
 
 class _SwapLock:
@@ -262,15 +287,14 @@ class QueryService:
         disables it).  A cached header's atom id is answered
         *synchronously at admission* -- no future, no queue slot, no
         dispatcher pass -- which is where the throughput win on skewed
-        workloads comes from.  The cache is generation-keyed: rule
-        updates, reconstruction swaps, :meth:`adopt_generation`, and
-        any observed out-of-band tree change invalidate it before the
-        next probe, so a swap can never serve a pre-swap atom id.
-        Behavior queries (:meth:`query`) bypass the cache; only atom-id
-        classifies are cached.
+        workloads comes from.  Each generation has its own cache, so a
+        swap can never serve a pre-swap atom id.  Behavior queries
+        (:meth:`query`) bypass the cache; only atom-id classifies are
+        cached.
 
     The service switches the classifier it serves (and each one
-    :meth:`adopt_generation` hands it) to ``maintenance="incremental"``.
+    :meth:`adopt_generation` hands it) to ``maintenance="incremental"``
+    and compiles it if its program is stale.
     """
 
     OVERFLOW_POLICIES = ("wait", "shed")
@@ -301,8 +325,6 @@ class QueryService:
                 f"unknown overflow policy {overflow!r}; "
                 f"choose from {self.OVERFLOW_POLICIES}"
             )
-        classifier.set_maintenance("incremental")
-        self.classifier = classifier
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.queue_limit = queue_limit
@@ -325,17 +347,6 @@ class QueryService:
         self._dispatcher: asyncio.Task | None = None
         self._journal: list[PredicateChange] | None = None
         self._reconstructing = False
-        # Hot-header result cache and stage-2 memo, confined to the
-        # event-loop thread; the freshness stamp detects out-of-band
-        # tree changes, so even mutations that bypassed this service
-        # retire them.
-        self._cache = (
-            ResultCache(cache_size, counters=self.counters)
-            if cache_size
-            else None
-        )
-        self._behaviors: dict[tuple, Behavior] = {}
-        self._stamp_generation()
         self._hit_streak = 0  # synchronous hits since the last loop yield
         self._inline_pass = False  # a query was answered inline this pass
         self._batch_out = None  # reusable int64 buffer for the array path
@@ -343,10 +354,13 @@ class QueryService:
         # classify request for it.  Confined to the event-loop thread;
         # entries are removed wherever their future is completed.
         self._inflight: dict[int, asyncio.Future] = {}
-        # The live generation's classifier half for diff/what-if
-        # isolation, retired with the result cache.  Set and cleared on
-        # the event-loop thread only.
-        self._snapshot: _Snapshot | None = None
+        self.generation: _Generation | None = None
+        self._install(classifier)
+
+    @property
+    def classifier(self) -> APClassifier:
+        """The classifier of the live generation."""
+        return self.generation.classifier
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -357,11 +371,9 @@ class QueryService:
         return self._dispatcher is not None and not self._dispatcher.done()
 
     async def start(self) -> None:
-        """Start the dispatcher task, compiling first only a classifier
-        with no fresh program (a loaded artifact's is served as loaded)."""
+        """Start the dispatcher task."""
         if self.running:
             return
-        self._compile_if_stale(self.classifier)
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop(), name="repro-serve-dispatch"
         )
@@ -445,7 +457,7 @@ class QueryService:
             raise ServiceClosed("service is not running")
         started = time.perf_counter()
         async with self._swap_lock.read():
-            atoms = self._classify_headers(self.classifier, headers)
+            atoms = self._classify_headers(self.generation.classifier, headers)
         self.counters.record_frame(len(atoms), time.perf_counter() - started)
         return atoms
 
@@ -458,7 +470,7 @@ class QueryService:
         # Refuse here, before a queue slot or single-flight entry is
         # taken: a header the kernel cannot pack would fail the whole
         # coalesced batch, i.e. other callers' requests.
-        width = self.classifier.dataplane.layout.total_width
+        width = self.generation.classifier.dataplane.layout.total_width
         if not 0 <= header < 1 << width:
             raise ValueError(
                 f"header {header} out of range for a {width}-bit layout"
@@ -476,16 +488,15 @@ class QueryService:
             asyncio.get_running_loop().call_soon(self._end_inline_pass)
             return self._answer_now(header, ingress, in_port)
         if ingress is None:
-            if self._cache is not None:
+            if self.cache_size:
                 # Synchronous hot-header hit: no future, no queue slot,
                 # no dispatcher pass.  Safe without the swap lock
-                # because every invalidation runs synchronously on this
-                # same loop thread inside the writer's critical section
-                # -- a probe either happens-before the mutation (and
-                # the answer linearizes before it) or sees the
-                # already-cleared cache.
-                self._check_generation()
-                atom_id = self._cache.get(header)
+                # because every writer replaces the generation
+                # synchronously on this same loop thread inside its
+                # critical section -- a probe either happens-before the
+                # mutation (and the answer linearizes before it) or
+                # sees the next generation's cache.
+                atom_id = self._current().cache.get(header)
                 if atom_id is not None:
                     counters.requests += 1
                     counters.record_served(0.0)
@@ -568,14 +579,14 @@ class QueryService:
 
     def _answer_now(self, header: int, ingress: str, in_port: str | None):
         """Answer one query on the loop thread, as a batch of one."""
-        self._check_generation()
+        generation = self._current()
         counters = self.counters
         started = time.perf_counter()
         counters.record_admission(0)
         counters.record_batch(1)
-        classifier = self.classifier
         behavior = self._behavior(
-            classifier, classifier.classify(header), ingress, in_port
+            generation, generation.classifier.classify(header), ingress,
+            in_port,
         )
         counters.record_served(time.perf_counter() - started)
         return behavior
@@ -691,21 +702,17 @@ class QueryService:
         Runs synchronously under the read side of the swap lock: both
         stages see a single classifier generation.
         """
-        classifier = self.classifier
+        generation = self._current()
         headers = [request.header for request in live]
         try:
-            atom_ids = self._classify_headers(classifier, headers)
+            atom_ids = self._classify_headers(generation.classifier, headers)
         except Exception as exc:  # defensive: keep the dispatcher alive
             for request in live:
                 self._retire_inflight(request)
                 if not request.future.done():
                     request.future.set_exception(exc)
             return
-        # Re-stamp before populating: if the batch was answered after an
-        # out-of-band tree change, the old generation dies here and the
-        # new results seed the next one.
-        self._check_generation()
-        cache = self._cache
+        cache = generation.cache
         for request, atom_id in zip(live, atom_ids):
             self._retire_inflight(request)
             if cache is not None and request.ingress is None:
@@ -717,7 +724,7 @@ class QueryService:
                 continue
             try:
                 behavior = self._behavior(
-                    classifier, atom_id, request.ingress, request.in_port
+                    generation, atom_id, request.ingress, request.in_port
                 )
             except Exception as exc:
                 request.future.set_exception(exc)
@@ -745,56 +752,64 @@ class QueryService:
         return classifier.classify_batch_array(headers, out=out[:n]).tolist()
 
     # ------------------------------------------------------------------
-    # Result cache and stage-2 memo (generation keying)
+    # Generations
     # ------------------------------------------------------------------
 
     def _behavior(
-        self, classifier: APClassifier, atom_id: int, ingress: str, in_port
+        self, generation: _Generation, atom_id: int, ingress: str, in_port
     ) -> Behavior:
-        """Stage 2 through the per-generation memo.
+        """Stage 2 through the generation's memo.
 
         Caller-chosen port names that name no input-ACL slot are not
         remembered, and an unknown ingress raises before anything is.
         """
         key = (atom_id, ingress, in_port)
-        behavior = self._behaviors.get(key)
+        behavior = generation.behaviors.get(key)
         if behavior is None:
+            classifier = generation.classifier
             behavior = classifier.behavior_of_atom(atom_id, ingress, in_port)
             if (
                 in_port is None
                 or classifier.dataplane.input_acl_predicate(ingress, in_port)
                 is not None
             ):
-                self._behaviors[key] = behavior
+                generation.behaviors[key] = behavior
         return behavior
 
-    def _check_generation(self) -> None:
-        """Retire the cache and the memo if the generation changed under us.
+    def _current(self) -> _Generation:
+        """The live generation, replaced first if its tree changed
+        around the service.  An update bumps the tree's version, but a
+        reconstruction installs a new tree at version 0, so both halves
+        of the check are needed.  Runs on the loop thread."""
+        generation = self.generation
+        tree = generation.classifier.tree
+        if tree is not generation.tree or tree.version != generation.version:
+            generation = self._next_generation(generation.classifier)
+        return generation
 
-        The supported mutation paths (:meth:`_apply_rule`,
-        :meth:`adopt_generation`, :meth:`reconstruct`) invalidate
-        eagerly; this stamp check is the backstop for out-of-band
-        mutations, observed via the classifier's and tree's identity
-        and the tree's version (every applied predicate change bumps
-        it).  Runs on the loop thread with no awaits before use.
+    def _next_generation(self, classifier: APClassifier) -> _Generation:
+        """Retire the live generation, if any, for a new record serving
+        ``classifier``: the one place a generation is made."""
+        old = self.generation
+        if old is not None and old.cache is not None:
+            self.counters.cache_invalidations += 1
+        number = 0 if old is None else old.number + 1
+        self.generation = _Generation(
+            classifier, number, self.cache_size, self.counters
+        )
+        return self.generation
+
+    def _install(self, classifier: APClassifier) -> None:
+        """The writers' step: serve ``classifier`` as the next generation.
+
+        Updates patch its program in place (a loaded one too), so only
+        a change made around the service or a reconstruction leaves it
+        stale to compile here.
         """
-        classifier = self.classifier
-        tree = classifier.tree
-        stamped_classifier, stamped_tree, version = self._stamp
-        if (
-            stamped_tree() is tree
-            and tree.version == version
-            and stamped_classifier() is classifier
-        ):
-            return
-        self._invalidate_cache()
-
-    def _stamp_generation(self) -> None:
-        # Weak references: a retired generation (and any shared-memory
-        # pages it maps) must not outlive its last real user.
-        classifier = self.classifier
-        tree = classifier.tree
-        self._stamp = (weakref.ref(classifier), weakref.ref(tree), tree.version)
+        classifier.set_maintenance("incremental")
+        if not classifier.compiled_fresh:
+            classifier.compile(self.backend)
+        self._next_generation(classifier)
 
     def _retire_inflight(self, request: "_Request") -> None:
         """Drop the request's single-flight registration.
@@ -809,15 +824,6 @@ class QueryService:
             return
         if self._inflight.get(request.header) is request.future:
             del self._inflight[request.header]
-
-    def _invalidate_cache(self) -> None:
-        """Retire the result cache, the stage-2 memo and the snapshot,
-        then re-stamp."""
-        self._behaviors.clear()
-        self._snapshot = None
-        if self._cache is not None:
-            self._cache.invalidate()
-        self._stamp_generation()
 
     # ------------------------------------------------------------------
     # Update path (write side of the swap lock)
@@ -837,7 +843,7 @@ class QueryService:
         async with self._swap_lock.write():
             # Read inside the write section: a generation adopted while
             # this update waited for the lock is the one it must reach.
-            classifier = self.classifier
+            classifier = self.generation.classifier
             if insert:
                 changes = classifier.dataplane.insert_rule(box, rule)
             else:
@@ -845,9 +851,9 @@ class QueryService:
             results = classifier.apply_changes(changes)
             if self._journal is not None:
                 self._journal.extend(changes)
-            if changes:
-                self._invalidate_cache()
-            self._compile_if_stale(classifier)
+            # Retired even when no predicate changed (a shadowed rule):
+            # the snapshot holds the rule tables.
+            self._install(classifier)
         return results
 
     async def adopt_generation(self, classifier: APClassifier) -> None:
@@ -861,24 +867,11 @@ class QueryService:
         generation and the next batch sees the new one -- never a mix.
         """
         async with self._swap_lock.write():
-            classifier.set_maintenance("incremental")
-            self._compile_if_stale(classifier)
+            self._install(classifier)
             if self.recorder is not None:
                 classifier.set_recorder(self.recorder)
-            self.classifier = classifier
-            self._invalidate_cache()
             self.counters.swaps += 1
             self.counters.generations += 1
-
-    def _compile_if_stale(self, classifier: APClassifier) -> None:
-        """Compile ``classifier`` unless its program is fresh.
-
-        Updates patch a compiled program in place (a loaded one too),
-        so after one only a change made around the service leaves it
-        stale; a reconstruction swap leaves no program.
-        """
-        if not classifier.compiled_fresh:
-            classifier.compile(self.backend)
 
     # ------------------------------------------------------------------
     # Verification queries: generation diff and what-if (repro.diff)
@@ -898,10 +891,12 @@ class QueryService:
         replica), so only the first call after a mutation pays the
         serialization.
         """
-        self._check_generation()
-        if self._snapshot is None:
-            self._snapshot = _Snapshot(classifier_bytes(self.classifier))
-        return self._snapshot
+        generation = self._current()
+        if generation.snapshot is None:
+            generation.snapshot = _Snapshot(
+                classifier_bytes(generation.classifier)
+            )
+        return generation.snapshot
 
     async def diff_generation(
         self,
@@ -1045,7 +1040,7 @@ class QueryService:
         self._reconstructing = True
         try:
             async with self._swap_lock.write():
-                classifier = self.classifier
+                classifier = self.generation.classifier
                 manager = classifier.dataplane.manager
                 pids, dumped = snapshot_predicates(
                     classifier.dataplane.predicates()
@@ -1057,7 +1052,7 @@ class QueryService:
             )
             async with self._swap_lock.write():
                 if (
-                    self.classifier is not classifier
+                    self.generation.classifier is not classifier
                     or classifier.dataplane.manager is not manager
                 ):
                     return False
@@ -1070,8 +1065,7 @@ class QueryService:
                 rec = self.recorder
                 if rec is not None and rec is not classifier.recorder:
                     rec.updates.replayed += replayed
-                self._invalidate_cache()
-                self._compile_if_stale(classifier)
+                self._install(classifier)
                 self.counters.swaps += 1
             return True
         finally:
@@ -1093,11 +1087,13 @@ class QueryService:
         data["queue_depth"] = len(self._queue)
         data["running"] = self.running
         data["reconstructing"] = self._reconstructing
-        data["compiled_fresh"] = self.classifier.compiled_fresh
-        if self._cache is not None:
+        generation = self.generation
+        data["compiled_fresh"] = generation.classifier.compiled_fresh
+        if generation.cache is not None:
             data["result_cache"] = {
                 **data["result_cache"],
-                **self._cache.stats(),
+                **generation.cache.stats(),
+                "generation": generation.number,
             }
         return data
 

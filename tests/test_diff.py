@@ -509,6 +509,31 @@ class TestServeDiff:
         assert answer["applied"] == ["+b1:dst_ip=10.3.0.0/16->drop@98"]
         assert reverted["changed_volume"] == 0
 
+    def test_service_what_if_sees_a_shadowed_rule(self):
+        """An update that changes no predicate still changes the rule
+        tables a what-if forks from: the served answer is the library
+        call's, not one from the snapshot taken before the update."""
+        classifier = APClassifier.build(toy_network())
+        port = classifier.dataplane.network.box("b1").table.out_ports()[0]
+        drop = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 24), (), 24
+        )
+        shadowed = ForwardingRule(
+            Match.prefix("dst_ip", parse_ipv4("10.2.0.0"), 25), (port,), 23
+        )
+
+        async def scenario():
+            async with QueryService(classifier, max_delay_s=0) as service:
+                await service.insert_rule("b1", drop)
+                await service.what_if("b1", remove=[("b1", drop)])
+                assert await service.insert_rule("b1", shadowed) == []
+                return await service.what_if("b1", remove=[("b1", drop)])
+
+        answer = run(scenario())
+        library = what_if(classifier, "b1", remove=[("b1", drop)])
+        assert answer["changed_classes"] == 2
+        assert untimed(answer) == untimed(library.to_json())
+
     def test_service_what_if_decodes_the_live_snapshot_once(self, monkeypatch):
         """What-ifs at one generation share one decoded live replica; an
         update retires it with the snapshot.  Every answer is still the

@@ -342,6 +342,11 @@ async def mutate(service, how):
         await service.remove_rule("b1", drop_rule())
     elif how == "out_of_band":
         service.classifier.insert_rule("b1", drop_rule())
+    elif how == "out_of_band_reconstruct":
+        # The rebuilt tree is back at version 0, the fresh build's.
+        service.classifier.insert_rule("b1", drop_rule())
+        service.classifier.reconstruct()
+        service.classifier.compile()
     elif how == "adopt_generation":
         replacement = APClassifier.build(toy_network())
         replacement.insert_rule("b1", drop_rule())
@@ -427,6 +432,7 @@ class TestInlineAnswers:
             "insert_rule",
             "remove_rule",
             "out_of_band",
+            "out_of_band_reconstruct",
             "adopt_generation",
             "reconstruct",
         ],
@@ -454,7 +460,7 @@ class TestInlineAnswers:
                 # prove the memo serves the poison.
                 poison = Behavior("b1", first.atom_id, TraceNode("poison", None))
                 for atom_id in range(1_000):
-                    service._behaviors[(atom_id, "b1", None)] = poison
+                    service.generation.behaviors[(atom_id, "b1", None)] = poison
                 assert await ask(service) is poison
                 await mutate(service, how)
                 answer = await ask(service)
@@ -479,7 +485,7 @@ class TestInlineAnswers:
                     await service.query(header, "b1", f"bogus-{index}")
                 for header in headers:
                     await service.query(header, "b1")
-                return dict(service._behaviors)
+                return dict(service.generation.behaviors)
 
         memo = run(scenario())
         assert 0 < len(memo) <= atoms * slots

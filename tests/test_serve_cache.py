@@ -71,15 +71,6 @@ class TestResultCacheUnit:
         assert cache.get(1) == 111
         assert cache.get(2) == 22
 
-    def test_invalidate_clears_and_bumps_generation(self):
-        cache = ResultCache(4)
-        cache.put(1, 11)
-        generation = cache.generation
-        cache.invalidate()
-        assert cache.generation == generation + 1
-        assert cache.get(1) is None
-        assert len(cache) == 0
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             ResultCache(0)
@@ -281,11 +272,11 @@ class TestInvalidation:
             ) as service:
                 for header in headers:
                     await service.classify(header)
-                generation = service._cache.generation
+                generation = service.generation.number
                 compiled = classifier.compiled
                 await service.insert_rule("b1", drop_rule())
-                assert service._cache.generation == generation + 1
-                assert len(service._cache) == 0
+                assert service.generation.number == generation + 1
+                assert len(service.generation.cache) == 0
                 # Post-update answers come from the patched program (on
                 # the toy, compacted at once), not the retired cache.
                 assert classifier._engine.patches == 1 and compiled.patched
@@ -310,7 +301,7 @@ class TestInvalidation:
             ) as service:
                 await service.classify(header)
                 # Plant a poisoned pre-swap entry and prove it is live.
-                service._cache.put(header, poison)
+                service.generation.cache.put(header, poison)
                 assert await service.classify(header) == poison
                 await service.adopt_generation(replacement)
                 post_swap = await service.classify(header)
@@ -333,7 +324,7 @@ class TestInvalidation:
                 await service.insert_rule("b1", drop_rule())
                 assert classifier.compiled_fresh
                 await service.classify(header)
-                service._cache.put(header, 424242)
+                service.generation.cache.put(header, 424242)
                 assert await service.classify(header) == 424242
                 await service.reconstruct()
                 post_swap = await service.classify(header)
@@ -347,32 +338,44 @@ class TestInvalidation:
 
     def test_out_of_band_mutation_invalidates_via_staleness_stamp(self):
         """The tree changes behind the service's back (no
-        insert_rule/adopt/reconstruct call), so only the tree-version
-        stamp can catch it -- and it must, before a single
-        post-mutation query is answered from the cache.  The classifier
-        patches its program in place, so freshness cannot."""
-        classifier = fresh_classifier()
-        header = sample_headers(classifier, 1)[0]
+        insert_rule/adopt/reconstruct call), so only the generation
+        record's tree identity and version can catch it -- and they
+        must, before a single post-mutation query is answered from the
+        cache.  The classifier keeps its program fresh, so freshness
+        cannot.  A reconstruction puts a new tree at version 0, which
+        the version alone cannot tell from the fresh build's."""
 
-        async def scenario():
-            async with QueryService(
-                classifier, max_delay_s=0, cache_size=64
-            ) as service:
-                await service.classify(header)
-                service._cache.put(header, 515151)
-                assert await service.classify(header) == 515151
-                # Mutate the shared classifier directly: the service's
-                # eager invalidation hooks never run.
-                classifier.insert_rule("b1", drop_rule())
-                assert classifier.compiled_fresh
-                invalidations = service.counters.cache_invalidations
-                answer = await service.classify(header)
-                return answer, invalidations, service.counters
+        def insert(classifier):
+            classifier.insert_rule("b1", drop_rule())
 
-        answer, before, counters = run(scenario())
-        assert answer != 515151
-        assert answer == classifier.universe.classify(header)
-        assert counters.cache_invalidations == before + 1
+        def insert_and_reconstruct(classifier):
+            insert(classifier)
+            classifier.reconstruct()
+            classifier.compile()
+
+        for mutate in (insert, insert_and_reconstruct):
+            classifier = fresh_classifier()
+            header = sample_headers(classifier, 1)[0]
+
+            async def scenario():
+                async with QueryService(
+                    classifier, max_delay_s=0, cache_size=64
+                ) as service:
+                    await service.classify(header)
+                    service.generation.cache.put(header, 515151)
+                    assert await service.classify(header) == 515151
+                    # Mutate the shared classifier directly: no writer
+                    # of the service runs.
+                    mutate(classifier)
+                    assert classifier.compiled_fresh
+                    invalidations = service.counters.cache_invalidations
+                    answer = await service.classify(header)
+                    return answer, invalidations, service.counters
+
+            answer, before, counters = run(scenario())
+            assert answer != 515151
+            assert answer == classifier.universe.classify(header)
+            assert counters.cache_invalidations == before + 1
 
 
 class TestObservability:
